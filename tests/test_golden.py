@@ -1,0 +1,53 @@
+"""Golden snapshot of the CLI: stdout, stderr and exit code, byte for byte.
+
+Every command runs on every shipped fixture in both output formats.  The
+expected outputs live in ``tests/golden/cli.json``; any change in a report,
+down to the last bit of a float, fails here.  After an intended output
+change, rewrite the snapshot with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from zakfiber.cli import _ACTION_COMMANDS, _TRANSLATION_SUBCOMMANDS, run
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+FIXTURES = ["s1", "s1-parseval", "s2", "s3", "star"]
+FORMATS = ["structured", "csv-fibers"]
+COMMANDS = _ACTION_COMMANDS + [f"translation {s}"
+                               for s in _TRANSLATION_SUBCOMMANDS]
+CASES = [f"{c} --scenario {f} --format {fmt}"
+         for c in COMMANDS for f in FIXTURES for fmt in FORMATS]
+
+
+def capture(case: str) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    code = run(case.split(), out=out, err=err)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+    assert len(CASES) == 150
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cli_output_unchanged(golden, case):
+    assert capture(case) == golden[case]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    snapshot = {case: capture(case) for case in CASES}
+    GOLDEN.write_text(json.dumps(snapshot, sort_keys=True, indent=1) + "\n")
+    print(f"wrote {len(snapshot)} cases to {GOLDEN}")
