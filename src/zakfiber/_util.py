@@ -2,31 +2,14 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, TypeVar
-
 import numpy as np
-
-T = TypeVar("T")
-
-
-def fiber_map(func: Callable[[int], T], n: int, workers: int = 1) -> list[T]:
-    """Apply ``func`` to fiber indices 0..n-1, preserving order.
-
-    With workers > 1 the fibers are processed on a thread pool; each call
-    is an isolated computation on fixed inputs, so results (and therefore
-    any report built from them) are identical for every worker count.
-    """
-    if workers is None or workers <= 1 or n <= 1:
-        return [func(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-        return list(pool.map(func, range(n)))
 
 
 def stack_generator_fibers(fibered) -> tuple[np.ndarray, np.ndarray]:
     """Validate a non-empty list of FiberedVectors on one fibration.
 
-    Returns (stack, weights) with stack shape (n_fibers, n_points, n_gens).
+    Returns (stack, weights) with stack shape (n_fibers, n_points, n_gens);
+    the stack is a fresh array that callers may scale in place.
     """
     if not fibered:
         raise ValueError("at least one fibered generator is required")

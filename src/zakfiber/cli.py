@@ -1,8 +1,10 @@
 """Command-line interface: scenario loading, dispatch, and reports.
 
 Reports are JSON documents with sorted keys (or a CSV fiber dump), built
-from deterministic computations only, so repeated runs and different
---parallel settings produce byte-identical output.
+from deterministic computations only, so repeated runs produce
+byte-identical output.  ``--parallel N`` is accepted and range-checked
+for compatibility but has no effect: every fiber computation runs as one
+batched numpy call.
 
 Exit codes: 0 success, 2 validation failure or incompatible request,
 3 fiber-vs-oracle disagreement in ``verify``, 4 I/O or parse error.
@@ -208,7 +210,7 @@ def cmd_zak(sc: Scenario, args) -> tuple[dict, int]:
 def cmd_range(sc: Scenario, args) -> tuple[dict, int]:
     rep = _base_report("range", sc, args.tolerance)
     _, fibered = _generator_fibers(sc)
-    J = ranges.range_from_fibers(fibered, workers=args.parallel)
+    J = ranges.range_from_fibers(fibered)
     rep["fibers"] = [{"fiber_id": i, "dim": int(d)}
                      for i, d in enumerate(J.dims)]
     rep["length"] = J.length()
@@ -218,7 +220,7 @@ def cmd_range(sc: Scenario, args) -> tuple[dict, int]:
 def cmd_length(sc: Scenario, args) -> tuple[dict, int]:
     rep = _base_report("length", sc, args.tolerance)
     _, fibered = _generator_fibers(sc)
-    J = ranges.range_from_fibers(fibered, workers=args.parallel)
+    J = ranges.range_from_fibers(fibered)
     rep["length"] = J.length()
     return rep, EXIT_OK
 
@@ -227,12 +229,11 @@ def cmd_member(sc: Scenario, args) -> tuple[dict, int]:
     if not sc.candidates:
         raise Incompatible("member needs a candidates block in the scenario")
     rep = _base_report("member", sc, args.tolerance)
-    _, fibered = _generator_fibers(sc)
-    J = ranges.range_from_fibers(fibered, workers=args.parallel)
+    zk, fibered = _generator_fibers(sc)
+    J = ranges.range_from_fibers(fibered)
     records = []
     for i, cand in enumerate(sc.candidates):
         if sc.kind == "action":
-            zk = _action_context(sc)
             member, residual = ranges.membership(zk, cand, J)
         else:
             fv = translation.zakG_forward(sc.translation, cand)
@@ -246,8 +247,7 @@ def cmd_member(sc: Scenario, args) -> tuple[dict, int]:
 def cmd_frame(sc: Scenario, args) -> tuple[dict, int]:
     rep = _base_report("frame", sc, args.tolerance)
     _, fibered = _generator_fibers(sc)
-    report = frames.frame_check_fibers(fibered, tolerance=args.tolerance,
-                                       workers=args.parallel)
+    report = frames.frame_check_fibers(fibered, tolerance=args.tolerance)
     rep["fibers"] = _fiber_records(report)
     rep["summary"] = _summary(report)
     return rep, EXIT_OK
@@ -256,8 +256,7 @@ def cmd_frame(sc: Scenario, args) -> tuple[dict, int]:
 def cmd_riesz(sc: Scenario, args) -> tuple[dict, int]:
     rep = _base_report("riesz", sc, args.tolerance)
     _, fibered = _generator_fibers(sc)
-    report = frames.riesz_check_fibers(fibered, tolerance=args.tolerance,
-                                       workers=args.parallel)
+    report = frames.riesz_check_fibers(fibered, tolerance=args.tolerance)
     rep["fibers"] = _fiber_records(report)
     rep["summary"] = _summary(report)
     return rep, EXIT_OK
@@ -295,8 +294,7 @@ def cmd_decompose(sc: Scenario, args) -> tuple[dict, int]:
     union = {"lower": None, "upper": None}
     if part_fibers:
         union_report = frames.frame_check_fibers(part_fibers,
-                                                 tolerance=args.tolerance,
-                                                 workers=args.parallel)
+                                                 tolerance=args.tolerance)
         union = {"lower": union_report.lower, "upper": union_report.upper}
         union_ok = union_report.is_parseval
     ok = audit.ok and union_ok
@@ -383,8 +381,7 @@ def cmd_translation_analyze(sc: Scenario, args) -> tuple[dict, int]:
     _translation_only(sc, "analyze")
     rep = _base_report("translation analyze", sc, args.tolerance)
     J, report = translation.ti_analyze(sc.translation, sc.generators,
-                                       tolerance=args.tolerance,
-                                       workers=args.parallel)
+                                       tolerance=args.tolerance)
     rep["fibers"] = _fiber_records(report)
     rep["summary"] = _summary(report)
     rep["length"] = J.length()
@@ -410,8 +407,7 @@ def _verify_action(sc: Scenario, args) -> tuple[dict, int]:
         })
 
     fibered = [zk.forward(g) for g in sc.generators]
-    frame_fiber = frames.frame_check_fibers(fibered, tolerance=args.tolerance,
-                                            workers=args.parallel)
+    frame_fiber = frames.frame_check_fibers(fibered, tolerance=args.tolerance)
     A_dense, B_dense = oracle.dense_frame_bounds(act, sc.generators)
     dev = max(_rel_dev(frame_fiber.lower, A_dense),
               _rel_dev(frame_fiber.upper, B_dense))
@@ -423,8 +419,7 @@ def _verify_action(sc: Scenario, args) -> tuple[dict, int]:
         "ok": bool(dev <= VERIFY_BOUND_REL),
     })
 
-    riesz_fiber = frames.riesz_check_fibers(fibered, tolerance=args.tolerance,
-                                            workers=args.parallel)
+    riesz_fiber = frames.riesz_check_fibers(fibered, tolerance=args.tolerance)
     Ar, Br, independent = oracle.dense_riesz_bounds(act, sc.generators)
     upper_scale = max(riesz_fiber.upper or 0.0, Br or 0.0)
     dev_r = max(_riesz_lower_dev(riesz_fiber.lower, Ar, upper_scale),
@@ -438,7 +433,7 @@ def _verify_action(sc: Scenario, args) -> tuple[dict, int]:
                    and riesz_fiber.is_riesz == independent),
     })
 
-    J = ranges.range_from_fibers(fibered, workers=args.parallel)
+    J = ranges.range_from_fibers(fibered)
     labeled = [(f"gen{i}", g) for i, g in enumerate(sc.generators)]
     labeled += [(f"cand{i}", c) for i, c in enumerate(sc.candidates)]
     for label, f in labeled:
@@ -488,8 +483,7 @@ def _verify_translation(sc: Scenario, args) -> tuple[dict, int]:
                        "ok": bool(dev <= VERIFY_TRANSFORM_TOL * scale)})
 
     fibered = [translation.zakG_forward(ts, g) for g in sc.generators]
-    frame_fiber = frames.frame_check_fibers(fibered, tolerance=args.tolerance,
-                                            workers=args.parallel)
+    frame_fiber = frames.frame_check_fibers(fibered, tolerance=args.tolerance)
     M = oracle.translation_synthesis_matrix(ts, sc.generators)
     A_dense, B_dense = oracle.frame_bounds_of_matrix(M)
     dev = max(_rel_dev(frame_fiber.lower, A_dense),
@@ -502,8 +496,7 @@ def _verify_translation(sc: Scenario, args) -> tuple[dict, int]:
         "ok": bool(dev <= VERIFY_BOUND_REL),
     })
 
-    riesz_fiber = frames.riesz_check_fibers(fibered, tolerance=args.tolerance,
-                                            workers=args.parallel)
+    riesz_fiber = frames.riesz_check_fibers(fibered, tolerance=args.tolerance)
     Ar, Br, independent = oracle.riesz_bounds_of_matrix(M)
     upper_scale = max(riesz_fiber.upper or 0.0, Br or 0.0)
     dev_r = max(_riesz_lower_dev(riesz_fiber.lower, Ar, upper_scale),
@@ -518,7 +511,7 @@ def _verify_translation(sc: Scenario, args) -> tuple[dict, int]:
     })
 
     if sc.candidates:
-        J = ranges.range_from_fibers(fibered, workers=args.parallel)
+        J = ranges.range_from_fibers(fibered)
         for i, cand in enumerate(sc.candidates):
             fv = translation.zakG_forward(ts, cand)
             member_f, res_f = ranges.membership_fibers(fv, J)
@@ -572,7 +565,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["structured", "csv-fibers"],
                         default="structured")
     common.add_argument("--parallel", type=int, default=1,
-                        help="worker threads for fiber computations")
+                        help="accepted for compatibility (must be >= 1); has "
+                             "no effect")
 
     p = argparse.ArgumentParser(
         prog="zakfiber",

@@ -40,42 +40,33 @@ def parseval_decompose_fibers(fibered: Sequence[FiberedVector],
     residual weighted norm falls below rank_tolerance times the largest
     original column norm of that fiber.  The n-th output holds the n-th
     surviving vector of every fiber, zero where fewer survive.
+
+    All fibers are processed at once: slot n of ``slots`` holds the n-th
+    accepted vector of every fiber that has one and stays exactly zero on
+    the others, where the projection onto it is +0 and subtracts nothing.
     """
     stack, weights = stack_generator_fibers(fibered)
     n_fibers, n_points, n_gens = stack.shape
+    cols = np.moveaxis(stack, 2, 0)
 
-    def wnorm(v: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(np.abs(v) ** 2 * weights).real))
+    def wnorm(v: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.sum(np.abs(v) ** 2 * weights, axis=-1))
 
-    def winner(u: np.ndarray, v: np.ndarray) -> complex:
-        return complex(np.sum(u * np.conj(v) * weights))
-
-    survivors: list[list[np.ndarray]] = []
-    for i in range(n_fibers):
-        cols = [stack[i, :, j] for j in range(n_gens)]
-        ref = max((wnorm(c) for c in cols), default=0.0)
-        accepted: list[np.ndarray] = []
-        if ref > 0.0:
-            for v in cols:
-                r = v.astype(complex).copy()
-                for q in accepted:
-                    r -= winner(r, q) * q
-                for q in accepted:  # second sweep firms up orthogonality
-                    r -= winner(r, q) * q
-                nr = wnorm(r)
-                if nr > rank_tolerance * ref:
-                    accepted.append(r / nr)
-        survivors.append(accepted)
-
-    L = max((len(s) for s in survivors), default=0)
-    parts = []
-    for n in range(L):
-        fibers = np.zeros((n_fibers, n_points), dtype=complex)
-        for i, acc in enumerate(survivors):
-            if n < len(acc):
-                fibers[i] = acc[n]
-        parts.append(FiberedVector(fibers, weights))
-    return parts
+    ref = np.max([wnorm(col) for col in cols], axis=0)
+    slots = np.zeros((n_gens, n_fibers, n_points), dtype=complex)
+    count = np.zeros(n_fibers, dtype=int)
+    for col in cols:
+        r = col.copy()
+        for _ in range(2):  # the second sweep firms up orthogonality
+            for n in range(count.max()):
+                q = slots[n]
+                c = np.sum(r * np.conj(q) * weights, axis=-1)
+                r -= c[:, None] * q
+        nr = wnorm(r)
+        keep = np.flatnonzero(nr > rank_tolerance * ref)
+        slots[count[keep], keep] = r[keep] / nr[keep, None]
+        count[keep] += 1
+    return [FiberedVector(slots[n], weights) for n in range(count.max())]
 
 
 def parseval_decompose(zak: ZakTransform, gens,

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import fiber_map, stack_generator_fibers
+from ._util import stack_generator_fibers
 from .zak import FiberedVector, ZakTransform
 
 __all__ = [
@@ -97,27 +97,20 @@ class FrameReport:
         return int(self.dims.size)
 
 
-def _fiber_spectra(fibered: Sequence[FiberedVector],
-                   rank_tolerance: float, workers: int):
+def _fiber_spectra(fibered: Sequence[FiberedVector], rank_tolerance: float):
     """Squared singular values of the weight-scaled fiber matrices.
 
-    Returns (s2, dims) where s2 has one row per fiber, padded with zeros
-    to the number of generators (the fiber Gram spectrum), in descending
-    order; dims counts the values retained by the rank rule.
+    The fiber stack (n_fibers, n_points, n_gens) is scaled by sqrt(mu)
+    along the points axis and decomposed by one batched SVD.  Returns
+    (s2, dims) where s2 has one row per fiber, padded with zeros to the
+    number of generators (the fiber Gram spectrum), in descending order;
+    dims counts the values retained by the rank rule.
     """
     stack, weights = stack_generator_fibers(fibered)
-    sqrtw = np.sqrt(weights)
-    n_gens = stack.shape[2]
-
-    def one(i: int) -> np.ndarray:
-        B = sqrtw[:, None] * stack[i]
-        s = np.linalg.svd(B, compute_uv=False)
-        s2 = np.zeros(n_gens)
-        s2[: s.size] = s ** 2
-        return s2
-
-    rows = fiber_map(one, stack.shape[0], workers)
-    s2 = np.stack(rows)
+    stack *= np.sqrt(weights)[:, None]
+    s = np.linalg.svd(stack, compute_uv=False)
+    s2 = np.zeros((stack.shape[0], stack.shape[2]))
+    s2[:, : s.shape[1]] = s ** 2
     smax = np.sqrt(s2[:, 0])
     dims = np.sum(np.sqrt(s2) > rank_tolerance * smax[:, None], axis=1)
     dims[smax <= 0.0] = 0
@@ -172,36 +165,32 @@ def _assemble(s2: np.ndarray, dims: np.ndarray, tolerance: float,
 
 def frame_check_fibers(fibered: Sequence[FiberedVector],
                        tolerance: float = SUPPORT_TOL,
-                       rank_tolerance: float = RANK_TOL,
-                       workers: int = 1) -> FrameReport:
-    s2, dims = _fiber_spectra(fibered, rank_tolerance, workers)
+                       rank_tolerance: float = RANK_TOL) -> FrameReport:
+    s2, dims = _fiber_spectra(fibered, rank_tolerance)
     return _assemble(s2, dims, tolerance, riesz_style=False)
 
 
 def frame_check(zak: ZakTransform, gens,
                 tolerance: float = SUPPORT_TOL,
-                rank_tolerance: float = RANK_TOL,
-                workers: int = 1) -> FrameReport:
+                rank_tolerance: float = RANK_TOL) -> FrameReport:
     """Frame bounds of the orbit system of ``gens`` on the space it spans."""
     fibered = [zak.forward(g) for g in gens]
-    return frame_check_fibers(fibered, tolerance, rank_tolerance, workers)
+    return frame_check_fibers(fibered, tolerance, rank_tolerance)
 
 
 def riesz_check_fibers(fibered: Sequence[FiberedVector],
                        tolerance: float = SUPPORT_TOL,
-                       rank_tolerance: float = RANK_TOL,
-                       workers: int = 1) -> FrameReport:
-    s2, dims = _fiber_spectra(fibered, rank_tolerance, workers)
+                       rank_tolerance: float = RANK_TOL) -> FrameReport:
+    s2, dims = _fiber_spectra(fibered, rank_tolerance)
     return _assemble(s2, dims, tolerance, riesz_style=True)
 
 
 def riesz_check(zak: ZakTransform, gens,
                 tolerance: float = SUPPORT_TOL,
-                rank_tolerance: float = RANK_TOL,
-                workers: int = 1) -> FrameReport:
+                rank_tolerance: float = RANK_TOL) -> FrameReport:
     """Riesz bounds of the orbit system: extremes of the fiber Gram spectra."""
     fibered = [zak.forward(g) for g in gens]
-    return riesz_check_fibers(fibered, tolerance, rank_tolerance, workers)
+    return riesz_check_fibers(fibered, tolerance, rank_tolerance)
 
 
 def single_generator_report(zak: ZakTransform, psi,

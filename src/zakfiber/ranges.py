@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import fiber_map, stack_generator_fibers
+from ._util import stack_generator_fibers
 from .zak import FiberedVector, ZakTransform
 
 __all__ = [
@@ -54,36 +54,28 @@ class RangeFunction:
 
 
 def range_from_fibers(fibered: Sequence[FiberedVector],
-                      rank_tolerance: float = RANK_TOL,
-                      workers: int = 1) -> RangeFunction:
+                      rank_tolerance: float = RANK_TOL) -> RangeFunction:
     """Rank-revealing orthonormalization of the generator fibers.
 
-    Per fiber, singular values of the weight-scaled matrix below
-    rank_tolerance * (largest singular value of that fiber) are discarded;
-    the retained left singular vectors are pulled back to a basis that is
-    orthonormal for the weighted inner product.
+    The fiber stack (n_fibers, n_points, n_gens) is scaled by sqrt(mu)
+    and decomposed by one batched thin SVD.  Per fiber, singular values
+    below rank_tolerance * (largest singular value of that fiber) are
+    discarded; the retained left singular vectors are pulled back to a
+    basis that is orthonormal for the weighted inner product.
     """
     stack, weights = stack_generator_fibers(fibered)
-    sqrtw = np.sqrt(weights)
-    inv_sqrtw = 1.0 / sqrtw
-
-    def one(i: int) -> np.ndarray:
-        B = sqrtw[:, None] * stack[i]
-        U, s, _ = np.linalg.svd(B, full_matrices=False)
-        if s.size == 0 or s[0] <= 0.0:
-            return np.zeros((weights.size, 0), dtype=complex)
-        r = int(np.sum(s > rank_tolerance * s[0]))
-        return inv_sqrtw[:, None] * U[:, :r]
-
-    bases = fiber_map(one, stack.shape[0], workers)
-    dims = np.array([b.shape[1] for b in bases], dtype=int)
+    stack *= np.sqrt(weights)[:, None]
+    U, s, _ = np.linalg.svd(stack, full_matrices=False)
+    del stack  # release the scaled copy before the bases are built
+    dims = np.sum(s > rank_tolerance * s[:, :1], axis=1)
+    inv_sqrtw = 1.0 / np.sqrt(weights)
+    bases = [inv_sqrtw[:, None] * U[i, :, :r] for i, r in enumerate(dims)]
     return RangeFunction(bases=bases, dims=dims, fiber_weights=weights,
                          rank_tolerance=rank_tolerance)
 
 
 def range_from_generators(zak: ZakTransform, gens,
-                          rank_tolerance: float = RANK_TOL,
-                          workers: int = 1) -> RangeFunction:
+                          rank_tolerance: float = RANK_TOL) -> RangeFunction:
     if len(gens) == 0:
         # no generators span the zero space on every fiber
         dims = np.zeros(zak.n_fibers, dtype=int)
@@ -93,7 +85,7 @@ def range_from_generators(zak: ZakTransform, gens,
                              fiber_weights=zak.fiber_weights,
                              rank_tolerance=rank_tolerance)
     fibered = [zak.forward(g) for g in gens]
-    return range_from_fibers(fibered, rank_tolerance, workers)
+    return range_from_fibers(fibered, rank_tolerance)
 
 
 def _project_fibers(Phi: FiberedVector, J: RangeFunction) -> np.ndarray:

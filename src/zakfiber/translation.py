@@ -234,8 +234,8 @@ def duality_check(s: TranslationScenario, f, g=None) -> DualityReport:
 
 def ti_analyze(s: TranslationScenario, gens,
                tolerance: float = SUPPORT_TOL,
-               rank_tolerance: float = RANK_TOL,
-               workers: int = 1) -> tuple[RangeFunction, FrameReport]:
+               rank_tolerance: float = RANK_TOL
+               ) -> tuple[RangeFunction, FrameReport]:
     """Range function and frame report of a translation system over Omega.
 
     The fibers of the generators over Omega feed the same rank-revealing
@@ -246,6 +246,6 @@ def ti_analyze(s: TranslationScenario, gens,
     if len(gens) == 0:
         raise ValueError("at least one generator is required")
     fibered = [zakG_forward(s, g) for g in gens]
-    J = range_from_fibers(fibered, rank_tolerance, workers)
-    report = frame_check_fibers(fibered, tolerance, rank_tolerance, workers)
+    J = range_from_fibers(fibered, rank_tolerance)
+    report = frame_check_fibers(fibered, tolerance, rank_tolerance)
     return J, report

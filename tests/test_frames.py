@@ -142,12 +142,3 @@ def test_tolerance_controls_support():
     # all four fibers keep mass ~1 from delta_0 though, so support is full
     assert rep.support.all()
 
-
-def test_parallel_identical():
-    rng = np.random.default_rng(89)
-    zk = ZakTransform(s2_action())
-    gens = [random_complex(rng, 4) for _ in range(2)]
-    r1 = frame_check(zk, gens, workers=1)
-    r4 = frame_check(zk, gens, workers=4)
-    assert np.array_equal(r1.smax2, r4.smax2)
-    assert r1.lower == r4.lower and r1.upper == r4.upper
