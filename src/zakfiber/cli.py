@@ -23,7 +23,8 @@ from . import decomp, frames, oracle, ranges, translation
 from .action import NotFreeError, validate_action
 from .scenario import SCHEMA_VERSION, Scenario, ScenarioError, fixture_path, \
     parse_scenario
-from .zak import ZakTransform
+from .translation import TranslationScenario
+from .zak import FiberedVector, ZakTransform
 
 __all__ = ["main", "run"]
 
@@ -56,10 +57,10 @@ def _cvec(v) -> list[list[float]]:
 
 
 def _rel_dev(a: float | None, b: float | None) -> float:
-    if a is None and b is None:
-        return 0.0
-    if a is None or b is None:
-        return float("inf")
+    """Relative deviation; a missing bound (degenerate system) counts as 0,
+    the dense route's convention, so it still deviates from a positive one."""
+    a = 0.0 if a is None else a
+    b = 0.0 if b is None else b
     scale = max(abs(a), abs(b))
     if scale < 1e-300:
         return 0.0
@@ -74,11 +75,9 @@ def _riesz_lower_dev(a_fiber: float | None, a_dense: float | None,
     spectrum (one side produces exact zeros, the other eigensolver dust),
     so both are clamped to zero before comparing.
     """
-    if a_fiber is None or a_dense is None:
-        return _rel_dev(a_fiber, a_dense)
     cut = frames.RIESZ_REL * upper_scale
-    af = 0.0 if a_fiber < cut else a_fiber
-    ad = 0.0 if a_dense < cut else a_dense
+    af = 0.0 if a_fiber is None or a_fiber < cut else a_fiber
+    ad = 0.0 if a_dense is None or a_dense < cut else a_dense
     return _rel_dev(af, ad)
 
 
@@ -124,9 +123,12 @@ def _base_report(command: str, sc: Scenario, tolerance: float) -> dict:
     return rep
 
 
-def _action_context(sc: Scenario) -> ZakTransform:
-    """Validate the action and build the transform; failures are
-    validation-class errors."""
+def _fibration(sc: Scenario) -> ZakTransform | TranslationScenario:
+    """The scenario's fibration (see :mod:`zakfiber.zak`), the only interface
+    the commands use.  An action is validated and its transform built;
+    failures are validation-class errors."""
+    if sc.kind == "translation":
+        return sc.translation
     report = validate_action(sc.action)
     if not report.ok:
         raise Incompatible(
@@ -139,12 +141,17 @@ def _action_context(sc: Scenario) -> ZakTransform:
 
 
 def _generator_fibers(sc: Scenario):
-    """Fibers of the generators in the scenario's own fibration."""
-    if sc.kind == "action":
-        zk = _action_context(sc)
-        return zk, [zk.forward(g) for g in sc.generators]
-    ts = sc.translation
-    return None, [translation.zakG_forward(ts, g) for g in sc.generators]
+    """The scenario's fibration and the fibers of its generators."""
+    fib = _fibration(sc)
+    return fib, [fib.forward(g) for g in sc.generators]
+
+
+def _transform_deviations(fib, f, fv: FiberedVector):
+    """(ambient square norm, isometry and round-trip deviations) of f."""
+    norm_sq = float(np.sum(np.abs(f) ** 2 * fib.ambient_weights))
+    back = fib.inverse(fv)
+    return (norm_sq, abs(norm_sq - fv.norm_sq()),
+            float(np.max(np.abs(back - f))))
 
 
 # ---------------------------------------------------------------------------
@@ -178,31 +185,16 @@ def cmd_validate(sc: Scenario, args) -> tuple[dict, int]:
 
 def cmd_zak(sc: Scenario, args) -> tuple[dict, int]:
     rep = _base_report("zak", sc, args.tolerance)
+    fib, fibered = _generator_fibers(sc)
     records = []
-    if sc.kind == "action":
-        zk = _action_context(sc)
-        for i, g in enumerate(sc.generators):
-            fv = zk.forward(g)
-            back = zk.inverse(fv)
-            records.append({
-                "generator": i,
-                "fiber_norms_sq": [float(x) for x in fv.fiber_norms_sq()],
-                "isometry_deviation": abs(zk.action.space.norm_sq(g)
-                                          - fv.norm_sq()),
-                "roundtrip_deviation": float(np.max(np.abs(back - g))),
-            })
-    else:
-        ts = sc.translation
-        for i, g in enumerate(sc.generators):
-            fv = translation.zakG_forward(ts, g)
-            back = translation.zakG_inverse(ts, fv)
-            records.append({
-                "generator": i,
-                "fiber_norms_sq": [float(x) for x in fv.fiber_norms_sq()],
-                "isometry_deviation": abs(float(np.sum(np.abs(g) ** 2))
-                                          - fv.norm_sq()),
-                "roundtrip_deviation": float(np.max(np.abs(back - g))),
-            })
+    for i, (g, fv) in enumerate(zip(sc.generators, fibered)):
+        _, iso, rt = _transform_deviations(fib, g, fv)
+        records.append({
+            "generator": i,
+            "fiber_norms_sq": [float(x) for x in fv.fiber_norms_sq()],
+            "isometry_deviation": iso,
+            "roundtrip_deviation": rt,
+        })
     rep["generators"] = records
     return rep, EXIT_OK
 
@@ -229,15 +221,11 @@ def cmd_member(sc: Scenario, args) -> tuple[dict, int]:
     if not sc.candidates:
         raise Incompatible("member needs a candidates block in the scenario")
     rep = _base_report("member", sc, args.tolerance)
-    zk, fibered = _generator_fibers(sc)
+    fib, fibered = _generator_fibers(sc)
     J = ranges.range_from_fibers(fibered)
     records = []
     for i, cand in enumerate(sc.candidates):
-        if sc.kind == "action":
-            member, residual = ranges.membership(zk, cand, J)
-        else:
-            fv = translation.zakG_forward(sc.translation, cand)
-            member, residual = ranges.membership_fibers(fv, J)
+        member, residual = ranges.membership(fib, cand, J)
         records.append({"candidate": i, "member": bool(member),
                         "residual": float(residual)})
     rep["candidates"] = records
@@ -281,16 +269,13 @@ def cmd_bracket(sc: Scenario, args) -> tuple[dict, int]:
 
 def cmd_decompose(sc: Scenario, args) -> tuple[dict, int]:
     rep = _base_report("decompose", sc, args.tolerance)
-    ctx, fibered = _generator_fibers(sc)
+    fib, fibered = _generator_fibers(sc)
     part_fibers = decomp.parseval_decompose_fibers(fibered)
-    if sc.kind == "action":
-        parts = [ctx.inverse(p) for p in part_fibers]
-    else:
-        parts = [translation.zakG_inverse(sc.translation, p)
-                 for p in part_fibers]
+    parts = [fib.inverse(p) for p in part_fibers]
     audit = decomp.verify_decomposition_fibers(fibered, part_fibers,
                                                tolerance=args.tolerance)
-    union_ok = False
+    # the zero space has the empty decomposition, which is trivially Parseval
+    union_ok = not part_fibers
     union = {"lower": None, "upper": None}
     if part_fibers:
         union_report = frames.frame_check_fibers(part_fibers,
@@ -388,103 +373,42 @@ def cmd_translation_analyze(sc: Scenario, args) -> tuple[dict, int]:
     return rep, EXIT_OK
 
 
-def _verify_action(sc: Scenario, args) -> tuple[dict, int]:
+def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
     rep = _base_report("verify", sc, args.tolerance)
-    zk = _action_context(sc)
-    act = sc.action
+    fib, fibered = _generator_fibers(sc)
+    # Weil and duality identities exist only for subgroup translations
+    ts = sc.translation if sc.kind == "translation" else None
+    gens = sc.generators
     checks = []
 
-    for i, g in enumerate(sc.generators):
-        fv = zk.forward(g)
-        back = zk.inverse(fv)
-        iso = abs(act.space.norm_sq(g) - fv.norm_sq())
-        rt = float(np.max(np.abs(back - g)))
+    if ts is not None:
+        for i, g in enumerate(gens):
+            _, _, dev = translation.weil_check(ts, g)
+            scale = max(1.0, float(np.sum(np.abs(g))))
+            checks.append({"name": f"weil_gen{i}", "deviation": float(dev),
+                           "ok": bool(dev <= VERIFY_TRANSFORM_TOL * scale)})
+
+    norms_sq = []
+    for i, (g, fv) in enumerate(zip(gens, fibered)):
+        norm_sq, iso, rt = _transform_deviations(fib, g, fv)
+        norms_sq.append(norm_sq)
         checks.append({
             "name": f"zak_roundtrip_gen{i}",
             "deviation": max(iso, rt),
             "ok": bool(max(iso, rt) <= VERIFY_TRANSFORM_TOL
-                       * max(1.0, act.space.norm_sq(g))),
+                       * max(1.0, norm_sq)),
         })
 
-    fibered = [zk.forward(g) for g in sc.generators]
+    if ts is not None:
+        for i, g in enumerate(gens):
+            res = translation.duality_check(ts, g, g)
+            dev = max(res.transform_deviation, res.gramian_deviation or 0.0)
+            scale = max(1.0, float(np.sum(np.abs(g))))
+            checks.append({"name": f"duality_gen{i}", "deviation": float(dev),
+                           "ok": bool(dev <= VERIFY_TRANSFORM_TOL * scale)})
+
+    M = fib.synthesis_matrix(gens)
     frame_fiber = frames.frame_check_fibers(fibered, tolerance=args.tolerance)
-    A_dense, B_dense = oracle.dense_frame_bounds(act, sc.generators)
-    dev = max(_rel_dev(frame_fiber.lower, A_dense),
-              _rel_dev(frame_fiber.upper, B_dense))
-    checks.append({
-        "name": "frame_bounds_vs_dense",
-        "fiber": [frame_fiber.lower, frame_fiber.upper],
-        "dense": [A_dense, B_dense],
-        "deviation": dev,
-        "ok": bool(dev <= VERIFY_BOUND_REL),
-    })
-
-    riesz_fiber = frames.riesz_check_fibers(fibered, tolerance=args.tolerance)
-    Ar, Br, independent = oracle.dense_riesz_bounds(act, sc.generators)
-    upper_scale = max(riesz_fiber.upper or 0.0, Br or 0.0)
-    dev_r = max(_riesz_lower_dev(riesz_fiber.lower, Ar, upper_scale),
-                _rel_dev(riesz_fiber.upper, Br))
-    checks.append({
-        "name": "riesz_bounds_vs_dense",
-        "fiber": [riesz_fiber.lower, riesz_fiber.upper],
-        "dense": [Ar, Br],
-        "deviation": dev_r,
-        "ok": bool(dev_r <= VERIFY_BOUND_REL
-                   and riesz_fiber.is_riesz == independent),
-    })
-
-    J = ranges.range_from_fibers(fibered)
-    labeled = [(f"gen{i}", g) for i, g in enumerate(sc.generators)]
-    labeled += [(f"cand{i}", c) for i, c in enumerate(sc.candidates)]
-    for label, f in labeled:
-        member_f, res_f = ranges.membership(zk, f, J)
-        member_d, res_d = oracle.brute_membership(act, f, sc.generators)
-        checks.append({
-            "name": f"membership_vs_dense_{label}",
-            "fiber": [bool(member_f), float(res_f)],
-            "dense": [bool(member_d), float(res_d)],
-            "ok": bool(member_f == member_d),
-        })
-
-    ok = all(c["ok"] for c in checks)
-    rep["checks"] = checks
-    rep["ok"] = ok
-    return rep, EXIT_OK if ok else EXIT_ORACLE
-
-
-def _verify_translation(sc: Scenario, args) -> tuple[dict, int]:
-    rep = _base_report("verify", sc, args.tolerance)
-    ts = sc.translation
-    checks = []
-
-    for i, g in enumerate(sc.generators):
-        _, _, dev = translation.weil_check(ts, g)
-        scale = max(1.0, float(np.sum(np.abs(g))))
-        checks.append({"name": f"weil_gen{i}", "deviation": float(dev),
-                       "ok": bool(dev <= VERIFY_TRANSFORM_TOL * scale)})
-
-    for i, g in enumerate(sc.generators):
-        fv = translation.zakG_forward(ts, g)
-        back = translation.zakG_inverse(ts, fv)
-        iso = abs(float(np.sum(np.abs(g) ** 2)) - fv.norm_sq())
-        rt = float(np.max(np.abs(back - g)))
-        norm_sq = max(1.0, float(np.sum(np.abs(g) ** 2)))
-        checks.append({
-            "name": f"zak_roundtrip_gen{i}",
-            "deviation": max(iso, rt),
-            "ok": bool(max(iso, rt) <= VERIFY_TRANSFORM_TOL * norm_sq),
-        })
-
-    for i, g in enumerate(sc.generators):
-        res = translation.duality_check(ts, g, g)
-        dev = max(res.transform_deviation, res.gramian_deviation or 0.0)
-        scale = max(1.0, float(np.sum(np.abs(g))))
-        checks.append({"name": f"duality_gen{i}", "deviation": float(dev),
-                       "ok": bool(dev <= VERIFY_TRANSFORM_TOL * scale)})
-
-    fibered = [translation.zakG_forward(ts, g) for g in sc.generators]
-    frame_fiber = frames.frame_check_fibers(fibered, tolerance=args.tolerance)
-    M = oracle.translation_synthesis_matrix(ts, sc.generators)
     A_dense, B_dense = oracle.frame_bounds_of_matrix(M)
     dev = max(_rel_dev(frame_fiber.lower, A_dense),
               _rel_dev(frame_fiber.upper, B_dense))
@@ -510,30 +434,27 @@ def _verify_translation(sc: Scenario, args) -> tuple[dict, int]:
                    and riesz_fiber.is_riesz == independent),
     })
 
-    if sc.candidates:
-        J = ranges.range_from_fibers(fibered)
-        for i, cand in enumerate(sc.candidates):
-            fv = translation.zakG_forward(ts, cand)
-            member_f, res_f = ranges.membership_fibers(fv, J)
-            member_d, res_d = oracle.membership_of_matrix(
-                M, np.asarray(cand, dtype=complex))
-            checks.append({
-                "name": f"membership_vs_dense_cand{i}",
-                "fiber": [bool(member_f), float(res_f)],
-                "dense": [bool(member_d), float(res_d)],
-                "ok": bool(member_f == member_d),
-            })
+    # on actions the generators' own membership is cross-checked as well
+    J = ranges.range_from_fibers(fibered)
+    sqrtw = np.sqrt(fib.ambient_weights)
+    members = [] if ts is not None else [
+        (f"gen{i}", g, ranges.membership_fibers(fv, J, norm=np.sqrt(n)))
+        for i, (g, fv, n) in enumerate(zip(gens, fibered, norms_sq))]
+    members += [(f"cand{i}", c, ranges.membership(fib, c, J))
+                for i, c in enumerate(sc.candidates)]
+    for label, f, (member_f, res_f) in members:
+        member_d, res_d = oracle.membership_of_matrix(M, sqrtw * f)
+        checks.append({
+            "name": f"membership_vs_dense_{label}",
+            "fiber": [bool(member_f), float(res_f)],
+            "dense": [bool(member_d), float(res_d)],
+            "ok": bool(member_f == member_d),
+        })
 
     ok = all(c["ok"] for c in checks)
     rep["checks"] = checks
     rep["ok"] = ok
     return rep, EXIT_OK if ok else EXIT_ORACLE
-
-
-def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
-    if sc.kind == "action":
-        return _verify_action(sc, args)
-    return _verify_translation(sc, args)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from ._util import stack_generator_fibers
-from .ranges import RANK_TOL, membership_fibers, range_from_fibers
+from .ranges import MEMBER_TOL, RANK_TOL, membership_fibers, \
+    range_from_fibers
 from .zak import FiberedVector, ZakTransform
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
 ]
 
 ORTHO_TOL = 1e-10
-MEMBER_TOL = 1e-9
 
 
 def parseval_decompose_fibers(fibered: Sequence[FiberedVector],

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import stack_generator_fibers
+from .ranges import RANK_TOL
 from .zak import FiberedVector, ZakTransform
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
 ]
 
 SUPPORT_TOL = 1e-10
-RANK_TOL = 1e-10
 # linear independence requires the smallest Gram eigenvalue to clear this
 # fraction of the largest
 RIESZ_REL = 1e-9

@@ -117,16 +117,17 @@ def membership_fibers(Phi: FiberedVector, J: RangeFunction,
     return member, residual
 
 
-def membership(zak: ZakTransform, psi, J: RangeFunction,
-               threshold: float = MEMBER_TOL):
-    """Does psi lie in the invariant space with range function J?
+def membership(zak, psi, J: RangeFunction, threshold: float = MEMBER_TOL):
+    """Does psi lie in the invariant space with range function J?  ``zak``
+    is either fibration (see :mod:`zakfiber.zak`).
 
     Returns (member, residual) where residual^2 averages the weighted
     square distances of the fibers of psi from J(alpha); the verdict
-    compares against threshold * max(1, ||psi||).
+    compares against threshold * max(1, ||psi||), in the ambient norm.
     """
     Phi = zak.forward(psi)
-    norm = float(np.sqrt(zak.action.space.norm_sq(np.asarray(psi, complex))))
+    v = np.asarray(psi, dtype=complex)
+    norm = float(np.sqrt(np.sum(np.abs(v) ** 2 * zak.ambient_weights)))
     return membership_fibers(Phi, J, norm=norm, threshold=threshold)
 
 

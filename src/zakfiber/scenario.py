@@ -10,6 +10,7 @@ sigma_gamma(x) = x + sum_j m_j gamma_j mod N, expanded at load time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,6 +65,14 @@ def _int_list(value, where: str) -> list[int]:
     return out
 
 
+def _finite(v) -> bool:
+    """JSON admits NaN, Infinity, 1e999 (read as inf) and huge integers."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _complex_vector(value, size: int, where: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != size:
         raise ScenarioError(f"{where} must be a list of {size} [re, im] pairs")
@@ -73,6 +82,8 @@ def _complex_vector(value, size: int, where: str) -> np.ndarray:
                 or not all(isinstance(v, (int, float)) and
                            not isinstance(v, bool) for v in pair)):
             raise ScenarioError(f"{where}[{i}] must be an [re, im] pair")
+        if not all(_finite(v) for v in pair):
+            raise ScenarioError(f"{where}[{i}] must hold finite numbers")
         out[i] = complex(pair[0], pair[1])
     return out
 
@@ -155,6 +166,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for i, w in enumerate(weights):
         if not isinstance(w, (int, float)) or isinstance(w, bool) or w <= 0:
             raise ScenarioError(f"space.weights[{i}] must be > 0")
+        if not _finite(w):
+            raise ScenarioError(f"space.weights[{i}] must be finite")
     space = WeightedSpace(weights)
 
     ablock = doc["action"]

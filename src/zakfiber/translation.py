@@ -21,10 +21,12 @@ and the Gramians of the two fiberizations coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
+from . import oracle
 from .frames import SUPPORT_TOL, FrameReport, frame_check_fibers
 from .group import Element, FiniteAbelianGroup, Subgroup, annihilator, \
     character, coset_transversal, dft, subgroup_from_generators
@@ -47,7 +49,8 @@ __all__ = [
 
 @dataclass
 class TranslationScenario:
-    """A subgroup Gamma of G with its annihilator and both transversals."""
+    """A subgroup Gamma of G with its annihilator and both transversals;
+    the fibration (see :mod:`zakfiber.zak`) of translation by Gamma."""
 
     G: FiniteAbelianGroup
     gamma: Subgroup
@@ -63,6 +66,24 @@ class TranslationScenario:
     @property
     def n_dual(self) -> int:
         return len(self.dual_reps)
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(_char_matrix, _shift_index), built on first use."""
+        return _char_matrix(self), _shift_index(self)
+
+    @property
+    def ambient_weights(self) -> np.ndarray:
+        return np.ones(self.G.order)
+
+    def forward(self, f) -> FiberedVector:
+        return zakG_forward(self, f)
+
+    def inverse(self, Phi: FiberedVector) -> np.ndarray:
+        return zakG_inverse(self, Phi)
+
+    def synthesis_matrix(self, gens) -> np.ndarray:
+        return oracle.translation_synthesis_matrix(self, gens)
 
 
 def build_scenario(G: FiniteAbelianGroup,
@@ -147,8 +168,7 @@ def _shift_index(s: TranslationScenario) -> np.ndarray:
 def zakG_forward(s: TranslationScenario, f) -> FiberedVector:
     """Fibers Z[f](omega)(x) over omega in Omega, x in C (unit weights)."""
     v = _check_function(s, f)
-    K = _char_matrix(s)
-    S = _shift_index(s)
+    K, S = s._tables
     fibers = K @ v[S]
     return FiberedVector(fibers, np.ones(s.n_cosets))
 
@@ -161,8 +181,7 @@ def zakG_inverse(s: TranslationScenario, Phi: FiberedVector) -> np.ndarray:
             f"fiber shape {Phi.fibers.shape} does not match "
             f"({s.n_dual}, {s.n_cosets})"
         )
-    K = _char_matrix(s)
-    S = _shift_index(s)
+    K, S = s._tables
     orbit = (K.conj().T @ Phi.fibers) / s.gamma.order  # (|Gamma|, |C|)
     f = np.empty(s.G.order, dtype=complex)
     f[S] = orbit

@@ -13,6 +13,10 @@ carrying the normalized counting measure on the dual group:
 Per representative x, the orbit sequence gamma -> (Pi(gamma) psi)(x) is
 transformed with the FFT over the factor axes, so fibers are enumerated in
 lexicographic dual order.
+
+A fibration has ``forward``, ``inverse``, ``ambient_weights`` and
+``synthesis_matrix(gens)`` (the oracle's matrix of the orbit system); the
+two are :class:`ZakTransform` and ``translation.TranslationScenario``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracle
 from .action import QuasiInvariantAction, TilingTransversal, tiling_transversal
 
 __all__ = ["FiberedVector", "ZakTransform", "zak_forward", "zak_inverse"]
@@ -98,6 +103,7 @@ class ZakTransform:
         self._amp_inv = np.sqrt(mu[C] / mu[self._dst])
         self._neg = neg
         self.fiber_weights = mu[C].copy()
+        self.ambient_weights = mu
 
     @property
     def n_fibers(self) -> int:
@@ -106,6 +112,9 @@ class ZakTransform:
     @property
     def n_points(self) -> int:
         return self.transversal.count
+
+    def synthesis_matrix(self, gens) -> np.ndarray:
+        return oracle.synthesis_matrix(self.action, gens)
 
     def forward(self, psi) -> FiberedVector:
         v = np.asarray(psi, dtype=complex)

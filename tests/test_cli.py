@@ -285,13 +285,91 @@ def test_verify_detects_disagreement(monkeypatch, tmp_path):
     # force the dense oracle to lie so the disagreement path is exercised
     import zakfiber.cli as cli
 
-    def wrong_bounds(a, gens, rel_tol=1e-9):
+    def wrong_bounds(M, rel_tol=1e-9):
         return 0.5, 0.5
 
-    monkeypatch.setattr(cli.oracle, "dense_frame_bounds", wrong_bounds)
+    monkeypatch.setattr(cli.oracle, "frame_bounds_of_matrix", wrong_bounds)
     code, out, err = invoke(["verify", "--scenario", "s1"])
     assert code == 3
     rep = json.loads(out)
     assert rep["ok"] is False
     bad = [c for c in rep["checks"] if not c["ok"]]
     assert [c["name"] for c in bad] == ["frame_bounds_vs_dense"]
+
+
+def _fixture_variant(tmp_path, name, edit, literal=None):
+    """Write a copy of a shipped fixture after ``edit(doc)``; every "X" left
+    in the document is replaced by the raw JSON ``literal``."""
+    doc = json.loads(fixture_path(name).read_text())
+    edit(doc)
+    text = json.dumps(doc)
+    if literal is not None:
+        text = text.replace('"X"', literal)
+    p = tmp_path / f"{name}-variant.json"
+    p.write_text(text)
+    return str(p)
+
+
+def _set_weight(doc):
+    doc["space"]["weights"][3] = "X"
+
+
+def _set_generator(doc):
+    doc["generators"][0][2] = [0.5, "X"]
+
+
+def _set_candidate(doc):
+    doc["candidates"][0][0] = ["X", 0.0]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+@pytest.mark.parametrize("edit", [_set_weight, _set_generator,
+                                  _set_candidate])
+def test_non_finite_scenario_is_io_error(tmp_path, edit, literal):
+    path = _fixture_variant(tmp_path, "s1", edit, literal)
+    for command in ("zak", "frame", "verify"):
+        code, out, err = invoke([command, "--scenario", path])
+        assert (code, out) == (4, ""), (command, err)
+        assert "must be finite" in err or "must hold finite numbers" in err
+
+
+def _zero_generator(doc):
+    block = doc.get("translation", doc)
+    block["generators"] = [[[0.0, 0.0]] * len(block["generators"][0])]
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("name", ["s1", "s3"])
+def test_verify_zero_generator(tmp_path, name):
+    # both routes call the zero system degenerate: no bounds, not Riesz
+    path = _fixture_variant(tmp_path, name, _zero_generator)
+    code, out, err = invoke(["verify", "--scenario", path])
+    assert code == 0, out
+    rep = _strict_json(out)
+    assert rep["ok"] is True
+    riesz = [c for c in rep["checks"] if c["name"] == "riesz_bounds_vs_dense"]
+    assert riesz[0]["fiber"] == [None, None]
+    assert riesz[0]["deviation"] == 0.0
+
+
+@pytest.mark.parametrize("name", ["s1", "s3"])
+def test_decompose_zero_generator(tmp_path, name):
+    # the zero space has the empty decomposition
+    path = _fixture_variant(tmp_path, name, _zero_generator)
+    code, out, err = invoke(["decompose", "--scenario", path])
+    assert code == 0, out
+    rep = _strict_json(out)
+    assert rep["ok"] is True
+    assert rep["parts"] == []
+
+
+def test_rel_dev_missing_bound_counts_as_zero():
+    from zakfiber.cli import VERIFY_BOUND_REL, _rel_dev
+    assert _rel_dev(None, None) == 0.0
+    assert _rel_dev(None, 0.0) == 0.0
+    assert _rel_dev(2.0, None) == 1.0 > VERIFY_BOUND_REL

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from zakfiber.scenario import ScenarioError, fixture_path, parse_scenario, \
@@ -127,3 +129,28 @@ def test_parse_rejects_missing_file(tmp_path):
     with pytest.raises(ScenarioError) as e:
         parse_scenario(tmp_path / "absent.json")
     assert "cannot read scenario file" in str(e.value)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999",
+                                     "1" + "0" * 400],
+                         ids=["NaN", "Infinity", "1e999", "int1e400"])
+@pytest.mark.parametrize("place,message", [
+    ("weights", "space.weights[1] must be finite"),
+    ("generators", "generators[0][1] must hold finite numbers"),
+    ("candidates", "candidates[0][2] must hold finite numbers"),
+], ids=["weights", "generators", "candidates"])
+def test_non_finite_numbers_rejected(tmp_path, literal, place, message):
+    # Python's json reads NaN and Infinity, 1e999 as inf, and integers of
+    # any size; none of them may reach the numerics
+    doc = base_action_doc()
+    if place == "weights":
+        doc["space"]["weights"][1] = "X"
+    elif place == "generators":
+        doc["generators"][0][1] = ["X", 0]
+    else:
+        doc["candidates"] = [[[0, 0], [0, 0], [0, "X"], [0, 0]]]
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(doc).replace('"X"', literal))
+    with pytest.raises(ScenarioError) as e:
+        parse_scenario(p)
+    assert str(e.value) == message

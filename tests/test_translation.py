@@ -232,3 +232,38 @@ def test_full_group_translation_recovers_fourier():
     fhat = dft(G, f)
     neg = G.neg_index_table()
     assert np.max(np.abs(Z.fibers[:, 0] - fhat[neg])) < 1e-12
+
+
+def test_translation_scenario_is_a_fibration(monkeypatch):
+    import zakfiber.translation as translation
+    from zakfiber import membership, membership_fibers, range_from_fibers
+
+    built = []
+    char_matrix = translation._char_matrix
+    monkeypatch.setattr(translation, "_char_matrix",
+                        lambda s: built.append(s) or char_matrix(s))
+    s = s3_scenario()
+    rng = np.random.default_rng(163)
+    gens = [random_complex(rng, 12) for _ in range(2)]
+    for g in gens:
+        fv = s.forward(g)
+        ref = zakG_forward(s, g)
+        assert np.array_equal(fv.fibers, ref.fibers)
+        assert np.array_equal(fv.fiber_weights, ref.fiber_weights)
+        assert np.max(np.abs(s.inverse(fv) - g)) < 1e-12
+    assert built == [s]  # the tables are built once per scenario
+    assert np.array_equal(s.ambient_weights, np.ones(12))
+    assert np.array_equal(s.synthesis_matrix(gens),
+                          translation_synthesis_matrix(s, gens))
+
+    rep = frame_check(s, gens)
+    _, rep_ti = ti_analyze(s, gens)
+    for key, value in vars(rep).items():
+        assert np.array_equal(value, getattr(rep_ti, key)), key
+
+    J = range_from_fibers([s.forward(g) for g in gens])
+    outside = random_complex(rng, 12)
+    for f, expected in ((gens[0] - 2j * gens[1], True), (outside, False)):
+        member, residual = membership(s, f, J)
+        assert (member, residual) == membership_fibers(zakG_forward(s, f), J)
+        assert bool(member) == expected
