@@ -6,7 +6,8 @@ byte-identical output.  ``--parallel N`` is accepted and range-checked
 for compatibility but has no effect: every fiber computation runs as one
 batched numpy call.
 
-Exit codes: 0 success, 2 validation failure or incompatible request,
+Exit codes: 0 success, 2 validation failure, incompatible request or
+numerically unusable scenario (non-finite report, failed eigensolver),
 3 fiber-vs-oracle disagreement in ``verify``, 4 I/O or parse error.
 """
 
@@ -473,7 +474,11 @@ def _emit(report: dict, command_name: str, fmt: str, out) -> None:
                          f"{rec['smin2']!r},{rec['smax2']!r}")
         out.write("\n".join(lines) + "\n")
         return
-    out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise Incompatible(f"report is not representable as JSON: {e}") from e
+    out.write(text + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -561,7 +566,7 @@ def run(argv=None, out=None, err=None) -> int:
         report, code = _DISPATCH[command_name](sc, args)
         _emit(report, command_name, args.format, out)
         return code
-    except Incompatible as e:
+    except (Incompatible, np.linalg.LinAlgError) as e:
         err.write(f"error: {e}\n")
         return EXIT_VALIDATION
 

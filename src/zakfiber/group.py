@@ -9,12 +9,18 @@ identified with the group itself through the pairing
 so dual points use the same tuple representation.  Enumeration order is
 lexicographic everywhere, which makes every derived object (transversals,
 fiber indexing, reports) reproducible.
+
+Elements are tuples at the public API and flat index arrays inside:
+``coordinates`` holds every element as a row, and ``flat`` maps
+coordinate rows, reduced mod the factors, to their positions.  No other
+module knows this mixed-radix encoding.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,10 +38,6 @@ __all__ = [
 ]
 
 Element = tuple[int, ...]
-
-# Unimodular values are compared to 1 at this absolute tolerance when we
-# decide whether a character is trivial on a subgroup.
-CHARACTER_TOL = 1e-9
 
 
 class FiniteAbelianGroup:
@@ -86,15 +88,6 @@ class FiniteAbelianGroup:
                                  f"{self.invariant_factors}")
         return t
 
-    def reduce(self, el: Iterable[int]) -> Element:
-        """Reduce an integer tuple componentwise into canonical residues."""
-        t = tuple(int(v) for v in el)
-        if len(t) != self.rank:
-            raise ValueError(
-                f"element {t} has arity {len(t)}, expected {self.rank}"
-            )
-        return tuple(v % n for v, n in zip(t, self.invariant_factors))
-
     def add(self, a: Iterable[int], b: Iterable[int]) -> Element:
         a = self.check(a)
         b = self.check(b)
@@ -109,12 +102,25 @@ class FiniteAbelianGroup:
         a = self.check(a)
         return tuple((-x) % n for x, n in zip(a, self.invariant_factors))
 
+    @cached_property
+    def coordinates(self) -> np.ndarray:
+        """All elements as rows of an (order, rank) array, lexicographic."""
+        grid = np.indices(self.invariant_factors, dtype=np.intp)
+        coords = grid.reshape(self.rank, self.order).T.copy()
+        coords.flags.writeable = False
+        return coords
+
+    def flat(self, coords) -> np.ndarray:
+        """Flat indices of coordinate rows (..., rank), each coordinate
+        reduced mod its factor first; the inverse of ``coordinates``."""
+        c = np.asarray(coords, dtype=np.intp)
+        return (c % self.invariant_factors) @ np.asarray(self._places,
+                                                          dtype=np.intp)
+
     def elements(self) -> list[Element]:
         """All elements in lexicographic order (cached)."""
         if self._elements is None:
-            self._elements = list(
-                itertools.product(*(range(n) for n in self.invariant_factors))
-            )
+            self._elements = [tuple(r) for r in self.coordinates.tolist()]
         return self._elements
 
     def index(self, el: Iterable[int]) -> int:
@@ -122,28 +128,29 @@ class FiniteAbelianGroup:
         t = self.check(el)
         return sum(v * p for v, p in zip(t, self._places))
 
-    def element(self, index: int) -> Element:
-        if not (0 <= index < self.order):
-            raise ValueError(f"index {index} out of range for order {self.order}")
-        out = []
-        for p, n in zip(self._places, self.invariant_factors):
-            out.append((index // p) % n)
-        return tuple(out)
-
     def neg_index_table(self) -> np.ndarray:
         """Flat-index permutation sending index(gamma) to index(-gamma)."""
-        table = np.empty(self.order, dtype=np.intp)
-        for i, el in enumerate(self.elements()):
-            table[i] = self.index(self.neg(el))
-        return table
+        return self.flat(-self.coordinates)
 
 
-def character(G: FiniteAbelianGroup, gamma: Iterable[int], alpha: Iterable[int]) -> complex:
-    """Pairing (gamma, alpha) = exp(2*pi*i * sum_j gamma_j*alpha_j / n_j)."""
-    g = G.check(gamma)
-    a = G.check(alpha)
-    phase = sum(gj * aj / nj for gj, aj, nj in zip(g, a, G.invariant_factors))
-    return complex(np.exp(2j * np.pi * phase))
+def character(G: FiniteAbelianGroup, gamma, alpha):
+    """Pairing (gamma, alpha) = exp(2*pi*i * sum_j gamma_j*alpha_j / n_j).
+
+    ``gamma`` and ``alpha`` are elements, giving a complex number, or
+    coordinate arrays of shape (..., rank) in canonical residues, which
+    broadcast against each other and give an array of pairings.
+    """
+    g, a = (np.asarray(v, dtype=np.intp) for v in (gamma, alpha))
+    for v in (g, a):
+        if (v.shape[-1:] != (G.rank,) or np.any(v < 0)
+                or np.any(v >= G.invariant_factors)):
+            raise ValueError(f"element {v.tolist()} is not in canonical "
+                             f"residues of factors {G.invariant_factors}")
+    phase = 0
+    for j, n in enumerate(G.invariant_factors):
+        phase = phase + g[..., j] * a[..., j] / n
+    z = np.exp(2j * np.pi * phase)
+    return complex(z) if np.ndim(z) == 0 else z
 
 
 def character_table(G: FiniteAbelianGroup) -> np.ndarray:
@@ -202,56 +209,65 @@ class Subgroup:
         return tuple(int(v) for v in el) in self._member_set
 
 
+def _elements_at(G: FiniteAbelianGroup, flat: np.ndarray) -> list[Element]:
+    """Tuples of the elements at the given flat indices."""
+    els = G.elements()
+    return [els[i] for i in flat.tolist()]
+
+
 def subgroup_from_generators(
     G: FiniteAbelianGroup, generators: Iterable[Iterable[int]]
 ) -> Subgroup:
-    """Closure of the generators under addition (BFS from the identity)."""
+    """Closure of the generators under addition.
+
+    Adding generator g to a subgroup S gives the disjoint cosets
+    S + m*g for 0 <= m < r, where r is the least m > 0 with m*g in S, so
+    each generator costs time linear in the size it produces.
+    """
     gens = [G.check(g) for g in generators]
-    members = {G.zero}
-    frontier = [G.zero]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                s = G.add(m, g)
-                if s not in members:
-                    members.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return Subgroup(parent=G, members=tuple(sorted(members)), generators=tuple(gens))
+    coords = G.coordinates
+    inside = np.zeros(G.order, dtype=bool)
+    inside[0] = True
+    members = np.zeros(1, dtype=np.intp)  # flat index of the identity
+    exponent = math.lcm(*G.invariant_factors)
+    for g in gens:
+        steps = np.arange(exponent + 1, dtype=np.intp)[:, None] * np.asarray(g)
+        r = 1 + int(np.argmax(inside[G.flat(steps[1:])]))
+        members = G.flat(coords[members][None, :, :]
+                         + steps[:r, None, :]).ravel()
+        inside[members] = True
+    members = np.flatnonzero(inside)  # flat order is lexicographic
+    return Subgroup(parent=G, members=tuple(_elements_at(G, members)),
+                    generators=tuple(gens))
 
 
 def annihilator(G: FiniteAbelianGroup, sub: Subgroup) -> Subgroup:
     """Dual points that pair trivially with every generator of ``sub``.
 
-    Returns {delta : |(g, delta) - 1| <= 1e-9 for every generator g}; the
+    (g, delta) = 1 exactly when sum_j g_j delta_j (L/n_j) = 0 mod L, with
+    L the lcm of the factors; that integer test decides membership.  The
     result lives in the dual group, represented by the same factor list.
     """
     if sub.parent != G:
         raise ValueError("subgroup does not belong to this group")
-    gens = sub.generators if sub.generators else sub.members
-    members = []
-    for delta in G.elements():
-        if all(abs(character(G, g, delta) - 1.0) <= CHARACTER_TOL for g in gens):
-            members.append(delta)
-    members = tuple(members)  # elements() is lexicographic, so already sorted
+    gens = np.asarray(sub.generators if sub.generators else sub.members,
+                      dtype=np.intp)
+    L = math.lcm(*G.invariant_factors)
+    scale = np.asarray([L // n for n in G.invariant_factors], dtype=np.intp)
+    pairing = (G.coordinates * scale) @ gens.T % L
+    members = np.flatnonzero(np.all(pairing == 0, axis=1))
+    members = tuple(_elements_at(G, members))
     return Subgroup(parent=G, members=members, generators=members)
 
 
 def coset_transversal(G: FiniteAbelianGroup, sub: Subgroup) -> list[Element]:
     """Lexicographically smallest representative of each coset of ``sub``.
 
-    Greedy scan in lexicographic order: the first unseen element is the
-    smallest member of its coset, so the output is sorted and canonical.
+    An element is a representative when no member of its coset comes
+    before it; the output is sorted and canonical.
     """
     if sub.parent != G:
         raise ValueError("subgroup does not belong to this group")
-    seen: set[Element] = set()
-    reps: list[Element] = []
-    for el in G.elements():
-        if el in seen:
-            continue
-        reps.append(el)
-        for m in sub.members:
-            seen.add(G.add(el, m))
-    return reps
+    offsets = np.asarray(sub.members, dtype=np.intp)
+    first = G.flat(G.coordinates[:, None, :] + offsets[None, :, :]).min(axis=1)
+    return _elements_at(G, np.flatnonzero(first == np.arange(G.order)))

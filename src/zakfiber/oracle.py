@@ -41,12 +41,13 @@ def synthesis_matrix(a: QuasiInvariantAction, gens) -> np.ndarray:
         if g.shape != (N,):
             raise ValueError(f"generator shape {g.shape} does not match space "
                              f"size {N}")
-    sqrtw = np.sqrt(a.space.weights)
-    cols = []
-    for phi in gens:
-        for gamma in a.group.elements():
-            cols.append(sqrtw * a.apply(gamma, phi))
-    return np.stack(cols, axis=1)
+    mu = a.space.weights
+    # (N, |Gamma|) in C order: the spectra of M depend on its layout in
+    # the last bits
+    src = a.table[a.group.neg_index_table()].T.copy()
+    amp = np.sqrt(mu[src] / mu[:, None])
+    sqrtw = np.sqrt(mu)[:, None]
+    return np.concatenate([sqrtw * (amp * phi[src]) for phi in gens], axis=1)
 
 
 def translation_synthesis_matrix(s, gens) -> np.ndarray:
@@ -65,14 +66,9 @@ def translation_synthesis_matrix(s, gens) -> np.ndarray:
             raise ValueError(f"generator shape {g.shape} does not match "
                              f"group order {G.order}")
     # index map for translation: (T_gamma phi)(x) = phi(x - gamma)
-    cols = []
-    for phi in gens:
-        for gamma in s.gamma.members:
-            shifted = np.empty(G.order, dtype=complex)
-            for xi, x in enumerate(G.elements()):
-                shifted[xi] = phi[G.index(G.sub(x, gamma))]
-            cols.append(shifted)
-    return np.stack(cols, axis=1)
+    members = np.asarray(s.gamma.members, dtype=np.intp)
+    src = G.flat(G.coordinates[:, None, :] - members[None, :, :])
+    return np.concatenate([phi[src] for phi in gens], axis=1)
 
 
 def frame_bounds_of_matrix(M: np.ndarray, rel_tol: float = RANK_REL):

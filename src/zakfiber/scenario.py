@@ -198,6 +198,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
             )
         rows = [_int_list(row, f"action.table[{i}]")
                 for i, row in enumerate(table)]
+        for i, row in enumerate(rows):
+            if min(row) < 0 or max(row) >= size:
+                raise ScenarioError(
+                    f"action.table[{i}] entries must lie in 0..{size - 1}"
+                )
         try:
             act = QuasiInvariantAction(G, space, rows)
         except ValueError as e:

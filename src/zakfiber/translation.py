@@ -72,6 +72,13 @@ class TranslationScenario:
         """(_char_matrix, _shift_index), built on first use."""
         return _char_matrix(self), _shift_index(self)
 
+    @cached_property
+    def _coords(self) -> tuple[np.ndarray, ...]:
+        """Coordinate arrays of Gamma, Gamma*, C and Omega."""
+        return tuple(np.asarray(els, dtype=np.intp) for els in (
+            self.gamma.members, self.gamma_star.members, self.coset_reps,
+            self.dual_reps))
+
     @property
     def ambient_weights(self) -> np.ndarray:
         return np.ones(self.G.order)
@@ -124,45 +131,42 @@ def _check_function(s: TranslationScenario, f) -> np.ndarray:
 def weil_check(s: TranslationScenario, f):
     """Total sum over G versus the iterated coset sum over C x Gamma."""
     v = _check_function(s, f)
+    gamma, _, C, _ = s._coords
     lhs = complex(np.sum(v))
-    rhs = 0.0 + 0.0j
-    for x in s.coset_reps:
-        for g in s.gamma.members:
-            rhs += v[s.G.index(s.G.add(x, g))]
-    return lhs, complex(rhs), abs(lhs - complex(rhs))
+    rhs = complex(np.sum(v[s.G.flat(C[:, None, :] + gamma[None, :, :])]))
+    return lhs, rhs, abs(lhs - rhs)
+
+
+def _zak_sums(s: TranslationScenario, v: np.ndarray, omega: np.ndarray,
+              x: np.ndarray) -> np.ndarray:
+    """Defining sums Z[f](omega)(x), one term per member of Gamma and no
+    Fourier transform, broadcast over the leading axes of the coordinate
+    arrays ``omega`` and ``x``."""
+    G = s.G
+    gamma = s._coords[0]
+    terms = v[G.flat(x[..., None, :] - gamma)] \
+        * np.conj(character(G, gamma, omega[..., None, :]))
+    return np.sum(terms, axis=-1)
 
 
 def zak_point(s: TranslationScenario, f, omega: Iterable[int],
               x: Iterable[int]) -> complex:
     """Defining sum of Z[f](omega)(x) at arbitrary x in G, omega in G^."""
     v = _check_function(s, f)
-    G = s.G
-    om = G.check(omega)
-    xx = G.check(x)
-    total = 0.0 + 0.0j
-    for g in s.gamma.members:
-        total += v[G.index(G.sub(xx, g))] * np.conj(character(G, g, om))
-    return complex(total)
+    om, xx = (np.asarray(s.G.check(el), dtype=np.intp) for el in (omega, x))
+    return complex(_zak_sums(s, v, om, xx))
 
 
 def _char_matrix(s: TranslationScenario) -> np.ndarray:
     """K[wi, gi] = conj((gamma_gi, omega_wi))."""
-    G = s.G
-    K = np.empty((s.n_dual, s.gamma.order), dtype=complex)
-    for wi, om in enumerate(s.dual_reps):
-        for gi, g in enumerate(s.gamma.members):
-            K[wi, gi] = np.conj(character(G, g, om))
-    return K
+    gamma, _, _, omega = s._coords
+    return np.conj(character(s.G, gamma[None, :, :], omega[:, None, :]))
 
 
 def _shift_index(s: TranslationScenario) -> np.ndarray:
     """S[gi, ci] = index of C[ci] - gamma_gi in G."""
-    G = s.G
-    S = np.empty((s.gamma.order, s.n_cosets), dtype=np.intp)
-    for gi, g in enumerate(s.gamma.members):
-        for ci, x in enumerate(s.coset_reps):
-            S[gi, ci] = G.index(G.sub(x, g))
-    return S
+    gamma, _, C, _ = s._coords
+    return s.G.flat(C[None, :, :] - gamma[:, None, :])
 
 
 def zakG_forward(s: TranslationScenario, f) -> FiberedVector:
@@ -191,23 +195,9 @@ def zakG_inverse(s: TranslationScenario, Phi: FiberedVector) -> np.ndarray:
 def fiberize(s: TranslationScenario, f) -> np.ndarray:
     """T f[omega_i, delta_j] = fhat(omega_i + delta_j), fhat over G^."""
     v = _check_function(s, f)
+    _, gamma_star, _, omega = s._coords
     fhat = dft(s.G, v)
-    G = s.G
-    out = np.empty((s.n_dual, s.gamma_star.order), dtype=complex)
-    for wi, om in enumerate(s.dual_reps):
-        for di, d in enumerate(s.gamma_star.members):
-            out[wi, di] = fhat[G.index(G.add(om, d))]
-    return out
-
-
-def _gamma_star_fourier(s: TranslationScenario, a: np.ndarray,
-                        x: Element) -> complex:
-    """F_{Gamma*}(a)(x) = (|Gamma|/|G|) sum_delta a_delta conj((x, delta))."""
-    G = s.G
-    total = 0.0 + 0.0j
-    for di, d in enumerate(s.gamma_star.members):
-        total += a[di] * np.conj(character(G, x, d))
-    return complex(total * s.gamma.order / G.order)
+    return fhat[s.G.flat(omega[:, None, :] + gamma_star[None, :, :])]
 
 
 @dataclass
@@ -220,34 +210,32 @@ def duality_check(s: TranslationScenario, f, g=None) -> DualityReport:
     """Compare the two fiberization routes point by point.
 
     The left side runs through the Fourier transform on G and the
-    Gamma*-Fourier synthesis; the right side evaluates the defining Zak
+    Gamma*-Fourier synthesis F_{Gamma*}(a)(x) = (|Gamma|/|G|) sum_delta
+    a_delta conj((x, delta)); the right side evaluates the defining Zak
     sums directly.  When a second function is given, the Gramians
     <T f(omega), T g(omega)> (with mass 1/|Gamma*| per point) and
     <Z[f](-omega), Z[g](-omega)> on C are compared as well.
     """
     v = _check_function(s, f)
     G = s.G
+    _, gamma_star, C, omega = s._coords
+    coords = G.coordinates
+    neg_omega = coords[G.flat(-omega)][:, None, :]   # (|Omega|, 1, rank)
     Tf = fiberize(s, v)
-    dev = 0.0
-    for wi, om in enumerate(s.dual_reps):
-        for x in s.coset_reps:
-            lhs = _gamma_star_fourier(s, Tf[wi], x)
-            rhs = character(G, x, om) * zak_point(s, v, G.neg(om), G.neg(x))
-            dev = max(dev, abs(lhs - rhs))
+    synth = np.conj(character(G, C[:, None, :], gamma_star[None, :, :]))
+    lhs = np.sum(Tf[:, None, :] * synth, axis=-1) * s.gamma.order / G.order
+    rhs = character(G, C, omega[:, None, :]) \
+        * _zak_sums(s, v, neg_omega, coords[G.flat(-C)])
+    dev = float(np.max(np.abs(lhs - rhs)))
 
     gram_dev = None
     if g is not None:
         w = _check_function(s, g)
         Tg = fiberize(s, w)
-        gram_dev = 0.0
-        for wi, om in enumerate(s.dual_reps):
-            lhs = np.sum(Tf[wi] * np.conj(Tg[wi])) / s.gamma_star.order
-            neg = G.neg(om)
-            rhs = sum(
-                zak_point(s, v, neg, x) * np.conj(zak_point(s, w, neg, x))
-                for x in s.coset_reps
-            )
-            gram_dev = max(gram_dev, abs(complex(lhs) - complex(rhs)))
+        lhs = np.sum(Tf * np.conj(Tg), axis=1) / s.gamma_star.order
+        rhs = np.sum(_zak_sums(s, v, neg_omega, C)
+                     * np.conj(_zak_sums(s, w, neg_omega, C)), axis=1)
+        gram_dev = float(np.max(np.abs(lhs - rhs)))
     return DualityReport(transform_deviation=dev, gramian_deviation=gram_dev)
 
 

@@ -58,9 +58,6 @@ class FiberedVector:
     def n_points(self) -> int:
         return int(self.fibers.shape[1])
 
-    def fiber(self, i: int) -> np.ndarray:
-        return self.fibers[i]
-
     def fiber_inner(self, other: "FiberedVector") -> np.ndarray:
         """Per-fiber weighted inner products <self(alpha), other(alpha)>."""
         if other.fibers.shape != self.fibers.shape:
@@ -144,10 +141,6 @@ class ZakTransform:
         psi = np.empty(self.action.space.size, dtype=complex)
         psi[self._dst] = self._amp_inv * t
         return psi
-
-    def lift(self, fibers: np.ndarray) -> FiberedVector:
-        """Wrap a raw fiber array with this transform's weights."""
-        return FiberedVector(fibers, self.fiber_weights)
 
 
 def zak_forward(action: QuasiInvariantAction, psi,

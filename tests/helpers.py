@@ -11,6 +11,7 @@ import numpy as np
 
 from zakfiber import (
     FiniteAbelianGroup,
+    NotFreeError,
     QuasiInvariantAction,
     TranslationScenario,
     WeightedSpace,
@@ -97,3 +98,127 @@ def naive_zakG(s: TranslationScenario, f) -> np.ndarray:
                     np.conj(character(G, g, om))
             out[wi, ci] = total
     return out
+
+
+# ---------------------------------------------------------------------------
+# element-by-element references for the array code in group, action and
+# translation: the tuple loops these modules used before they worked on
+# coordinate arrays
+
+
+def reference_validate(a: QuasiInvariantAction) -> list[str]:
+    """Violations found by trying every pair (g1, g2), then the Jacobian
+    cocycle in floating point; [] for a valid action."""
+    G = a.group
+    violations = []
+    ident = np.arange(a.space.size)
+    zero_row = a.table[G.index(G.zero)]
+    if not np.array_equal(zero_row, ident):
+        x = int(np.flatnonzero(zero_row != ident)[0])
+        violations.append(f"(iii) sigma_0 is not the identity: witness x={x}")
+    elements = G.elements()
+    for i, g1 in enumerate(elements):
+        for j, g2 in enumerate(elements):
+            composed = a.table[i][a.table[j]]
+            direct = a.table[G.index(G.add(g1, g2))]
+            if not np.array_equal(composed, direct):
+                x = int(np.flatnonzero(composed != direct)[0])
+                violations.append(
+                    f"(ii) sigma_{g1} o sigma_{g2} != sigma_{G.add(g1, g2)}: "
+                    f"witness x={x}"
+                )
+    mu = a.space.weights
+    for i, g1 in enumerate(elements):
+        j1 = mu[a.table[i]] / mu
+        for j, g2 in enumerate(elements):
+            j2 = mu[a.table[j]] / mu
+            lhs = mu[a.table[G.index(G.add(g1, g2))]] / mu
+            rhs = j1[a.table[j]] * j2
+            dev = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)
+            if np.any(dev > 1e-12):
+                x = int(np.argmax(dev))
+                violations.append(
+                    f"cocycle J({G.add(g1, g2)}, x) != "
+                    f"J({g1}, sigma_{g2}(x)) * J({g2}, x): witness x={x}"
+                )
+    return violations
+
+
+def reference_tiling(a: QuasiInvariantAction):
+    """(points, orbit_of, shift_of) by a scan over the points; raises
+    NotFreeError at the first representative whose orbit collides."""
+    N = a.space.size
+    orbit_of = np.full(N, -1, dtype=np.intp)
+    shift_of = np.full(N, -1, dtype=np.intp)
+    reps = []
+    for x in range(N):
+        if orbit_of[x] >= 0:
+            continue
+        reps.append(x)
+        for gi in range(a.group.order):
+            y = int(a.table[gi, x])
+            if orbit_of[y] >= 0:
+                raise NotFreeError(point=x)
+            orbit_of[y] = len(reps) - 1
+            shift_of[y] = gi
+    return np.asarray(reps, dtype=np.intp), orbit_of, shift_of
+
+
+def reference_closure(G: FiniteAbelianGroup, gens) -> tuple:
+    """Sorted members of the subgroup generated by ``gens``, by BFS."""
+    members = {G.zero}
+    frontier = [G.zero]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                s = G.add(m, g)
+                if s not in members:
+                    members.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return tuple(sorted(members))
+
+
+def reference_annihilator(G: FiniteAbelianGroup, gens) -> tuple:
+    """Dual points whose character is 1 to 1e-9 on every generator."""
+    return tuple(d for d in G.elements()
+                 if all(abs(character(G, g, d) - 1.0) <= 1e-9 for g in gens))
+
+
+def reference_cosets(G: FiniteAbelianGroup, members) -> list:
+    """Greedy lexicographic scan: the first unseen element of each coset."""
+    seen, reps = set(), []
+    for el in G.elements():
+        if el not in seen:
+            reps.append(el)
+            seen.update(G.add(el, m) for m in members)
+    return reps
+
+
+def reference_duality(s: TranslationScenario, f, g):
+    """(transform, Gramian) deviations of the duality identity, one point
+    and one term at a time."""
+    G = s.G
+
+    def zak(v, om, x):
+        return sum(v[G.index(G.sub(x, c))] * np.conj(character(G, c, om))
+                   for c in s.gamma.members)
+
+    fhat = np.fft.fftn(np.reshape(f, G.invariant_factors)).ravel()
+    ghat = np.fft.fftn(np.reshape(g, G.invariant_factors)).ravel()
+    dev = gram = 0.0
+    for om in s.dual_reps:
+        Tf = [fhat[G.index(G.add(om, d))] for d in s.gamma_star.members]
+        Tg = [ghat[G.index(G.add(om, d))] for d in s.gamma_star.members]
+        for x in s.coset_reps:
+            lhs = sum(a * np.conj(character(G, x, d)) for a, d
+                      in zip(Tf, s.gamma_star.members))
+            lhs = lhs * s.gamma.order / G.order
+            rhs = character(G, x, om) * zak(f, G.neg(om), G.neg(x))
+            dev = max(dev, abs(lhs - rhs))
+        lhs = sum(a * np.conj(b) for a, b in zip(Tf, Tg)) / s.gamma_star.order
+        rhs = sum(zak(f, G.neg(om), x) * np.conj(zak(g, G.neg(om), x))
+                  for x in s.coset_reps)
+        gram = max(gram, abs(lhs - rhs))
+    return dev, gram

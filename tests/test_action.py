@@ -169,3 +169,12 @@ def test_affine_rejects_incompatible_multiplier():
         affine_action(G, sp, [3])  # 3*4 = 12 is not 0 mod 8
     with pytest.raises(ValueError):
         affine_action(G, sp, [2, 1])  # wrong arity
+
+
+def test_validate_spread_weights_is_ok():
+    # a valid action; weight ratios near the float range used to raise
+    # false alarms in a floating-point cocycle pass
+    a = affine_action(FiniteAbelianGroup([3]),
+                      WeightedSpace([1e-170, 1e-10, 1e170]), [1])
+    report = validate_action(a)
+    assert report.ok and report.violations == []

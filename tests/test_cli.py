@@ -373,3 +373,35 @@ def test_rel_dev_missing_bound_counts_as_zero():
     assert _rel_dev(None, None) == 0.0
     assert _rel_dev(None, 0.0) == 0.0
     assert _rel_dev(2.0, None) == 1.0 > VERIFY_BOUND_REL
+
+
+def test_huge_affine_multiplier_acts_like_its_residue(tmp_path):
+    # sigma depends on m mod N only: 2 + 8 * 2**70 acts like 2 on 8 points
+    def edit(doc):
+        doc["action"]["affine"]["multipliers"] = [2 + 8 * 2**70]
+    path = _fixture_variant(tmp_path, "s1", edit)
+    for command in ("validate", "zak", "verify"):
+        assert invoke([command, "--scenario", path]) == \
+            invoke([command, "--scenario", "s1"]), command
+
+
+def test_huge_table_entry_is_io_error(tmp_path):
+    def edit(doc):
+        doc["action"]["table"][1][0] = 2**70
+    path = _fixture_variant(tmp_path, "s2", edit)
+    code, out, err = invoke(["validate", "--scenario", path])
+    assert (code, out) == (4, "")
+    assert err == "error: action.table[1] entries must lie in 0..3\n"
+
+
+@pytest.mark.parametrize("command", ["frame", "zak", "riesz", "verify"])
+def test_overflow_scale_weight_exits_2(tmp_path, command):
+    # finite weights whose squares overflow: no Infinity on stdout and no
+    # traceback from the dense route's eigensolver
+    def edit(doc):
+        doc["space"]["weights"][0] = 1e308
+    path = _fixture_variant(tmp_path, "s1", edit)
+    with np.errstate(all="ignore"):
+        code, out, err = invoke([command, "--scenario", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err

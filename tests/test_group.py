@@ -29,7 +29,6 @@ def test_order_and_enumeration():
     assert els == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     for i, el in enumerate(els):
         assert G.index(el) == i
-        assert G.element(i) == el
 
 
 def test_arithmetic():

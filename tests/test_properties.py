@@ -1,0 +1,158 @@
+"""Property tests: the array code in group, action and translation against
+the element-by-element references in helpers.
+
+Hypothesis runs derandomized, so every run checks the same examples.
+Groups have one to three invariant factors, factors of 1 included.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from zakfiber import (
+    FiniteAbelianGroup,
+    NotFreeError,
+    QuasiInvariantAction,
+    WeightedSpace,
+    affine_action,
+    annihilator,
+    build_scenario,
+    coset_transversal,
+    duality_check,
+    subgroup_from_generators,
+    tiling_transversal,
+    validate_action,
+    weil_check,
+)
+
+from helpers import random_complex, reference_annihilator, \
+    reference_closure, reference_cosets, reference_duality, \
+    reference_tiling, reference_validate
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60)
+
+
+@st.composite
+def groups(draw, max_order):
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        budget = max_order // math.prod(factors)
+        factors.append(draw(st.integers(1, max(1, min(budget, 12)))))
+    return FiniteAbelianGroup(factors)
+
+
+def elements(G):
+    return st.tuples(*(st.integers(0, n - 1) for n in G.invariant_factors))
+
+
+@st.composite
+def tables(draw):
+    """(group, table): an affine or a free action, possibly relabelled,
+    possibly corrupted by a swap in one row or in sigma_0."""
+    G = draw(groups(max_order=16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    els = G.elements()
+    if draw(st.booleans()):
+        N = draw(st.integers(1, 16))
+        ms = [draw(st.integers(0, 3)) * (N // math.gcd(N, n))
+              for n in G.invariant_factors]
+        table = np.array([[(x + sum(m * g for m, g in zip(ms, el))) % N
+                           for x in range(N)] for el in els])
+    else:
+        c = draw(st.integers(1, 3))   # translation on G x {0..c-1}
+        table = np.array([[G.index(G.add(g, x)) * c + k
+                           for x in els for k in range(c)] for g in els])
+    N = table.shape[1]
+    if draw(st.booleans()):
+        perm = rng.permutation(N)
+        table = perm[table[:, np.argsort(perm)]]
+    corruption = draw(st.sampled_from(["none", "none", "swap", "sigma0"]))
+    if corruption != "none" and N >= 2:
+        row = 0 if corruption == "sigma0" else int(rng.integers(G.order))
+        i, j = rng.choice(N, size=2, replace=False)
+        table[row, [i, j]] = table[row, [j, i]]
+    return G, table
+
+
+def _action(G, table):
+    weights = 10.0 ** np.random.default_rng(0).uniform(-3, 3, table.shape[1])
+    return QuasiInvariantAction(G, WeightedSpace(weights), table)
+
+
+def _is_subsequence(short, long):
+    it = iter(long)
+    return all(line in it for line in short)
+
+
+@PROPERTY
+@given(tables())
+def test_validate_agrees_with_pairwise_reference(case):
+    a = _action(*case)
+    report = validate_action(a)
+    reference = reference_validate(a)
+    assert report.ok == (not reference)
+    if not report.ok:
+        laws = [v for v in reference if v.startswith(("(ii)", "(iii)"))]
+        assert report.violations and _is_subsequence(report.violations, laws)
+
+
+@PROPERTY
+@given(tables())
+def test_tiling_transversal_agrees_with_scan(case):
+    a = _action(*case)
+    if not validate_action(a).ok:
+        return
+    try:
+        expected = reference_tiling(a)
+    except NotFreeError as e:
+        with pytest.raises(NotFreeError) as got:
+            tiling_transversal(a)
+        assert got.value.point == e.point
+        return
+    t = tiling_transversal(a)
+    for got, want in zip((t.points, t.orbit_of, t.shift_of), expected):
+        assert np.array_equal(got, want)
+
+
+@PROPERTY
+@given(groups(max_order=16), st.data())
+def test_affine_action_reduces_multipliers(G, data):
+    N = data.draw(st.integers(1, 16))
+    ms = [data.draw(st.integers(0, 3)) * (N // math.gcd(N, n))
+          for n in G.invariant_factors]
+    huge = [m + N * 2**70 for m in ms]
+    space = WeightedSpace(np.ones(N))
+    assert np.array_equal(affine_action(G, space, huge).table,
+                          affine_action(G, space, ms).table)
+
+
+@PROPERTY
+@given(groups(max_order=36), st.data())
+def test_subgroup_structure_agrees_with_references(G, data):
+    gens = data.draw(st.lists(elements(G), max_size=3))
+    sub = subgroup_from_generators(G, gens)
+    assert sub.members == reference_closure(G, gens)
+    ann = annihilator(G, sub)
+    assert ann.members == reference_annihilator(G, gens or [G.zero])
+    assert coset_transversal(G, sub) == reference_cosets(G, sub.members)
+    assert coset_transversal(G, ann) == reference_cosets(G, ann.members)
+
+
+@PROPERTY
+@given(groups(max_order=24), st.data())
+def test_duality_agrees_with_scalar_reference(G, data):
+    gens = data.draw(st.lists(elements(G), max_size=2))
+    s = build_scenario(G, gens)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f, g = random_complex(rng, G.order), random_complex(rng, G.order)
+    rep = duality_check(s, f, g)
+    dev, gram = reference_duality(s, f, g)
+    scale = float(np.sum(np.abs(f)) * max(1.0, np.sum(np.abs(g))))
+    assert abs(rep.transform_deviation - dev) <= 1e-12 * scale
+    assert abs(rep.gramian_deviation - gram) <= 1e-12 * scale
+    coset_sum = sum(f[G.index(G.add(x, c))]
+                    for x in s.coset_reps for c in s.gamma.members)
+    assert abs(weil_check(s, f)[1] - coset_sum) <= 1e-12 * scale
