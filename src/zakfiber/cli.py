@@ -468,6 +468,10 @@ def _emit(report: dict, command_name: str, fmt: str, out) -> None:
             raise Incompatible(
                 f"--format csv-fibers is not available for {command_name}"
             )
+        if not np.isfinite([[r["smin2"], r["smax2"]]
+                            for r in report["fibers"]]).all():
+            raise Incompatible("report is not representable as CSV: "
+                               "non-finite fiber spectrum")
         lines = ["fiber_id,dim,smin2,smax2"]
         for rec in report["fibers"]:
             lines.append(f"{rec['fiber_id']},{rec['dim']},"
@@ -486,8 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--scenario", required=True,
                         help="scenario file path, or the name of a shipped "
                              "fixture (s1, s1-parseval, s2, s3, star)")
-    common.add_argument("--tolerance", type=float, default=1e-10,
-                        help="global tolerance in (0, 1); default 1e-10")
+    common.add_argument("--tolerance", type=float, default=frames.SUPPORT_TOL,
+                        help="global tolerance in (0, 1); default %(default)s")
     common.add_argument("--format", choices=["structured", "csv-fibers"],
                         default="structured")
     common.add_argument("--parallel", type=int, default=1,

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import stack_generator_fibers
-from .ranges import MEMBER_TOL, RANK_TOL, membership_fibers, \
+from .ranges import MEMBER_TOL, ORTHO_TOL, RANK_TOL, membership_fibers, \
     range_from_fibers
 from .zak import FiberedVector, ZakTransform
 
@@ -27,17 +27,13 @@ __all__ = [
     "verify_decomposition_fibers",
 ]
 
-ORTHO_TOL = 1e-10
-
-
-def parseval_decompose_fibers(fibered: Sequence[FiberedVector],
-                              rank_tolerance: float = RANK_TOL
+def parseval_decompose_fibers(fibered: Sequence[FiberedVector]
                               ) -> list[FiberedVector]:
     """Fiberwise orthonormalization of generator fibers, kept in order.
 
     Per fiber the generators are orthonormalized by modified Gram-Schmidt
     (with one re-orthogonalization sweep); a vector is dropped when its
-    residual weighted norm falls below rank_tolerance times the largest
+    residual weighted norm falls below RANK_TOL times the largest
     original column norm of that fiber.  The n-th output holds the n-th
     surviving vector of every fiber, zero where fewer survive.
 
@@ -63,17 +59,15 @@ def parseval_decompose_fibers(fibered: Sequence[FiberedVector],
                 c = np.sum(r * np.conj(q) * weights, axis=-1)
                 r -= c[:, None] * q
         nr = wnorm(r)
-        keep = np.flatnonzero(nr > rank_tolerance * ref)
+        keep = np.flatnonzero(nr > RANK_TOL * ref)
         slots[count[keep], keep] = r[keep] / nr[keep, None]
         count[keep] += 1
     return [FiberedVector(slots[n], weights) for n in range(count.max())]
 
 
-def parseval_decompose(zak: ZakTransform, gens,
-                       rank_tolerance: float = RANK_TOL) -> list[np.ndarray]:
+def parseval_decompose(zak: ZakTransform, gens) -> list[np.ndarray]:
     """Generators psi_1..psi_L of orthogonal Parseval orbit systems."""
-    fibered = [zak.forward(g) for g in gens]
-    parts = parseval_decompose_fibers(fibered, rank_tolerance)
+    parts = parseval_decompose_fibers([zak.forward(g) for g in gens])
     return [zak.inverse(p) for p in parts]
 
 
@@ -94,8 +88,7 @@ class DecompositionCheck:
 
 def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
                                 part_fibers: Sequence[FiberedVector],
-                                tolerance: float = ORTHO_TOL,
-                                rank_tolerance: float = RANK_TOL
+                                tolerance: float = ORTHO_TOL
                                 ) -> DecompositionCheck:
     """Audit: pairwise fiber orthogonality of the parts, Parseval fiber
     norms per part, exact per-fiber dimension bookkeeping, and membership
@@ -120,12 +113,12 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
         parts_parseval.append(ok)
     parseval_ok = all(parts_parseval)
 
-    # (c) dimensions add up fiber by fiber, as integers
-    J_orig = range_from_fibers(gen_fibers, rank_tolerance)
-    part_dims = [range_from_fibers([p], rank_tolerance).dims
-                 for p in part_fibers]
-    summed = np.sum(part_dims, axis=0) if part_dims else \
-        np.zeros(J_orig.n_fibers, dtype=int)
+    # (c) dimensions add up fiber by fiber, as integers; a single part
+    # spans dimension 1 exactly on the fibers where it is nonzero
+    J_orig = range_from_fibers(gen_fibers)
+    summed = np.zeros(J_orig.n_fibers, dtype=int)
+    for p in part_fibers:
+        summed += np.any(p.fibers != 0, axis=1)
     dim_rows = [(int(s), int(d)) for s, d in zip(summed, J_orig.dims)]
     dims_match = bool(np.array_equal(summed, J_orig.dims))
 
@@ -133,10 +126,9 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
     membership_residuals = []
     membership_ok = True
     if part_fibers:
-        J_parts = range_from_fibers(part_fibers, rank_tolerance)
+        J_parts = range_from_fibers(part_fibers)
         for fv in gen_fibers:
-            member, residual = membership_fibers(fv, J_parts,
-                                                 threshold=MEMBER_TOL)
+            member, residual = membership_fibers(fv, J_parts)
             membership_residuals.append(residual)
             membership_ok = membership_ok and member
     else:
@@ -159,10 +151,8 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
 
 
 def verify_decomposition(zak: ZakTransform, gens, parts,
-                         tolerance: float = ORTHO_TOL,
-                         rank_tolerance: float = RANK_TOL
+                         tolerance: float = ORTHO_TOL
                          ) -> DecompositionCheck:
     gen_fibers = [zak.forward(g) for g in gens]
     part_fibers = [zak.forward(p) for p in parts]
-    return verify_decomposition_fibers(gen_fibers, part_fibers,
-                                       tolerance, rank_tolerance)
+    return verify_decomposition_fibers(gen_fibers, part_fibers, tolerance)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import stack_generator_fibers
-from .ranges import RANK_TOL
+from .ranges import RANK_TOL, RIESZ_REL, SUPPORT_TOL, rank_cut  # noqa: F401
 from .zak import FiberedVector, ZakTransform
 
 __all__ = [
@@ -39,11 +39,6 @@ __all__ = [
     "riesz_check_fibers",
     "single_generator_report",
 ]
-
-SUPPORT_TOL = 1e-10
-# linear independence requires the smallest Gram eigenvalue to clear this
-# fraction of the largest
-RIESZ_REL = 1e-9
 
 
 @dataclass
@@ -97,24 +92,21 @@ class FrameReport:
         return int(self.dims.size)
 
 
-def _fiber_spectra(fibered: Sequence[FiberedVector], rank_tolerance: float):
+def _fiber_spectra(fibered: Sequence[FiberedVector]):
     """Squared singular values of the weight-scaled fiber matrices.
 
     The fiber stack (n_fibers, n_points, n_gens) is scaled by sqrt(mu)
     along the points axis and decomposed by one batched SVD.  Returns
     (s2, dims) where s2 has one row per fiber, padded with zeros to the
     number of generators (the fiber Gram spectrum), in descending order;
-    dims counts the values retained by the rank rule.
+    dims counts the values retained by :func:`ranges.rank_cut`.
     """
     stack, weights = stack_generator_fibers(fibered)
     stack *= np.sqrt(weights)[:, None]
     s = np.linalg.svd(stack, compute_uv=False)
     s2 = np.zeros((stack.shape[0], stack.shape[2]))
     s2[:, : s.shape[1]] = s ** 2
-    smax = np.sqrt(s2[:, 0])
-    dims = np.sum(np.sqrt(s2) > rank_tolerance * smax[:, None], axis=1)
-    dims[smax <= 0.0] = 0
-    return s2, dims.astype(int)
+    return s2, rank_cut(s)
 
 
 def _assemble(s2: np.ndarray, dims: np.ndarray, tolerance: float,
@@ -164,72 +156,34 @@ def _assemble(s2: np.ndarray, dims: np.ndarray, tolerance: float,
 
 
 def frame_check_fibers(fibered: Sequence[FiberedVector],
-                       tolerance: float = SUPPORT_TOL,
-                       rank_tolerance: float = RANK_TOL) -> FrameReport:
-    s2, dims = _fiber_spectra(fibered, rank_tolerance)
+                       tolerance: float = SUPPORT_TOL) -> FrameReport:
+    s2, dims = _fiber_spectra(fibered)
     return _assemble(s2, dims, tolerance, riesz_style=False)
 
 
 def frame_check(zak: ZakTransform, gens,
-                tolerance: float = SUPPORT_TOL,
-                rank_tolerance: float = RANK_TOL) -> FrameReport:
+                tolerance: float = SUPPORT_TOL) -> FrameReport:
     """Frame bounds of the orbit system of ``gens`` on the space it spans."""
-    fibered = [zak.forward(g) for g in gens]
-    return frame_check_fibers(fibered, tolerance, rank_tolerance)
+    return frame_check_fibers([zak.forward(g) for g in gens], tolerance)
 
 
 def riesz_check_fibers(fibered: Sequence[FiberedVector],
-                       tolerance: float = SUPPORT_TOL,
-                       rank_tolerance: float = RANK_TOL) -> FrameReport:
-    s2, dims = _fiber_spectra(fibered, rank_tolerance)
+                       tolerance: float = SUPPORT_TOL) -> FrameReport:
+    s2, dims = _fiber_spectra(fibered)
     return _assemble(s2, dims, tolerance, riesz_style=True)
 
 
 def riesz_check(zak: ZakTransform, gens,
-                tolerance: float = SUPPORT_TOL,
-                rank_tolerance: float = RANK_TOL) -> FrameReport:
+                tolerance: float = SUPPORT_TOL) -> FrameReport:
     """Riesz bounds of the orbit system: extremes of the fiber Gram spectra."""
-    fibered = [zak.forward(g) for g in gens]
-    return riesz_check_fibers(fibered, tolerance, rank_tolerance)
+    return riesz_check_fibers([zak.forward(g) for g in gens], tolerance)
 
 
 def single_generator_report(zak: ZakTransform, psi,
                             tolerance: float = SUPPORT_TOL):
-    """Frame/Riesz verdicts for one generator, plus its bracket.
-
-    The orbit of psi is a frame for its span with bounds
-    (min over Omega_psi, max over the dual group) of ||Z[psi](alpha)||^2,
-    and a Riesz system iff that square norm clears the tolerance on every
-    fiber.
-    """
+    """The frame report of the orbit of psi, plus its bracket.  The fiber
+    spectra are the square norms ||Z[psi](alpha)||^2, so the bounds are
+    their minimum over Omega_psi and their maximum."""
     Zpsi = zak.forward(psi)
-    norms = Zpsi.fiber_norms_sq()
-    support = norms > tolerance
-    degenerate = not bool(support.any())
-    if degenerate:
-        lower = upper = None
-        is_frame = is_parseval = is_riesz = False
-    else:
-        lower = float(np.min(norms[support]))
-        upper = float(np.max(norms))
-        is_frame = True
-        is_parseval = abs(lower - 1.0) <= tolerance and \
-            abs(upper - 1.0) <= tolerance
-        is_riesz = bool(np.min(norms) > tolerance)
-    report = FrameReport(
-        dims=support.astype(int),
-        smin2=np.where(support, norms, 0.0),
-        smax2=norms.copy(),
-        gram_min=norms.copy(),
-        support=support,
-        lower=lower,
-        upper=upper,
-        is_bessel=True,
-        is_frame=is_frame,
-        is_parseval=is_parseval,
-        is_riesz=is_riesz,
-        tolerance=tolerance,
-        degenerate=degenerate,
-    )
     brk = BracketFunction(values=Zpsi.fiber_inner(Zpsi))
-    return report, brk
+    return frame_check_fibers([Zpsi], tolerance), brk

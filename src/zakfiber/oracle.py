@@ -29,6 +29,7 @@ __all__ = [
 # eigenvalues below RANK_REL * (largest) are treated as zero when locating
 # the lower frame bound; the same ratio decides linear independence
 RANK_REL = 1e-9
+MEMBER_TOL = 1e-9
 
 
 def synthesis_matrix(a: QuasiInvariantAction, gens) -> np.ndarray:
@@ -71,60 +72,56 @@ def translation_synthesis_matrix(s, gens) -> np.ndarray:
     return np.concatenate([phi[src] for phi in gens], axis=1)
 
 
-def frame_bounds_of_matrix(M: np.ndarray, rel_tol: float = RANK_REL):
+def frame_bounds_of_matrix(M: np.ndarray):
     """(A, B) from the spectrum of M M^H, ignoring eigenvalues below
-    rel_tol * max; (None, None) when the system is zero."""
+    RANK_REL * max; (None, None) when the system is zero."""
     S = M @ M.conj().T
     eig = np.linalg.eigvalsh(S)
     emax = float(eig[-1])
     if emax <= 0.0:
         return None, None
-    kept = eig[eig > rel_tol * emax]
+    kept = eig[eig > RANK_REL * emax]
     return float(kept[0]), emax
 
 
-def riesz_bounds_of_matrix(M: np.ndarray, rel_tol: float = RANK_REL):
+def riesz_bounds_of_matrix(M: np.ndarray):
     """(A, B, independent) from the full spectrum of the Gram M^H M."""
     G = M.conj().T @ M
     eig = np.linalg.eigvalsh(G)
     A = max(float(eig[0]), 0.0)  # clip spurious negatives from rounding
     B = float(eig[-1])
-    independent = bool(B > 0.0 and A > rel_tol * B)
+    independent = bool(B > 0.0 and A > RANK_REL * B)
     return A, B, independent
 
 
-def membership_of_matrix(M: np.ndarray, b: np.ndarray,
-                         threshold: float = 1e-9):
+def membership_of_matrix(M: np.ndarray, b: np.ndarray):
     """Least-squares residual of b against the column span of M.
 
     Returns (member, residual) with residual in the ambient (already
     weighted) Euclidean norm; the verdict compares against
-    threshold * max(1, ||b||).
+    MEMBER_TOL * max(1, ||b||).
     """
     x, *_ = np.linalg.lstsq(M, b, rcond=None)
     residual = float(np.linalg.norm(b - M @ x))
-    member = residual <= threshold * max(1.0, float(np.linalg.norm(b)))
+    member = residual <= MEMBER_TOL * max(1.0, float(np.linalg.norm(b)))
     return member, residual
 
 
-def dense_frame_bounds(a: QuasiInvariantAction, gens,
-                       rel_tol: float = RANK_REL):
+def dense_frame_bounds(a: QuasiInvariantAction, gens):
     """Frame bounds of the orbit system on its span, computed densely."""
-    return frame_bounds_of_matrix(synthesis_matrix(a, gens), rel_tol)
+    return frame_bounds_of_matrix(synthesis_matrix(a, gens))
 
 
-def dense_riesz_bounds(a: QuasiInvariantAction, gens,
-                       rel_tol: float = RANK_REL):
+def dense_riesz_bounds(a: QuasiInvariantAction, gens):
     """Riesz bounds and linear independence of the orbit system."""
-    return riesz_bounds_of_matrix(synthesis_matrix(a, gens), rel_tol)
+    return riesz_bounds_of_matrix(synthesis_matrix(a, gens))
 
 
-def brute_membership(a: QuasiInvariantAction, f, gens,
-                     threshold: float = 1e-9):
+def brute_membership(a: QuasiInvariantAction, f, gens):
     """Membership of f in the span of the orbit system, by least squares."""
     v = np.asarray(f, dtype=complex)
     if v.shape != (a.space.size,):
         raise ValueError(f"expected {a.space.size} values, got shape {v.shape}")
     M = synthesis_matrix(a, gens)
     b = np.sqrt(a.space.weights) * v
-    return membership_of_matrix(M, b, threshold)
+    return membership_of_matrix(M, b)

@@ -5,6 +5,28 @@ completely by the map alpha -> J(alpha) = span{Z[phi](alpha) : phi in A}
 inside l2(C, mu).  Each J(alpha) is stored as a basis that is orthonormal
 in the weighted inner product, obtained from a rank-revealing SVD of the
 weight-scaled fiber matrix.
+
+Every cut of the fiber route is one of the constants below; ``frames``
+and ``decomp`` import them.  Only ``tolerance`` can be set per call: it
+is the support cut of the reports and the audit's orthogonality cut (the
+CLI's ``--tolerance`` sets both).  sigma are the singular values of the
+weight-scaled fiber matrix diag(sqrt(mu)) [Z[phi](alpha)]_phi.
+
+  cut          value  passes when                             used by
+  RANK_TOL     1e-10  sigma > RANK_TOL * sigma_max per fiber  rank_cut: range,
+               (relative, sigma); decomp keeps a residual     frame and riesz;
+               norm > RANK_TOL * largest column norm          parseval_decompose
+  SUPPORT_TOL  1e-10  sigma_max^2 > tol; Parseval: |A - 1|    frame and riesz,
+               and |B - 1| <= tol (absolute, sigma^2)         ti_analyze
+  RIESZ_REL    1e-9   min sigma^2 > RIESZ_REL * max sigma^2   frame and riesz
+               over all fibers (relative, sigma^2)            (is_riesz)
+  MEMBER_TOL   1e-9   residual <= MEMBER_TOL * max(1, norm)   membership,
+               (absolute below norm 1, then relative)         decomp audit
+  ORTHO_TOL    1e-10  |<part_m, part_n>| and |norm^2 - 1|     decomp audit
+               <= tol per fiber (absolute, sigma^2)           (its default)
+
+:mod:`zakfiber.oracle` keeps its own constants, so that the dense route
+stays independent of this one.
 """
 
 from __future__ import annotations
@@ -28,7 +50,16 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10
+SUPPORT_TOL = 1e-10
+RIESZ_REL = 1e-9
 MEMBER_TOL = 1e-9
+ORTHO_TOL = 1e-10
+
+
+def rank_cut(s: np.ndarray) -> np.ndarray:
+    """Per-fiber rank: how many singular values in each row of ``s``
+    (descending) exceed RANK_TOL times the row's largest."""
+    return np.sum(s > RANK_TOL * s[:, :1], axis=1)
 
 
 @dataclass
@@ -42,7 +73,6 @@ class RangeFunction:
     bases: list[np.ndarray]
     dims: np.ndarray
     fiber_weights: np.ndarray
-    rank_tolerance: float = RANK_TOL
 
     @property
     def n_fibers(self) -> int:
@@ -53,39 +83,30 @@ class RangeFunction:
         return int(self.dims.max()) if self.dims.size else 0
 
 
-def range_from_fibers(fibered: Sequence[FiberedVector],
-                      rank_tolerance: float = RANK_TOL) -> RangeFunction:
+def range_from_fibers(fibered: Sequence[FiberedVector]) -> RangeFunction:
     """Rank-revealing orthonormalization of the generator fibers.
 
     The fiber stack (n_fibers, n_points, n_gens) is scaled by sqrt(mu)
-    and decomposed by one batched thin SVD.  Per fiber, singular values
-    below rank_tolerance * (largest singular value of that fiber) are
-    discarded; the retained left singular vectors are pulled back to a
-    basis that is orthonormal for the weighted inner product.
+    and decomposed by one batched thin SVD.  Per fiber, the left singular
+    vectors that :func:`rank_cut` retains are pulled back to a basis that
+    is orthonormal for the weighted inner product.
     """
     stack, weights = stack_generator_fibers(fibered)
     stack *= np.sqrt(weights)[:, None]
     U, s, _ = np.linalg.svd(stack, full_matrices=False)
     del stack  # release the scaled copy before the bases are built
-    dims = np.sum(s > rank_tolerance * s[:, :1], axis=1)
+    dims = rank_cut(s)
     inv_sqrtw = 1.0 / np.sqrt(weights)
     bases = [inv_sqrtw[:, None] * U[i, :, :r] for i, r in enumerate(dims)]
-    return RangeFunction(bases=bases, dims=dims, fiber_weights=weights,
-                         rank_tolerance=rank_tolerance)
+    return RangeFunction(bases=bases, dims=dims, fiber_weights=weights)
 
 
-def range_from_generators(zak: ZakTransform, gens,
-                          rank_tolerance: float = RANK_TOL) -> RangeFunction:
-    if len(gens) == 0:
-        # no generators span the zero space on every fiber
-        dims = np.zeros(zak.n_fibers, dtype=int)
-        bases = [np.zeros((zak.n_points, 0), dtype=complex)
-                 for _ in range(zak.n_fibers)]
-        return RangeFunction(bases=bases, dims=dims,
-                             fiber_weights=zak.fiber_weights,
-                             rank_tolerance=rank_tolerance)
-    fibered = [zak.forward(g) for g in gens]
-    return range_from_fibers(fibered, rank_tolerance)
+def range_from_generators(zak, gens) -> RangeFunction:
+    """Range function of ``gens`` on either fibration (see
+    :mod:`zakfiber.zak`); no generators span the zero space, whose fibers
+    all have dimension 0."""
+    gens = list(gens) or [np.zeros(zak.ambient_weights.size)]
+    return range_from_fibers([zak.forward(g) for g in gens])
 
 
 def _project_fibers(Phi: FiberedVector, J: RangeFunction) -> np.ndarray:
@@ -104,8 +125,7 @@ def _project_fibers(Phi: FiberedVector, J: RangeFunction) -> np.ndarray:
 
 
 def membership_fibers(Phi: FiberedVector, J: RangeFunction,
-                      norm: float | None = None,
-                      threshold: float = MEMBER_TOL):
+                      norm: float | None = None):
     """Membership of an already fibered vector; see :func:`membership`."""
     proj = _project_fibers(Phi, J)
     diff = Phi.fibers - proj
@@ -113,22 +133,22 @@ def membership_fibers(Phi: FiberedVector, J: RangeFunction,
     residual = float(np.sqrt(max(res_sq, 0.0)))
     if norm is None:
         norm = float(np.sqrt(Phi.norm_sq()))
-    member = residual <= threshold * max(1.0, norm)
+    member = residual <= MEMBER_TOL * max(1.0, norm)
     return member, residual
 
 
-def membership(zak, psi, J: RangeFunction, threshold: float = MEMBER_TOL):
+def membership(zak, psi, J: RangeFunction):
     """Does psi lie in the invariant space with range function J?  ``zak``
     is either fibration (see :mod:`zakfiber.zak`).
 
     Returns (member, residual) where residual^2 averages the weighted
     square distances of the fibers of psi from J(alpha); the verdict
-    compares against threshold * max(1, ||psi||), in the ambient norm.
+    compares against MEMBER_TOL * max(1, ||psi||), in the ambient norm.
     """
     Phi = zak.forward(psi)
     v = np.asarray(psi, dtype=complex)
     norm = float(np.sqrt(np.sum(np.abs(v) ** 2 * zak.ambient_weights)))
-    return membership_fibers(Phi, J, norm=norm, threshold=threshold)
+    return membership_fibers(Phi, J, norm=norm)
 
 
 def project(zak: ZakTransform, psi, J: RangeFunction) -> np.ndarray:

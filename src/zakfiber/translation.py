@@ -30,7 +30,7 @@ from . import oracle
 from .frames import SUPPORT_TOL, FrameReport, frame_check_fibers
 from .group import Element, FiniteAbelianGroup, Subgroup, annihilator, \
     character, coset_transversal, dft, subgroup_from_generators
-from .ranges import RANK_TOL, RangeFunction, range_from_fibers
+from .ranges import RangeFunction, range_from_fibers
 from .zak import FiberedVector
 
 __all__ = [
@@ -240,8 +240,7 @@ def duality_check(s: TranslationScenario, f, g=None) -> DualityReport:
 
 
 def ti_analyze(s: TranslationScenario, gens,
-               tolerance: float = SUPPORT_TOL,
-               rank_tolerance: float = RANK_TOL
+               tolerance: float = SUPPORT_TOL
                ) -> tuple[RangeFunction, FrameReport]:
     """Range function and frame report of a translation system over Omega.
 
@@ -253,6 +252,6 @@ def ti_analyze(s: TranslationScenario, gens,
     if len(gens) == 0:
         raise ValueError("at least one generator is required")
     fibered = [zakG_forward(s, g) for g in gens]
-    J = range_from_fibers(fibered, rank_tolerance)
-    report = frame_check_fibers(fibered, tolerance, rank_tolerance)
+    J = range_from_fibers(fibered)
+    report = frame_check_fibers(fibered, tolerance)
     return J, report

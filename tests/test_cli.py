@@ -285,7 +285,7 @@ def test_verify_detects_disagreement(monkeypatch, tmp_path):
     # force the dense oracle to lie so the disagreement path is exercised
     import zakfiber.cli as cli
 
-    def wrong_bounds(M, rel_tol=1e-9):
+    def wrong_bounds(M):
         return 0.5, 0.5
 
     monkeypatch.setattr(cli.oracle, "frame_bounds_of_matrix", wrong_bounds)
@@ -396,12 +396,14 @@ def test_huge_table_entry_is_io_error(tmp_path):
 
 @pytest.mark.parametrize("command", ["frame", "zak", "riesz", "verify"])
 def test_overflow_scale_weight_exits_2(tmp_path, command):
-    # finite weights whose squares overflow: no Infinity on stdout and no
-    # traceback from the dense route's eigensolver
+    # finite weights whose squares overflow: no Infinity on stdout in
+    # either format and no traceback from the dense route's eigensolver
     def edit(doc):
         doc["space"]["weights"][0] = 1e308
     path = _fixture_variant(tmp_path, "s1", edit)
-    with np.errstate(all="ignore"):
-        code, out, err = invoke([command, "--scenario", path])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fmt in ("structured", "csv-fibers"):
+        with np.errstate(all="ignore"):
+            code, out, err = invoke([command, "--scenario", path,
+                                     "--format", fmt])
+        assert (code, out) == (2, ""), fmt
+        assert err.startswith("error: ") and err.count("\n") == 1, err

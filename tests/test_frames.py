@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from zakfiber import ZakTransform, bracket, frame_check, riesz_check, \
-    single_generator_report
+from zakfiber import ZakTransform, bracket, fixture_path, frame_check, \
+    parse_scenario, riesz_check, single_generator_report
 from zakfiber.oracle import dense_frame_bounds, dense_riesz_bounds
 
 from helpers import delta, random_complex, s1_action, s2_action, \
@@ -100,6 +102,30 @@ def test_single_generator_matches_frame_check():
             assert rep1.upper == pytest.approx(rep2.upper, rel=1e-12)
             assert rep1.is_riesz == rep2.is_riesz
             assert list(rep1.dims) == list(rep2.dims)
+
+
+def test_single_generator_riesz_agrees_with_dense():
+    # fiber norms^2 [1e4, 1e-8, 1e-8, 1e-8]: every fiber clears the support
+    # tolerance, but the smallest is 1e-12 of the largest
+    a = s1_action()
+    psi = 100 * star_generator() + 1e-4 * delta(8, 1)
+    rep, _ = single_generator_report(ZakTransform(a), psi)
+    _, _, independent = dense_riesz_bounds(a, [psi])
+    assert not independent
+    assert rep.is_riesz == independent
+    assert rep.is_frame and rep.support.all()
+
+
+@pytest.mark.parametrize("name", ["s1", "s1-parseval", "s2", "star"])
+def test_single_generator_report_is_frame_check(name):
+    sc = parse_scenario(fixture_path(name))
+    zk = ZakTransform(sc.action)
+    for psi in sc.generators + sc.candidates:
+        rep, _ = single_generator_report(zk, psi)
+        ref = frame_check(zk, [psi])
+        for field in dataclasses.fields(ref):
+            got, want = getattr(rep, field.name), getattr(ref, field.name)
+            assert np.array_equal(got, want), (name, field.name)
 
 
 def test_bounds_match_dense_oracle():

@@ -6,7 +6,8 @@ from zakfiber import ZakTransform, length, membership, project, \
 from zakfiber.oracle import brute_membership
 from zakfiber.ranges import membership_fibers
 
-from helpers import delta, random_complex, s1_action, s2_action
+from helpers import delta, random_complex, s1_action, s2_action, \
+    s3_scenario
 
 
 def test_dims_known_cases():
@@ -28,6 +29,17 @@ def test_empty_generators_span_zero():
     member, res = membership(zk, np.zeros(8), J)
     assert member and res == 0.0
     member, res = membership(zk, delta(8, 0), J)
+    assert not member
+    assert res == pytest.approx(1.0, abs=1e-12)
+
+
+def test_empty_generators_span_zero_on_translation():
+    ts = s3_scenario()
+    J = range_from_generators(ts, [])
+    assert list(J.dims) == [0] * ts.n_dual
+    assert [Q.shape for Q in J.bases] == [(ts.n_cosets, 0)] * ts.n_dual
+    assert np.array_equal(J.fiber_weights, np.ones(ts.n_cosets))
+    member, res = membership(ts, delta(ts.G.order, 0), J)
     assert not member
     assert res == pytest.approx(1.0, abs=1e-12)
 
