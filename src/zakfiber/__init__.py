@@ -48,7 +48,6 @@ from .group import (
 )
 from .ranges import (
     RangeFunction,
-    length,
     membership,
     membership_fibers,
     project,
@@ -68,6 +67,6 @@ from .translation import (
     zakG_inverse,
     zak_point,
 )
-from .zak import FiberedVector, ZakTransform, zak_forward, zak_inverse
+from .zak import FiberedVector, ZakTransform
 
 __version__ = "0.1.0"

@@ -7,13 +7,14 @@ for compatibility but has no effect: every fiber computation runs as one
 batched numpy call.
 
 Exit codes: 0 success, 2 validation failure, incompatible request or
-numerically unusable scenario (non-finite report, failed eigensolver),
+numerically unusable scenario (non-finite report, failed SVD),
 3 fiber-vs-oracle disagreement in ``verify``, 4 I/O or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -73,7 +74,7 @@ def _riesz_lower_dev(a_fiber: float | None, a_dense: float | None,
     """Relative deviation of the lower Riesz bounds.
 
     Values under the independence cut are numerical zeros of the Gram
-    spectrum (one side produces exact zeros, the other eigensolver dust),
+    spectrum (one side produces exact zeros, the other rounding dust),
     so both are clamped to zero before comparing.
     """
     cut = frames.RIESZ_REL * upper_scale
@@ -211,11 +212,10 @@ def cmd_range(sc: Scenario, args) -> tuple[dict, int]:
 
 
 def cmd_length(sc: Scenario, args) -> tuple[dict, int]:
-    rep = _base_report("length", sc, args.tolerance)
-    _, fibered = _generator_fibers(sc)
-    J = ranges.range_from_fibers(fibered)
-    rep["length"] = J.length()
-    return rep, EXIT_OK
+    rep, code = cmd_range(sc, args)
+    del rep["fibers"]
+    rep["command"] = "length"
+    return rep, code
 
 
 def cmd_member(sc: Scenario, args) -> tuple[dict, int]:
@@ -443,8 +443,10 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
         for i, (g, fv, n) in enumerate(zip(gens, fibered, norms_sq))]
     members += [(f"cand{i}", c, ranges.membership(fib, c, J))
                 for i, c in enumerate(sc.candidates)]
-    for label, f, (member_f, res_f) in members:
-        member_d, res_d = oracle.membership_of_matrix(M, sqrtw * f)
+    dense = oracle.membership_of_matrix(M, np.stack(
+        [sqrtw * f for _, f, _ in members], axis=1)) if members else ((), ())
+    for (label, _, (member_f, res_f)), member_d, res_d in zip(members,
+                                                             *dense):
         checks.append({
             "name": f"membership_vs_dense_{label}",
             "fiber": [bool(member_f), float(res_f)],
@@ -485,6 +487,7 @@ def _emit(report: dict, command_name: str, fmt: str, out) -> None:
     out.write(text + "\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", required=True,

@@ -34,7 +34,7 @@ def parseval_decompose_fibers(fibered: Sequence[FiberedVector]
     Per fiber the generators are orthonormalized by modified Gram-Schmidt
     (with one re-orthogonalization sweep); a vector is dropped when its
     residual weighted norm falls below RANK_TOL times the largest
-    original column norm of that fiber.  The n-th output holds the n-th
+    original column norm over all fibers.  The n-th output holds the n-th
     surviving vector of every fiber, zero where fewer survive.
 
     All fibers are processed at once: slot n of ``slots`` holds the n-th
@@ -48,7 +48,7 @@ def parseval_decompose_fibers(fibered: Sequence[FiberedVector]
     def wnorm(v: np.ndarray) -> np.ndarray:
         return np.sqrt(np.sum(np.abs(v) ** 2 * weights, axis=-1))
 
-    ref = np.max([wnorm(col) for col in cols], axis=0)
+    ref = np.max([wnorm(col) for col in cols])
     slots = np.zeros((n_gens, n_fibers, n_points), dtype=complex)
     count = np.zeros(n_fibers, dtype=int)
     for col in cols:

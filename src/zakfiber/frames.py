@@ -7,15 +7,16 @@ the fiber Gram matrices are uniformly invertible over the whole dual
 group.  Both criteria reduce to per-fiber singular values of the
 weight-scaled fiber matrix B(alpha) = diag(sqrt(mu)) [Z[phi](alpha)]_phi:
 
-  frame bounds  A = min over supported fibers of the smallest retained
-                    squared singular value,  B = max of the largest;
+  frame bounds  A = min over fibers of nonzero rank of the smallest
+                    retained squared singular value,  B = max of the largest;
   Riesz bounds  A = min over ALL fibers of the smallest Gram eigenvalue
                     (zero-padded when there are more generators than
                     points),  B = max of the largest.
 
 A fiber belongs to the support when its largest squared singular value
 exceeds the tolerance; for a single generator that is the set
-Omega_psi = {alpha : ||Z[psi](alpha)||^2 > tolerance}.
+Omega_psi = {alpha : ||Z[psi](alpha)||^2 > tolerance}; it sets only the
+support size and degeneracy of a report.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _assemble(s2: np.ndarray, dims: np.ndarray, tolerance: float,
         lower = upper = None
         is_frame = is_parseval = is_riesz = False
     else:
-        frame_lower = float(np.min(smin2[support]))
+        frame_lower = float(np.min(smin2[dims > 0]))
         frame_upper = float(np.max(smax2))
         riesz_lower = float(np.min(gram_min))
         riesz_upper = frame_upper

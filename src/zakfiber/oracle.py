@@ -1,12 +1,12 @@
 """Dense linear-algebra reference route for orbit systems.
 
-Everything here works on the synthesis matrix of the full orbit system
+Everything here works on the synthesis matrix M of the full orbit system
 {Pi(gamma) phi : gamma in Gamma, phi generator} assembled column by column
 in the weighted geometry (rows scaled by sqrt(mu)), with no fiberization.
-Frame bounds come from the frame operator M M^H, Riesz bounds from the
-Gram matrix M^H M, and membership from a least-squares solve.  These are
-deliberately independent of the transform modules so the two routes can
-be played against each other.
+Every check reads one SVD of M: frame and Riesz bounds are extremes of
+sigma^2, and membership projects onto the left singular vectors whose
+sigma exceeds RANK_REL * sigma_max.  These are deliberately independent
+of the transform modules so the two routes can be played against each other.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ __all__ = [
     "membership_of_matrix",
 ]
 
-# eigenvalues below RANK_REL * (largest) are treated as zero when locating
-# the lower frame bound; the same ratio decides linear independence
-RANK_REL = 1e-9
+# singular values at or below RANK_REL * (largest) count as zero
+RANK_REL = 1e-10
+# independent columns: smallest Gram eigenvalue > INDEPENDENT_REL * largest
+INDEPENDENT_REL = 1e-9
 MEMBER_TOL = 1e-9
 
 
@@ -73,38 +74,38 @@ def translation_synthesis_matrix(s, gens) -> np.ndarray:
 
 
 def frame_bounds_of_matrix(M: np.ndarray):
-    """(A, B) from the spectrum of M M^H, ignoring eigenvalues below
-    RANK_REL * max; (None, None) when the system is zero."""
-    S = M @ M.conj().T
-    eig = np.linalg.eigvalsh(S)
-    emax = float(eig[-1])
-    if emax <= 0.0:
+    """(A, B) = (sigma_r^2, sigma_1^2) over the singular values of M above
+    RANK_REL * sigma_1; (None, None) when the system is zero."""
+    s = np.linalg.svd(M, compute_uv=False)
+    s = s[s > RANK_REL * s[0]]
+    if not s.size:
         return None, None
-    kept = eig[eig > RANK_REL * emax]
-    return float(kept[0]), emax
+    return float(s[-1] ** 2), float(s[0] ** 2)
 
 
 def riesz_bounds_of_matrix(M: np.ndarray):
-    """(A, B, independent) from the full spectrum of the Gram M^H M."""
-    G = M.conj().T @ M
-    eig = np.linalg.eigvalsh(G)
-    A = max(float(eig[0]), 0.0)  # clip spurious negatives from rounding
-    B = float(eig[-1])
-    independent = bool(B > 0.0 and A > RANK_REL * B)
+    """(A, B, independent) from the Gram spectrum of M: sigma^2,
+    zero-padded to the column count."""
+    s2 = np.linalg.svd(M, compute_uv=False) ** 2
+    A = float(s2[-1]) if s2.size == M.shape[1] else 0.0
+    B = float(s2[0])
+    independent = bool(B > 0.0 and A > INDEPENDENT_REL * B)
     return A, B, independent
 
 
 def membership_of_matrix(M: np.ndarray, b: np.ndarray):
-    """Least-squares residual of b against the column span of M.
+    """Residual ||b - U_r U_r^H b|| of b, one vector or a matrix of
+    right-hand-side columns, against the span of the retained U_r of M.
 
-    Returns (member, residual) with residual in the ambient (already
-    weighted) Euclidean norm; the verdict compares against
-    MEMBER_TOL * max(1, ||b||).
+    Returns (member, residual), per column for a matrix, with residual in
+    the ambient (already weighted) Euclidean norm; the verdict compares
+    against MEMBER_TOL * max(1, ||b||).
     """
-    x, *_ = np.linalg.lstsq(M, b, rcond=None)
-    residual = float(np.linalg.norm(b - M @ x))
-    member = residual <= MEMBER_TOL * max(1.0, float(np.linalg.norm(b)))
-    return member, residual
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    U = U[:, s > RANK_REL * s[0]]
+    residual = np.linalg.norm(b - U @ (U.conj().T @ b), axis=0)
+    norm = np.maximum(1.0, np.linalg.norm(b, axis=0))
+    return residual <= MEMBER_TOL * norm, residual
 
 
 def dense_frame_bounds(a: QuasiInvariantAction, gens):

@@ -13,9 +13,9 @@ CLI's ``--tolerance`` sets both).  sigma are the singular values of the
 weight-scaled fiber matrix diag(sqrt(mu)) [Z[phi](alpha)]_phi.
 
   cut          value  passes when                             used by
-  RANK_TOL     1e-10  sigma > RANK_TOL * sigma_max per fiber  rank_cut: range,
-               (relative, sigma); decomp keeps a residual     frame and riesz;
-               norm > RANK_TOL * largest column norm          parseval_decompose
+  RANK_TOL     1e-10  sigma > RANK_TOL * sigma_max of all     rank_cut: range,
+               fibers (relative, sigma); decomp: residual     frame and riesz;
+               > RANK_TOL * largest column norm, all fibers   parseval_decompose
   SUPPORT_TOL  1e-10  sigma_max^2 > tol; Parseval: |A - 1|    frame and riesz,
                and |B - 1| <= tol (absolute, sigma^2)         ti_analyze
   RIESZ_REL    1e-9   min sigma^2 > RIESZ_REL * max sigma^2   frame and riesz
@@ -46,7 +46,6 @@ __all__ = [
     "membership",
     "membership_fibers",
     "project",
-    "length",
 ]
 
 RANK_TOL = 1e-10
@@ -57,9 +56,9 @@ ORTHO_TOL = 1e-10
 
 
 def rank_cut(s: np.ndarray) -> np.ndarray:
-    """Per-fiber rank: how many singular values in each row of ``s``
-    (descending) exceed RANK_TOL times the row's largest."""
-    return np.sum(s > RANK_TOL * s[:, :1], axis=1)
+    """Per-fiber rank: how many singular values in each row of ``s`` exceed
+    RANK_TOL times the largest of all fibers, as in the dense spectrum."""
+    return np.sum(s > RANK_TOL * s.max(), axis=1)
 
 
 @dataclass
@@ -156,7 +155,3 @@ def project(zak: ZakTransform, psi, J: RangeFunction) -> np.ndarray:
     Phi = zak.forward(psi)
     proj = _project_fibers(Phi, J)
     return zak.inverse(FiberedVector(proj, J.fiber_weights))
-
-
-def length(J: RangeFunction) -> int:
-    return J.length()

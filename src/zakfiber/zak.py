@@ -28,7 +28,7 @@ import numpy as np
 from . import oracle
 from .action import QuasiInvariantAction, TilingTransversal, tiling_transversal
 
-__all__ = ["FiberedVector", "ZakTransform", "zak_forward", "zak_inverse"]
+__all__ = ["FiberedVector", "ZakTransform"]
 
 
 @dataclass
@@ -141,13 +141,3 @@ class ZakTransform:
         psi = np.empty(self.action.space.size, dtype=complex)
         psi[self._dst] = self._amp_inv * t
         return psi
-
-
-def zak_forward(action: QuasiInvariantAction, psi,
-                transversal: TilingTransversal | None = None) -> FiberedVector:
-    return ZakTransform(action, transversal).forward(psi)
-
-
-def zak_inverse(action: QuasiInvariantAction, Phi: FiberedVector,
-                transversal: TilingTransversal | None = None) -> np.ndarray:
-    return ZakTransform(action, transversal).inverse(Phi)

@@ -11,7 +11,15 @@ two dumps, so two checkouts can be compared byte for byte:
     PYTHONPATH=src python tests/snapshot_outputs.py dump b.json
     python tests/snapshot_outputs.py diff a.json b.json
 
-``diff`` prints every case that differs and exits 1 if there is one.
+``diff`` prints every case that differs, with any change of exit code or
+stderr and every changed non-numeric value (booleans, nulls, strings)
+under its JSON path; then, per command and numeric field path with list
+indices collapsed to ``[]``, the largest relative and absolute change.
+It exits 1 if any case differs.  ``tests/golden/cli.json`` has the same
+format, so a re-baseline of the goldens is listed by
+
+    git show HEAD:tests/golden/cli.json > old.json
+    python tests/snapshot_outputs.py diff old.json tests/golden/cli.json
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import io
 import itertools
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -59,12 +68,64 @@ def dump(workloads, seeds) -> dict:
     return cases
 
 
+def _document(stdout: str):
+    """A JSON report as parsed, a CSV fiber dump as a list of rows."""
+    try:
+        return json.loads(stdout)
+    except ValueError:
+        return [[float(v) if re.fullmatch(r"[-+.\deE]+", v) else v
+                 for v in line.split(",")] for line in stdout.splitlines()]
+
+
+def _leaves(node, path="$"):
+    """{JSON path: scalar} over a parsed document."""
+    if isinstance(node, dict):
+        items = ((f"{path}.{k}", v) for k, v in node.items())
+    elif isinstance(node, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return {path: node}
+    return {p: leaf for key, v in items for p, leaf in _leaves(v, key).items()}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def diff(path_a, path_b) -> int:
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
     cases = sorted(a.keys() | b.keys())
     changed = [c for c in cases if a.get(c) != b.get(c)]
+    largest = {}  # (command, collapsed path) -> (relative, absolute)
     for case in changed:
         print(case)
+        old, new = a.get(case), b.get(case)
+        if old is None or new is None:
+            print("  only in " + (path_b if old is None else path_a))
+            continue
+        if old["exit"] != new["exit"]:
+            print(f"  exit: {old['exit']} -> {new['exit']}")
+        if old["stderr"] != new["stderr"]:
+            print(f"  stderr: {old['stderr']!r} -> {new['stderr']!r}")
+        la, lb = (_leaves(_document(s["stdout"])) for s in (old, new))
+        command = case.split(" --scenario")[0]
+        missing = "<absent>"
+        for path in sorted(la.keys() | lb.keys()):
+            va, vb = la.get(path, missing), lb.get(path, missing)
+            if va == vb:
+                continue
+            if _is_number(va) and _is_number(vb):
+                change = abs(va - vb)
+                rel = change / max(abs(va), abs(vb)) if change else 0.0
+                key = (command, re.sub(r"\[\d+\]", "[]", path))
+                prev = largest.get(key, (0.0, 0.0))
+                largest[key] = (max(prev[0], rel), max(prev[1], change))
+            else:
+                print(f"  {path}: {json.dumps(va)} -> {json.dumps(vb)}")
+    if largest:
+        print("largest change per numeric field (relative, absolute):")
+        for (command, path), (rel, change) in sorted(largest.items()):
+            print(f"  {command} {path}: {rel:.3g}, {change:.3g}")
     print(f"{len(changed)} of {len(cases)} cases differ")
     return 1 if changed else 0
 

@@ -407,3 +407,48 @@ def test_overflow_scale_weight_exits_2(tmp_path, command):
                                      "--format", fmt])
         assert (code, out) == (2, ""), fmt
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _pairs(v):
+    return [[float(z.real), float(z.imag)] for z in v]
+
+
+@pytest.mark.parametrize("eps, code", [(1e-6, 0), (1e-5, 0), (1e-4, 0),
+                                       (1e-9, 3)])
+def test_verify_near_dependent_generators(tmp_path, eps, code):
+    # g2 = g1 + eps * h: the system is numerically rank deficient by a
+    # margin eps, and both routes cut the same spectrum at the same place.
+    # At eps = 1e-9 the smallest retained sigma is about 1e-10 of the
+    # largest, where the dense SVD cannot resolve sigma^2 to the 1e-8 gate.
+    def edit(doc):
+        g1 = np.array([complex(*p) for p in doc["generators"][0]])
+        rng = np.random.default_rng(0)
+        h = rng.normal(size=8) + 1j * rng.normal(size=8)
+        h *= np.linalg.norm(g1) / np.linalg.norm(h)
+        doc["generators"][1] = _pairs(g1 + eps * h)
+    path = _fixture_variant(tmp_path, "s1", edit)
+    code_got, out, err = invoke(["verify", "--scenario", path])
+    assert code_got == code, out
+
+
+@pytest.mark.parametrize("c, lower", [(1e-2, 1e-4), (3e-5, 1e12)],
+                         ids=["retained", "dropped"])
+def test_verify_wide_range_generator(tmp_path, c, lower):
+    # fibers of norm 1e6 and c: at c = 1e-2 both are retained, at c = 3e-5
+    # (below 1e-10 of the largest) both routes drop the small fiber,
+    # although its sigma^2 lies above the support tolerance
+    from zakfiber import FiberedVector, ZakTransform
+    from zakfiber.scenario import parse_scenario
+    zk = ZakTransform(parse_scenario(fixture_path("s1")).action)
+    F = np.zeros((4, 2), dtype=complex)
+    F[0, 0], F[1, 1] = 1e6, c
+    psi = zk.inverse(FiberedVector(F, zk.fiber_weights))
+
+    def edit(doc):
+        doc["generators"] = [_pairs(psi)]
+    path = _fixture_variant(tmp_path, "s1", edit)
+    code, out, err = invoke(["verify", "--scenario", path])
+    assert code == 0, out
+    frame = [ch for ch in json.loads(out)["checks"]
+             if ch["name"] == "frame_bounds_vs_dense"][0]
+    assert frame["fiber"][0] == pytest.approx(lower)

@@ -4,16 +4,18 @@ The kernels in frames, ranges and decomp treat the whole fiber stack at
 once.  Here each fiber keeps its own subset of generators (some repeated,
 some dropped, some fibers entirely zero), so fiber ranks differ, and
 every result must equal, bit for bit, a loop that handles one fiber at a
-time with a single-matrix SVD or a one-dimensional Gram-Schmidt.
+time with a single-matrix SVD or a one-dimensional Gram-Schmidt.  The
+loops apply the rank rule of the package: a singular value or a
+Gram-Schmidt residual counts when it exceeds RANK_TOL times the largest
+over all fibers.
 """
 
 import numpy as np
 import pytest
 
 from zakfiber.decomp import parseval_decompose_fibers
-from zakfiber.frames import RANK_TOL, SUPPORT_TOL, frame_check_fibers, \
-    riesz_check_fibers
-from zakfiber.ranges import range_from_fibers
+from zakfiber.frames import frame_check_fibers, riesz_check_fibers
+from zakfiber.ranges import RANK_TOL, SUPPORT_TOL, range_from_fibers
 from zakfiber.zak import FiberedVector
 
 SHAPES = [(9, 5, 3), (7, 3, 5), (6, 4, 4), (1, 6, 2), (5, 2, 1)]
@@ -38,23 +40,38 @@ def mixed_rank_stack(rng, n_fibers, n_points, n_gens):
     return [FiberedVector(f, w) for f in fibers], w
 
 
+def tiny_fiber_stack(rng):
+    """A mixed-rank stack whose fiber 1 sits 1e-12 below the largest
+    singular value of the others: full rank on its own, zero against the
+    whole stack."""
+    fibered, w = mixed_rank_stack(rng, 6, 4, 3)
+    for fv in fibered:
+        fv.fibers[1] *= 1e-12
+    return fibered, w
+
+
 def per_fiber_matrices(fibered, w):
     stack = np.stack([fv.fibers for fv in fibered], axis=2)
     return [np.sqrt(w)[:, None] * m for m in stack]
 
 
-def reference_spectra(fibered, w):
+def reference_spectra(fibered, w, per_fiber_cut=False):
+    """(s2, dims) one fiber at a time; ``per_fiber_cut`` measures each
+    fiber against its own largest singular value instead."""
     n_gens = len(fibered)
-    s2_rows, dims = [], []
+    s2_rows = []
     for B in per_fiber_matrices(fibered, w):
         s = np.linalg.svd(B, compute_uv=False)
         s2 = np.zeros(n_gens)
         s2[: s.size] = s ** 2
-        smax = np.sqrt(s2[0])
-        dims.append(0 if smax <= 0.0 else
-                    int(np.sum(np.sqrt(s2) > RANK_TOL * smax)))
         s2_rows.append(s2)
-    return np.array(s2_rows), np.array(dims)
+    s2 = np.array(s2_rows)
+    smax = np.sqrt(s2.max())
+    dims = []
+    for s in np.sqrt(s2):
+        dims.append(int(np.sum(s > RANK_TOL * (s[0] if per_fiber_cut
+                                               else smax))))
+    return s2, np.array(dims)
 
 
 def reference_mgs(fibered, w):
@@ -62,10 +79,10 @@ def reference_mgs(fibered, w):
         return np.sqrt(np.sum(np.abs(v) ** 2 * w))
 
     n_fibers, n_points = fibered[0].fibers.shape
+    ref = max(wnorm(fv.fibers[i]) for fv in fibered for i in range(n_fibers))
     survivors = []
     for i in range(n_fibers):
         cols = [fv.fibers[i] for fv in fibered]
-        ref = max(wnorm(c) for c in cols)
         accepted = []
         for v in cols:
             r = v.copy()
@@ -84,12 +101,8 @@ def reference_mgs(fibered, w):
     return parts
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("shape", SHAPES)
-def test_spectra_match_per_fiber_svd(shape, seed):
-    fibered, w = mixed_rank_stack(np.random.default_rng(seed), *shape)
+def check_spectra(fibered, w):
     s2, dims = reference_spectra(fibered, w)
-    assert len(set(dims)) > 1 or shape[0] == 1
     smin2 = np.array([s2[i, d - 1] if d else 0.0 for i, d in enumerate(dims)])
     frame = frame_check_fibers(fibered)
     riesz = riesz_check_fibers(fibered)
@@ -98,36 +111,65 @@ def test_spectra_match_per_fiber_svd(shape, seed):
         assert np.array_equal(rep.smax2, s2[:, 0])
         assert np.array_equal(rep.gram_min, s2[:, -1])
         assert np.array_equal(rep.smin2, smin2)
-    support = s2[:, 0] > SUPPORT_TOL
-    if support.any():
-        assert frame.lower == np.min(smin2[support])
+    if np.any(s2[:, 0] > SUPPORT_TOL):
+        assert frame.lower == np.min(smin2[dims > 0])
         assert frame.upper == riesz.upper == np.max(s2[:, 0])
         assert riesz.lower == np.min(s2[:, -1])
     else:
         assert frame.degenerate and riesz.degenerate
+    return dims
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("shape", SHAPES)
-def test_range_matches_per_fiber_svd(shape, seed):
-    fibered, w = mixed_rank_stack(np.random.default_rng(seed), *shape)
+def check_range(fibered, w):
     J = range_from_fibers(fibered)
     inv_sqrtw = 1.0 / np.sqrt(w)
+    svds = [np.linalg.svd(B, full_matrices=False)
+            for B in per_fiber_matrices(fibered, w)]
+    smax = max(s[0] for _, s, _ in svds)
     dims = []
-    for i, B in enumerate(per_fiber_matrices(fibered, w)):
-        U, s, _ = np.linalg.svd(B, full_matrices=False)
-        r = 0 if s[0] <= 0.0 else int(np.sum(s > RANK_TOL * s[0]))
+    for i, (U, s, _) in enumerate(svds):
+        r = int(np.sum(s > RANK_TOL * smax))
         dims.append(r)
         assert np.array_equal(J.bases[i], inv_sqrtw[:, None] * U[:, :r])
     assert np.array_equal(J.dims, dims)
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("shape", SHAPES)
-def test_decompose_matches_per_fiber_gram_schmidt(shape, seed):
-    fibered, w = mixed_rank_stack(np.random.default_rng(seed), *shape)
+def check_decompose(fibered, w):
     parts = parseval_decompose_fibers(fibered)
     expected = reference_mgs(fibered, w)
     assert len(parts) == len(expected)
     for p, e in zip(parts, expected):
         assert np.array_equal(p.fibers, e)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_spectra_match_per_fiber_svd(shape, seed):
+    fibered, w = mixed_rank_stack(np.random.default_rng(seed), *shape)
+    dims = check_spectra(fibered, w)
+    assert len(set(dims)) > 1 or shape[0] == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_range_matches_per_fiber_svd(shape, seed):
+    check_range(*mixed_rank_stack(np.random.default_rng(seed), *shape))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_decompose_matches_per_fiber_gram_schmidt(shape, seed):
+    check_decompose(*mixed_rank_stack(np.random.default_rng(seed), *shape))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tiny_fiber_falls_under_the_global_cut(seed):
+    # the dense spectrum is the union of the fiber spectra, so a fiber
+    # whose own rank is full can still lie below the cut of the whole
+    fibered, w = tiny_fiber_stack(np.random.default_rng(seed))
+    _, dims = reference_spectra(fibered, w)
+    _, per_fiber = reference_spectra(fibered, w, per_fiber_cut=True)
+    assert dims[1] == 0 < per_fiber[1]
+    check_spectra(fibered, w)
+    check_range(fibered, w)
+    check_decompose(fibered, w)

@@ -102,3 +102,19 @@ def test_matrix_helpers_consistent():
     assert not ok
     member, res = membership_of_matrix(M, M[:, 0])
     assert member and res < 1e-12
+
+
+def test_membership_batched_matches_one_column_at_a_time():
+    rng = np.random.default_rng(53)
+    M = synthesis_matrix(s1_action(), [delta(8, 0), delta(8, 0) + delta(8, 2)])
+    inside = M @ random_complex(rng, M.shape[1])
+    b = np.stack([inside, random_complex(rng, 8), delta(8, 4), delta(8, 1),
+                  np.zeros(8), 1e-3 * inside], axis=1)
+    member, residual = membership_of_matrix(M, b)
+    assert member.shape == residual.shape == (6,)
+    assert list(member) == [True, False, True, False, True, True]
+    for j in range(b.shape[1]):
+        one_member, one_residual = membership_of_matrix(M, b[:, j])
+        assert member[j] == one_member
+        scale = max(1.0, np.linalg.norm(b[:, j]))
+        assert abs(residual[j] - one_residual) <= 1e-12 * scale

@@ -1,11 +1,16 @@
 """Property tests: the array code in group, action and translation against
-the element-by-element references in helpers.
+the element-by-element references in helpers, and ``verify`` on random
+free actions.
 
 Hypothesis runs derandomized, so every run checks the same examples.
 Groups have one to three invariant factors, factors of 1 included.
 """
 
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from zakfiber import (
     NotFreeError,
     QuasiInvariantAction,
     WeightedSpace,
+    ZakTransform,
     affine_action,
     annihilator,
     build_scenario,
@@ -26,6 +32,8 @@ from zakfiber import (
     validate_action,
     weil_check,
 )
+
+from zakfiber.cli import run
 
 from helpers import random_complex, reference_annihilator, \
     reference_closure, reference_cosets, reference_duality, \
@@ -156,3 +164,75 @@ def test_duality_agrees_with_scalar_reference(G, data):
     coset_sum = sum(f[G.index(G.add(x, c))]
                     for x in s.coset_reps for c in s.gamma.members)
     assert abs(weil_check(s, f)[1] - coset_sum) <= 1e-12 * scale
+
+
+@st.composite
+def verify_scenarios(draw):
+    """(scenario document, action, generators): a free action of a random
+    group on G x {0..c-1}, relabelled, with weights over six decades and
+    dense, sparse, zero, dependent and near-dependent generators, plus a
+    random candidate and one in the span."""
+    G = draw(groups(max_order=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    els = G.elements()
+    c = draw(st.integers(1, 3))
+    table = np.array([[G.index(G.add(g, x)) * c + k
+                       for x in els for k in range(c)] for g in els])
+    N = table.shape[1]
+    perm = rng.permutation(N)
+    table = perm[table[:, np.argsort(perm)]]
+    weights = 10.0 ** rng.uniform(-3, 3, N)
+    gens = []
+    for kind in draw(st.lists(st.sampled_from(["near", "dense", "sparse",
+                                               "zero", "dependent"]),
+                              min_size=2, max_size=3)):
+        if kind == "dense" or (not gens and kind != "zero"):
+            g = random_complex(rng, N)
+        elif kind == "sparse":
+            g = np.zeros(N, dtype=complex)
+            g[rng.integers(N)] = complex(*rng.normal(size=2))
+        elif kind == "zero":
+            g = np.zeros(N, dtype=complex)
+        elif kind == "dependent":
+            g = sum(complex(*rng.normal(size=2)) * h for h in gens)
+        else:
+            eps = draw(st.sampled_from([1e-5, 1e-6, 1e-3, 1e-9, 1e-15]))
+            h = random_complex(rng, N)
+            g = gens[-1] + eps * np.linalg.norm(gens[-1]) \
+                / np.linalg.norm(h) * h
+        gens.append(g)
+    cands = [random_complex(rng, N),
+             sum(complex(*rng.normal(size=2)) * g for g in gens)]
+    doc = {
+        "schema_version": 1,
+        "name": "property",
+        "group": {"invariant_factors": list(G.invariant_factors)},
+        "space": {"size": N, "weights": weights.tolist()},
+        "action": {"table": table.tolist()},
+        "generators": [[[z.real, z.imag] for z in g] for g in gens],
+        "candidates": [[[z.real, z.imag] for z in v] for v in cands],
+    }
+    action = QuasiInvariantAction(G, WeightedSpace(weights), table)
+    return doc, action, gens
+
+
+@PROPERTY
+@given(verify_scenarios())
+def test_verify_agrees_off_the_rank_cut(case):
+    # the routes cut sigma at RANK_TOL * sigma_max; a spectrum with no
+    # value between 1e-13 and 1e-7 of the largest is far from that cut on
+    # both sides, and there the routes must agree
+    doc, action, gens = case
+    zk = ZakTransform(action)
+    stack = np.stack([zk.forward(g).fibers for g in gens], axis=2)
+    s = np.linalg.svd(np.sqrt(zk.fiber_weights)[:, None] * stack,
+                      compute_uv=False)
+    smax = s.max()
+    if np.any((s < 1e-7 * smax) & (s > 1e-13 * smax)):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        code = run(["verify", "--scenario", str(path)], out=out, err=err)
+    assert code == 0, out.getvalue() + err.getvalue()

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from zakfiber import ZakTransform, length, membership, project, \
-    range_from_generators
+from zakfiber import ZakTransform, membership, project, range_from_generators
 from zakfiber.oracle import brute_membership
 from zakfiber.ranges import membership_fibers
 
@@ -149,7 +148,7 @@ def test_fiber_shape_mismatch():
         membership_fibers(bad, J)
 
 
-def test_length_module_function():
+def test_range_function_length():
     zk = ZakTransform(s1_action())
     J = range_from_generators(zk, [delta(8, 0), delta(8, 1)])
-    assert length(J) == 2
+    assert J.length() == 2

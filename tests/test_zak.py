@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from zakfiber import FiberedVector, ZakTransform, character, zak_forward, \
-    zak_inverse
+from zakfiber import FiberedVector, ZakTransform, character
 
 from helpers import delta, naive_zak, random_complex, s1_action, s2_action
 
@@ -135,8 +134,8 @@ def test_shape_mismatch_errors():
         zk.inverse(FiberedVector(np.zeros((3, 2)), zk.fiber_weights))
 
 
-def test_module_level_wrappers():
+def test_forward_inverse_of_delta():
     a = s1_action()
     psi = delta(8, 3)
-    fv = zak_forward(a, psi)
-    assert np.max(np.abs(zak_inverse(a, fv) - psi)) < 1e-12
+    fv = ZakTransform(a).forward(psi)
+    assert np.max(np.abs(ZakTransform(a).inverse(fv) - psi)) < 1e-12
