@@ -73,9 +73,10 @@ def _riesz_lower_dev(a_fiber: float | None, a_dense: float | None,
                      upper_scale: float) -> float:
     """Relative deviation of the lower Riesz bounds.
 
-    Values under the independence cut are numerical zeros of the Gram
-    spectrum (one side produces exact zeros, the other rounding dust),
-    so both are clamped to zero before comparing.
+    Both routes report an exact 0 for a rank-deficient system, but a
+    value between the rank cut and the independence cut is a numerical
+    zero of the Gram spectrum as well, so everything under the
+    independence cut is clamped to zero before comparing.
     """
     cut = frames.RIESZ_REL * upper_scale
     af = 0.0 if a_fiber is None or a_fiber < cut else a_fiber

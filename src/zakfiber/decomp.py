@@ -15,8 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import stack_generator_fibers
-from .ranges import MEMBER_TOL, ORTHO_TOL, RANK_TOL, membership_fibers, \
-    range_from_fibers
+from .ranges import ORTHO_TOL, RANK_TOL, membership_fibers, range_from_fibers
 from .zak import FiberedVector, ZakTransform
 
 __all__ = [
@@ -90,52 +89,50 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
                                 part_fibers: Sequence[FiberedVector],
                                 tolerance: float = ORTHO_TOL
                                 ) -> DecompositionCheck:
-    """Audit: pairwise fiber orthogonality of the parts, Parseval fiber
-    norms per part, exact per-fiber dimension bookkeeping, and membership
-    of every original generator in the union of the part orbits."""
+    """Audit: fiber orthogonality of the parts, Parseval fiber norms per
+    part, exact per-fiber dimension bookkeeping, and membership of every
+    original generator in the union of the part orbits.
+
+    Steps (a) and (b) read one batched Gram matrix of the part stack,
+    gram[i, m, n] = <part_m, part_n> on fiber i.
+    """
+    dims = range_from_fibers(gen_fibers).dims
+    gram = np.zeros((dims.size, 0, 0), dtype=complex)
+    nonzero = np.zeros((dims.size, 0), dtype=bool)
+    if part_fibers:
+        stack, weights = stack_generator_fibers(part_fibers)
+        nonzero = np.any(stack != 0, axis=1)
+        weighted = np.conj(stack)
+        weighted *= weights[:, None]
+        gram = stack.swapaxes(1, 2) @ weighted
+        del stack, weighted
+
     # (a) fiberwise orthogonality between distinct parts
-    ortho_max = 0.0
-    for m in range(len(part_fibers)):
-        for n in range(m + 1, len(part_fibers)):
-            vals = part_fibers[m].fiber_inner(part_fibers[n])
-            ortho_max = max(ortho_max, float(np.max(np.abs(vals)))
-                            if vals.size else 0.0)
+    off = np.abs(gram[:, ~np.eye(gram.shape[1], dtype=bool)])
+    ortho_max = float(off.max()) if off.size else 0.0
     orthogonality_ok = ortho_max <= tolerance
 
     # (b) every part has fiber norms in {0, 1}
-    parts_parseval = []
-    for p in part_fibers:
-        norms = p.fiber_norms_sq()
-        on = norms > tolerance
-        ok = bool(on.any()) and \
-            bool(np.all(np.abs(norms[on] - 1.0) <= tolerance)) and \
-            bool(np.all(norms[~on] <= tolerance))
-        parts_parseval.append(ok)
+    norms = gram.diagonal(axis1=1, axis2=2).real
+    on = norms > tolerance
+    dev = np.where(on, np.abs(norms - 1.0), norms)
+    parts_parseval = (on.any(axis=0)
+                      & np.all(dev <= tolerance, axis=0)).tolist()
     parseval_ok = all(parts_parseval)
 
     # (c) dimensions add up fiber by fiber, as integers; a single part
     # spans dimension 1 exactly on the fibers where it is nonzero
-    J_orig = range_from_fibers(gen_fibers)
-    summed = np.zeros(J_orig.n_fibers, dtype=int)
-    for p in part_fibers:
-        summed += np.any(p.fibers != 0, axis=1)
-    dim_rows = [(int(s), int(d)) for s, d in zip(summed, J_orig.dims)]
-    dims_match = bool(np.array_equal(summed, J_orig.dims))
+    summed = nonzero.sum(axis=1)
+    dim_rows = [(int(s), int(d)) for s, d in zip(summed, dims)]
+    dims_match = bool(np.array_equal(summed, dims))
 
-    # (d) the original generators live in the union of the part orbits
-    membership_residuals = []
-    membership_ok = True
-    if part_fibers:
-        J_parts = range_from_fibers(part_fibers)
-        for fv in gen_fibers:
-            member, residual = membership_fibers(fv, J_parts)
-            membership_residuals.append(residual)
-            membership_ok = membership_ok and member
-    else:
-        for fv in gen_fibers:
-            residual = float(np.sqrt(fv.norm_sq()))
-            membership_residuals.append(residual)
-            membership_ok = membership_ok and residual <= MEMBER_TOL
+    # (d) the original generators live in the union of the part orbits;
+    # no parts span the zero space
+    J_parts = range_from_fibers(part_fibers or [FiberedVector(
+        np.zeros_like(gen_fibers[0].fibers), gen_fibers[0].fiber_weights)])
+    checks = [membership_fibers(fv, J_parts) for fv in gen_fibers]
+    membership_residuals = [residual for _, residual in checks]
+    membership_ok = all(member for member, _ in checks)
 
     return DecompositionCheck(
         orthogonality_max=ortho_max,

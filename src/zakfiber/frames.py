@@ -9,9 +9,10 @@ weight-scaled fiber matrix B(alpha) = diag(sqrt(mu)) [Z[phi](alpha)]_phi:
 
   frame bounds  A = min over fibers of nonzero rank of the smallest
                     retained squared singular value,  B = max of the largest;
-  Riesz bounds  A = min over ALL fibers of the smallest Gram eigenvalue
-                    (zero-padded when there are more generators than
-                    points),  B = max of the largest.
+  Riesz bounds  A = min over ALL fibers of the smallest Gram eigenvalue,
+                    taken as 0 on every fiber whose rank is below the
+                    number of generators (which covers more generators
+                    than points),  B = max of the largest.
 
 A fiber belongs to the support when its largest squared singular value
 exceeds the tolerance; for a single generator that is the set
@@ -71,7 +72,8 @@ class FrameReport:
     (every generator fiber vanishes).  ``smin2`` holds the smallest
     retained squared singular value per fiber (0 where the fiber is
     empty), ``smax2`` the largest, and ``gram_min`` the smallest
-    eigenvalue of the zero-padded fiber Gram matrix.
+    eigenvalue of the fiber Gram matrix, 0 where the fiber's rank is
+    below the number of generators.
     """
 
     dims: np.ndarray
@@ -114,7 +116,7 @@ def _assemble(s2: np.ndarray, dims: np.ndarray, tolerance: float,
               riesz_style: bool) -> FrameReport:
     n_fibers, n_gens = s2.shape
     smax2 = s2[:, 0].copy()
-    gram_min = s2[:, -1].copy()
+    gram_min = np.where(dims < n_gens, 0.0, s2[:, -1])
     idx = np.arange(n_fibers)
     smin2 = np.where(dims > 0, s2[idx, np.maximum(dims, 1) - 1], 0.0)
     support = smax2 > tolerance
@@ -125,20 +127,13 @@ def _assemble(s2: np.ndarray, dims: np.ndarray, tolerance: float,
         is_frame = is_parseval = is_riesz = False
     else:
         frame_lower = float(np.min(smin2[dims > 0]))
-        frame_upper = float(np.max(smax2))
         riesz_lower = float(np.min(gram_min))
-        riesz_upper = frame_upper
+        upper = float(np.max(smax2))  # the same for frame and Riesz bounds
+        lower = riesz_lower if riesz_style else frame_lower
         is_frame = True
-        is_riesz = riesz_lower > RIESZ_REL * riesz_upper
-        if riesz_style:
-            lower, upper = riesz_lower, riesz_upper
-        else:
-            lower, upper = frame_lower, frame_upper
-        is_parseval = (
-            is_frame
-            and abs(frame_lower - 1.0) <= tolerance
-            and abs(frame_upper - 1.0) <= tolerance
-        )
+        is_riesz = riesz_lower > RIESZ_REL * upper
+        is_parseval = abs(frame_lower - 1.0) <= tolerance \
+            and abs(upper - 1.0) <= tolerance
     return FrameReport(
         dims=dims,
         smin2=smin2,

@@ -85,8 +85,11 @@ def frame_bounds_of_matrix(M: np.ndarray):
 
 def riesz_bounds_of_matrix(M: np.ndarray):
     """(A, B, independent) from the Gram spectrum of M: sigma^2,
-    zero-padded to the column count."""
-    s2 = np.linalg.svd(M, compute_uv=False) ** 2
+    zero-padded to the column count, where sigma at or below
+    RANK_REL * sigma_1 counts as 0, so a dependent system has A = 0."""
+    s = np.linalg.svd(M, compute_uv=False)
+    s[s <= RANK_REL * s[0]] = 0.0
+    s2 = s ** 2
     A = float(s2[-1]) if s2.size == M.shape[1] else 0.0
     B = float(s2[0])
     independent = bool(B > 0.0 and A > INDEPENDENT_REL * B)

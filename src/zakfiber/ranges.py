@@ -2,9 +2,9 @@
 
 The invariant subspace generated by a family A of functions is described
 completely by the map alpha -> J(alpha) = span{Z[phi](alpha) : phi in A}
-inside l2(C, mu).  Each J(alpha) is stored as a basis that is orthonormal
-in the weighted inner product, obtained from a rank-revealing SVD of the
-weight-scaled fiber matrix.
+inside l2(C, mu).  All J(alpha) are stored as one padded stack of bases,
+orthonormal in the weighted inner product, from one batched SVD of the
+weight-scaled fiber matrices.
 
 Every cut of the fiber route is one of the constants below; ``frames``
 and ``decomp`` import them.  Only ``tolerance`` can be set per call: it
@@ -65,39 +65,40 @@ def rank_cut(s: np.ndarray) -> np.ndarray:
 class RangeFunction:
     """Weighted-orthonormal basis of J(alpha) for every fiber alpha.
 
-    ``bases[i]`` has shape (n_points, dims[i]) and satisfies
-    Q^H diag(mu) Q = I up to 1e-10.
+    ``basis`` has shape (n_fibers, n_points, length): in fiber i the first
+    ``dims[i]`` columns Q satisfy Q^H diag(mu) Q = I up to 1e-10, and the
+    columns past ``dims[i]`` are exactly zero.
     """
 
-    bases: list[np.ndarray]
+    basis: np.ndarray
     dims: np.ndarray
     fiber_weights: np.ndarray
 
     @property
     def n_fibers(self) -> int:
-        return len(self.bases)
+        return int(self.basis.shape[0])
 
     def length(self) -> int:
         """Largest fiber dimension; the minimal number of generators."""
-        return int(self.dims.max()) if self.dims.size else 0
+        return int(self.basis.shape[2])
 
 
 def range_from_fibers(fibered: Sequence[FiberedVector]) -> RangeFunction:
     """Rank-revealing orthonormalization of the generator fibers.
 
     The fiber stack (n_fibers, n_points, n_gens) is scaled by sqrt(mu)
-    and decomposed by one batched thin SVD.  Per fiber, the left singular
-    vectors that :func:`rank_cut` retains are pulled back to a basis that
-    is orthonormal for the weighted inner product.
+    and decomposed by one batched thin SVD.  U, cut to the largest rank
+    that :func:`rank_cut` retains, is pulled back in place to weighted-
+    orthonormal bases, zero past each fiber's own rank.
     """
     stack, weights = stack_generator_fibers(fibered)
     stack *= np.sqrt(weights)[:, None]
     U, s, _ = np.linalg.svd(stack, full_matrices=False)
-    del stack  # release the scaled copy before the bases are built
     dims = rank_cut(s)
-    inv_sqrtw = 1.0 / np.sqrt(weights)
-    bases = [inv_sqrtw[:, None] * U[i, :, :r] for i, r in enumerate(dims)]
-    return RangeFunction(bases=bases, dims=dims, fiber_weights=weights)
+    basis = U[:, :, : dims.max()]
+    basis *= (1.0 / np.sqrt(weights))[:, None]
+    np.copyto(basis, 0, where=np.arange(dims.max()) >= dims[:, None, None])
+    return RangeFunction(basis=basis, dims=dims, fiber_weights=weights)
 
 
 def range_from_generators(zak, gens) -> RangeFunction:
@@ -109,27 +110,22 @@ def range_from_generators(zak, gens) -> RangeFunction:
 
 
 def _project_fibers(Phi: FiberedVector, J: RangeFunction) -> np.ndarray:
-    """Fiberwise weighted-orthogonal projection onto J."""
+    """Fiberwise weighted-orthogonal projection Q Q^H diag(mu) v onto J,
+    with Q^H diag(mu) v taken as conj((diag(mu) v)^H Q) to leave Q as is."""
     if Phi.fibers.shape[0] != J.n_fibers or \
             Phi.fibers.shape[1] != J.fiber_weights.size:
         raise ValueError("fibered vector does not match the range function")
-    w = J.fiber_weights
-    out = np.zeros_like(Phi.fibers)
-    for i, Q in enumerate(J.bases):
-        if Q.shape[1] == 0:
-            continue
-        v = Phi.fibers[i]
-        out[i] = Q @ (Q.conj().T @ (w * v))
-    return out
+    coef = np.conj(np.conj(Phi.fibers * J.fiber_weights)[:, None, :]
+                   @ J.basis)
+    return (J.basis @ coef.swapaxes(1, 2))[:, :, 0]
 
 
 def membership_fibers(Phi: FiberedVector, J: RangeFunction,
                       norm: float | None = None):
     """Membership of an already fibered vector; see :func:`membership`."""
-    proj = _project_fibers(Phi, J)
-    diff = Phi.fibers - proj
-    res_sq = float(np.sum(np.abs(diff) ** 2 * J.fiber_weights) / J.n_fibers)
-    residual = float(np.sqrt(max(res_sq, 0.0)))
+    diff = Phi.fibers - _project_fibers(Phi, J)
+    residual = float(np.sqrt(np.sum(np.abs(diff) ** 2 * J.fiber_weights)
+                             / J.n_fibers))
     if norm is None:
         norm = float(np.sqrt(Phi.norm_sq()))
     member = residual <= MEMBER_TOL * max(1.0, norm)
@@ -152,6 +148,5 @@ def membership(zak, psi, J: RangeFunction):
 
 def project(zak: ZakTransform, psi, J: RangeFunction) -> np.ndarray:
     """Orthogonal projection of psi onto the invariant space of J."""
-    Phi = zak.forward(psi)
-    proj = _project_fibers(Phi, J)
+    proj = _project_fibers(zak.forward(psi), J)
     return zak.inverse(FiberedVector(proj, J.fiber_weights))

@@ -143,6 +143,24 @@ def test_riesz_command_flags_dependence():
     assert s["upper"] == pytest.approx(5.0, abs=1e-12)
 
 
+def _dependent_pair(doc):
+    g = np.random.default_rng(0).normal(size=(8, 2)).round(3)
+    doc["generators"] = [g.tolist(), (3 * g).tolist()]
+
+
+def test_dependent_pair_has_exact_zero_riesz_lower(tmp_path):
+    # a cut singular value counts as 0 on both routes, so the lower Riesz
+    # bound of a dependent system is exactly 0, never rounding dust
+    path = _fixture_variant(tmp_path, "s1", _dependent_pair)
+    rep = invoke_json(["verify", "--scenario", path])
+    pair = next(c for c in rep["checks"]
+                if c["name"] == "riesz_bounds_vs_dense")
+    assert pair["fiber"][0] == pair["dense"][0] == 0.0
+    assert pair["ok"]
+    summary = invoke_json(["riesz", "--scenario", path])["summary"]
+    assert summary["lower"] == 0.0 and summary["riesz"] is False
+
+
 def test_bracket_command():
     rep = invoke_json(["bracket", "--scenario", "s1-parseval"])
     pairs = {(p["i"], p["j"]): p for p in rep["pairs"]}

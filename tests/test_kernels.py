@@ -3,19 +3,25 @@
 The kernels in frames, ranges and decomp treat the whole fiber stack at
 once.  Here each fiber keeps its own subset of generators (some repeated,
 some dropped, some fibers entirely zero), so fiber ranks differ, and
-every result must equal, bit for bit, a loop that handles one fiber at a
-time with a single-matrix SVD or a one-dimensional Gram-Schmidt.  The
-loops apply the rank rule of the package: a singular value or a
-Gram-Schmidt residual counts when it exceeds RANK_TOL times the largest
-over all fibers.
+every factorization must equal, bit for bit, a loop that handles one
+fiber at a time with a single-matrix SVD or a one-dimensional
+Gram-Schmidt.  The loops apply the rank rule of the package: a singular
+value or a Gram-Schmidt residual counts when it exceeds RANK_TOL times
+the largest over all fibers.  The batched products (projection onto a
+range function, the audit's fiber Gram matrix) sum in another order than
+a loop, so they match it to 1e-12 relative.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
-from zakfiber.decomp import parseval_decompose_fibers
+from zakfiber.decomp import parseval_decompose_fibers, \
+    verify_decomposition_fibers
 from zakfiber.frames import frame_check_fibers, riesz_check_fibers
-from zakfiber.ranges import RANK_TOL, SUPPORT_TOL, range_from_fibers
+from zakfiber.ranges import MEMBER_TOL, ORTHO_TOL, RANK_TOL, SUPPORT_TOL, \
+    _project_fibers, membership_fibers, range_from_fibers
 from zakfiber.zak import FiberedVector
 
 SHAPES = [(9, 5, 3), (7, 3, 5), (6, 4, 4), (1, 6, 2), (5, 2, 1)]
@@ -104,17 +110,20 @@ def reference_mgs(fibered, w):
 def check_spectra(fibered, w):
     s2, dims = reference_spectra(fibered, w)
     smin2 = np.array([s2[i, d - 1] if d else 0.0 for i, d in enumerate(dims)])
+    # a fiber of rank below the generator count has Gram eigenvalue 0
+    gram_min = np.array([s2[i, -1] if d == len(fibered) else 0.0
+                         for i, d in enumerate(dims)])
     frame = frame_check_fibers(fibered)
     riesz = riesz_check_fibers(fibered)
     for rep in (frame, riesz):
         assert np.array_equal(rep.dims, dims)
         assert np.array_equal(rep.smax2, s2[:, 0])
-        assert np.array_equal(rep.gram_min, s2[:, -1])
+        assert np.array_equal(rep.gram_min, gram_min)
         assert np.array_equal(rep.smin2, smin2)
     if np.any(s2[:, 0] > SUPPORT_TOL):
         assert frame.lower == np.min(smin2[dims > 0])
         assert frame.upper == riesz.upper == np.max(s2[:, 0])
-        assert riesz.lower == np.min(s2[:, -1])
+        assert riesz.lower == np.min(gram_min)
     else:
         assert frame.degenerate and riesz.degenerate
     return dims
@@ -130,8 +139,68 @@ def check_range(fibered, w):
     for i, (U, s, _) in enumerate(svds):
         r = int(np.sum(s > RANK_TOL * smax))
         dims.append(r)
-        assert np.array_equal(J.bases[i], inv_sqrtw[:, None] * U[:, :r])
+        assert np.array_equal(J.basis[i, :, :r],
+                              inv_sqrtw[:, None] * U[:, :r])
+        assert not np.any(J.basis[i, :, r:])
     assert np.array_equal(J.dims, dims)
+    assert J.basis.shape == (len(svds), w.size, max(dims))
+    assert J.length() == max(dims)
+
+
+def check_project(fibered, w):
+    """Projection and membership against one projection per fiber onto
+    the first dims[i] basis columns, for a vector inside the span and a
+    random one."""
+    J = range_from_fibers(fibered)
+    rng = np.random.default_rng(len(w))
+    inside = fibered[0].fibers - 2j * fibered[-1].fibers
+    noise = rng.normal(size=inside.shape) + 1j * rng.normal(size=inside.shape)
+    for v in (inside, noise):
+        Phi = FiberedVector(v, w)
+        want = np.zeros_like(v)
+        for i, d in enumerate(J.dims):
+            Q = J.basis[i, :, :d]
+            want[i] = Q @ (Q.conj().T @ (w * v[i]))
+        scale = max(1.0, np.max(np.abs(v)))
+        assert np.max(np.abs(_project_fibers(Phi, J) - want)) \
+            <= 1e-12 * scale
+        norm = np.sqrt(Phi.norm_sq())
+        residual = np.sqrt(np.sum(np.abs(v - want) ** 2 * w) / len(v))
+        member, got = membership_fibers(Phi, J)
+        assert got == pytest.approx(residual, rel=1e-12,
+                                    abs=1e-12 * max(1.0, norm))
+        assert member == (residual <= MEMBER_TOL * max(1.0, norm))
+    return membership_fibers(FiberedVector(inside, w), J)[0]
+
+
+def reference_audit(parts):
+    """(orthogonality_max, parts_parseval) from one fiber_inner per pair
+    of parts and one norm vector per part."""
+    ortho = max((float(np.max(np.abs(p.fiber_inner(q))))
+                 for p, q in itertools.combinations(parts, 2)), default=0.0)
+    parseval = []
+    for p in parts:
+        norms = p.fiber_norms_sq()
+        on = norms > ORTHO_TOL
+        parseval.append(bool(on.any())
+                        and bool(np.all(np.abs(norms[on] - 1.0) <= ORTHO_TOL)))
+    return ortho, parseval
+
+
+def check_audit(fibered, w):
+    """The audit's batched Gram matrix against the pairwise reference, on
+    the Gram-Schmidt parts, a rescaled part, a repeated part and the raw
+    generators."""
+    parts = parseval_decompose_fibers(fibered)
+    doubled = [FiberedVector(2.0 * p.fibers, w) for p in parts[:1]] \
+        + parts[1:]
+    for claim in (parts, doubled, parts + parts[:1], list(fibered), []):
+        check = verify_decomposition_fibers(fibered, claim)
+        ortho, parseval = reference_audit(claim)
+        assert check.orthogonality_max == pytest.approx(ortho, rel=1e-12,
+                                                        abs=1e-14)
+        assert check.parts_parseval == parseval
+    return verify_decomposition_fibers(fibered, parts).ok
 
 
 def check_decompose(fibered, w):
@@ -163,6 +232,20 @@ def test_decompose_matches_per_fiber_gram_schmidt(shape, seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_projection_matches_per_fiber_loop(shape, seed):
+    assert check_project(*mixed_rank_stack(np.random.default_rng(seed),
+                                           *shape))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_audit_matches_pairwise_fiber_inner(shape, seed):
+    assert check_audit(*mixed_rank_stack(np.random.default_rng(seed),
+                                         *shape))
+
+
+@pytest.mark.parametrize("seed", range(4))
 def test_tiny_fiber_falls_under_the_global_cut(seed):
     # the dense spectrum is the union of the fiber spectra, so a fiber
     # whose own rank is full can still lie below the cut of the whole
@@ -173,3 +256,5 @@ def test_tiny_fiber_falls_under_the_global_cut(seed):
     check_spectra(fibered, w)
     check_range(fibered, w)
     check_decompose(fibered, w)
+    assert check_project(fibered, w)
+    check_audit(fibered, w)
