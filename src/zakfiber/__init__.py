@@ -26,14 +26,11 @@ from .decomp import (
     verify_decomposition_fibers,
 )
 from .frames import (
-    BracketFunction,
     FrameReport,
-    bracket,
     frame_check,
     frame_check_fibers,
     riesz_check,
     riesz_check_fibers,
-    single_generator_report,
 )
 from .group import (
     FiniteAbelianGroup,

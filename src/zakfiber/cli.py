@@ -39,9 +39,6 @@ EXIT_IO = 4
 VERIFY_TRANSFORM_TOL = 1e-10
 VERIFY_BOUND_REL = 1e-8
 
-_ACTION_COMMANDS = ["validate", "zak", "range", "length", "member", "frame",
-                    "riesz", "bracket", "decompose", "verify"]
-_TRANSLATION_SUBCOMMANDS = ["weil", "zak", "fiberize", "duality", "analyze"]
 _CSV_COMMANDS = {"frame", "riesz", "translation analyze"}
 
 
@@ -110,12 +107,12 @@ def _summary(report: frames.FrameReport) -> dict:
     }
 
 
-def _base_report(command: str, sc: Scenario, tolerance: float) -> dict:
+def _base_report(sc: Scenario, args) -> dict:
     rep = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "scenario": sc.name,
-        "tolerance": tolerance,
+        "tolerance": args.tolerance,
     }
     if sc.kind == "action":
         rep["fiber_order"] = "lexicographic dual tuples"
@@ -162,7 +159,7 @@ def _transform_deviations(fib, f, fv: FiberedVector):
 
 
 def cmd_validate(sc: Scenario, args) -> tuple[dict, int]:
-    rep = _base_report("validate", sc, args.tolerance)
+    rep = _base_report(sc, args)
     if sc.kind == "translation":
         ts = sc.translation
         rep["ok"] = True
@@ -187,7 +184,7 @@ def cmd_validate(sc: Scenario, args) -> tuple[dict, int]:
 
 
 def cmd_zak(sc: Scenario, args) -> tuple[dict, int]:
-    rep = _base_report("zak", sc, args.tolerance)
+    rep = _base_report(sc, args)
     fib, fibered = _generator_fibers(sc)
     records = []
     for i, (g, fv) in enumerate(zip(sc.generators, fibered)):
@@ -203,7 +200,7 @@ def cmd_zak(sc: Scenario, args) -> tuple[dict, int]:
 
 
 def cmd_range(sc: Scenario, args) -> tuple[dict, int]:
-    rep = _base_report("range", sc, args.tolerance)
+    rep = _base_report(sc, args)
     _, fibered = _generator_fibers(sc)
     J = ranges.range_from_fibers(fibered)
     rep["fibers"] = [{"fiber_id": i, "dim": int(d)}
@@ -215,14 +212,13 @@ def cmd_range(sc: Scenario, args) -> tuple[dict, int]:
 def cmd_length(sc: Scenario, args) -> tuple[dict, int]:
     rep, code = cmd_range(sc, args)
     del rep["fibers"]
-    rep["command"] = "length"
     return rep, code
 
 
 def cmd_member(sc: Scenario, args) -> tuple[dict, int]:
     if not sc.candidates:
         raise Incompatible("member needs a candidates block in the scenario")
-    rep = _base_report("member", sc, args.tolerance)
+    rep = _base_report(sc, args)
     fib, fibered = _generator_fibers(sc)
     J = ranges.range_from_fibers(fibered)
     records = []
@@ -235,7 +231,7 @@ def cmd_member(sc: Scenario, args) -> tuple[dict, int]:
 
 
 def cmd_frame(sc: Scenario, args) -> tuple[dict, int]:
-    rep = _base_report("frame", sc, args.tolerance)
+    rep = _base_report(sc, args)
     _, fibered = _generator_fibers(sc)
     report = frames.frame_check_fibers(fibered, tolerance=args.tolerance)
     rep["fibers"] = _fiber_records(report)
@@ -244,7 +240,7 @@ def cmd_frame(sc: Scenario, args) -> tuple[dict, int]:
 
 
 def cmd_riesz(sc: Scenario, args) -> tuple[dict, int]:
-    rep = _base_report("riesz", sc, args.tolerance)
+    rep = _base_report(sc, args)
     _, fibered = _generator_fibers(sc)
     report = frames.riesz_check_fibers(fibered, tolerance=args.tolerance)
     rep["fibers"] = _fiber_records(report)
@@ -253,7 +249,7 @@ def cmd_riesz(sc: Scenario, args) -> tuple[dict, int]:
 
 
 def cmd_bracket(sc: Scenario, args) -> tuple[dict, int]:
-    rep = _base_report("bracket", sc, args.tolerance)
+    rep = _base_report(sc, args)
     _, fibered = _generator_fibers(sc)
     pairs = []
     for i in range(len(fibered)):
@@ -270,7 +266,7 @@ def cmd_bracket(sc: Scenario, args) -> tuple[dict, int]:
 
 
 def cmd_decompose(sc: Scenario, args) -> tuple[dict, int]:
-    rep = _base_report("decompose", sc, args.tolerance)
+    rep = _base_report(sc, args)
     fib, fibered = _generator_fibers(sc)
     part_fibers = decomp.parseval_decompose_fibers(fibered)
     parts = [fib.inverse(p) for p in part_fibers]
@@ -299,21 +295,8 @@ def cmd_decompose(sc: Scenario, args) -> tuple[dict, int]:
     return rep, EXIT_OK if ok else EXIT_VALIDATION
 
 
-def _translation_only(sc: Scenario, name: str):
-    if sc.kind != "translation":
-        raise Incompatible(f"translation {name} needs a translation scenario")
-
-
-def cmd_translation_zak(sc: Scenario, args) -> tuple[dict, int]:
-    _translation_only(sc, "zak")
-    rep, code = cmd_zak(sc, args)
-    rep["command"] = "translation zak"
-    return rep, code
-
-
 def cmd_translation_weil(sc: Scenario, args) -> tuple[dict, int]:
-    _translation_only(sc, "weil")
-    rep = _base_report("translation weil", sc, args.tolerance)
+    rep = _base_report(sc, args)
     records = []
     for i, g in enumerate(sc.generators):
         lhs, rhs, dev = translation.weil_check(sc.translation, g)
@@ -324,9 +307,8 @@ def cmd_translation_weil(sc: Scenario, args) -> tuple[dict, int]:
 
 
 def cmd_translation_fiberize(sc: Scenario, args) -> tuple[dict, int]:
-    _translation_only(sc, "fiberize")
     ts = sc.translation
-    rep = _base_report("translation fiberize", sc, args.tolerance)
+    rep = _base_report(sc, args)
     nu = ts.normalization["nu_Omega"]
     mstar = ts.normalization["m_Gamma_star"]
     records = []
@@ -343,9 +325,8 @@ def cmd_translation_fiberize(sc: Scenario, args) -> tuple[dict, int]:
 
 
 def cmd_translation_duality(sc: Scenario, args) -> tuple[dict, int]:
-    _translation_only(sc, "duality")
     ts = sc.translation
-    rep = _base_report("translation duality", sc, args.tolerance)
+    rep = _base_report(sc, args)
     records = []
     for i, g in enumerate(sc.generators):
         res = translation.duality_check(ts, g, g)
@@ -365,8 +346,7 @@ def cmd_translation_duality(sc: Scenario, args) -> tuple[dict, int]:
 
 
 def cmd_translation_analyze(sc: Scenario, args) -> tuple[dict, int]:
-    _translation_only(sc, "analyze")
-    rep = _base_report("translation analyze", sc, args.tolerance)
+    rep = _base_report(sc, args)
     J, report = translation.ti_analyze(sc.translation, sc.generators,
                                        tolerance=args.tolerance)
     rep["fibers"] = _fiber_records(report)
@@ -376,7 +356,7 @@ def cmd_translation_analyze(sc: Scenario, args) -> tuple[dict, int]:
 
 
 def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
-    rep = _base_report("verify", sc, args.tolerance)
+    rep = _base_report(sc, args)
     fib, fibered = _generator_fibers(sc)
     # Weil and duality identities exist only for subgroup translations
     ts = sc.translation if sc.kind == "translation" else None
@@ -488,6 +468,25 @@ def _emit(report: dict, command_name: str, fmt: str, out) -> None:
     out.write(text + "\n")
 
 
+_DISPATCH = {
+    "validate": cmd_validate,
+    "zak": cmd_zak,
+    "range": cmd_range,
+    "length": cmd_length,
+    "member": cmd_member,
+    "frame": cmd_frame,
+    "riesz": cmd_riesz,
+    "bracket": cmd_bracket,
+    "decompose": cmd_decompose,
+    "verify": cmd_verify,
+    "translation weil": cmd_translation_weil,
+    "translation zak": cmd_zak,
+    "translation fiberize": cmd_translation_fiberize,
+    "translation duality": cmd_translation_duality,
+    "translation analyze": cmd_translation_analyze,
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -507,33 +506,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fiberwise analysis of group-invariant spaces over "
                     "finite abelian groups",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in _ACTION_COMMANDS:
-        sub.add_parser(name, parents=[common])
-    tr = sub.add_parser("translation")
-    trsub = tr.add_subparsers(dest="subcommand", required=True)
-    for name in _TRANSLATION_SUBCOMMANDS:
-        trsub.add_parser(name, parents=[common])
+    # "translation zak" is the subcommand zak of the command translation
+    subparsers = {"": p.add_subparsers(dest="command", required=True)}
+    for name in _DISPATCH:
+        group, _, leaf = name.rpartition(" ")
+        if group not in subparsers:
+            subparsers[group] = subparsers[""].add_parser(group) \
+                .add_subparsers(dest="subcommand", required=True)
+        subparsers[group].add_parser(leaf, parents=[common])
     return p
-
-
-_DISPATCH = {
-    "validate": cmd_validate,
-    "zak": cmd_zak,
-    "range": cmd_range,
-    "length": cmd_length,
-    "member": cmd_member,
-    "frame": cmd_frame,
-    "riesz": cmd_riesz,
-    "bracket": cmd_bracket,
-    "decompose": cmd_decompose,
-    "verify": cmd_verify,
-    "translation weil": cmd_translation_weil,
-    "translation zak": cmd_translation_zak,
-    "translation fiberize": cmd_translation_fiberize,
-    "translation duality": cmd_translation_duality,
-    "translation analyze": cmd_translation_analyze,
-}
 
 
 def _resolve_scenario(spec: str) -> Scenario:
@@ -552,10 +533,8 @@ def run(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    command_name = args.command
-    if command_name == "translation":
-        command_name = f"translation {args.subcommand}"
+    if "subcommand" in args:
+        args.command += " " + args.subcommand
 
     if not (0.0 < args.tolerance < 1.0):
         err.write(f"tolerance must be in (0, 1), got {args.tolerance}\n")
@@ -569,10 +548,13 @@ def run(argv=None, out=None, err=None) -> int:
     except ScenarioError as e:
         err.write(f"error: {e}\n")
         return EXIT_IO
+    if args.command.startswith("translation ") and sc.kind != "translation":
+        err.write(f"error: {args.command} needs a translation scenario\n")
+        return EXIT_VALIDATION
 
     try:
-        report, code = _DISPATCH[command_name](sc, args)
-        _emit(report, command_name, args.format, out)
+        report, code = _DISPATCH[args.command](sc, args)
+        _emit(report, args.command, args.format, out)
         return code
     except (Incompatible, np.linalg.LinAlgError) as e:
         err.write(f"error: {e}\n")

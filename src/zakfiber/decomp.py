@@ -42,6 +42,10 @@ def parseval_decompose_fibers(fibered: Sequence[FiberedVector]
     """
     stack, weights = stack_generator_fibers(fibered)
     n_fibers, n_points, n_gens = stack.shape
+    # squared entries of a tiny stack underflow; a power of two is exact
+    peak = np.max(np.abs(stack))
+    if peak > 0:
+        stack *= 2.0 ** -np.frexp(peak)[1]
     cols = np.moveaxis(stack, 2, 0)
 
     def wnorm(v: np.ndarray) -> np.ndarray:

@@ -18,6 +18,11 @@ A fiber belongs to the support when its largest squared singular value
 exceeds the tolerance; for a single generator that is the set
 Omega_psi = {alpha : ||Z[psi](alpha)||^2 > tolerance}; it sets only the
 support size and degeneracy of a report.
+
+A single generator needs no special case: its fiber spectra are the
+brackets [psi, psi](alpha) = ||Z[psi](alpha)||^2 (bracket values are
+``FiberedVector.fiber_inner``), so ``frame_check(zak, [psi])`` bounds are
+their minimum over fibers of nonzero rank and their maximum.
 """
 
 from __future__ import annotations
@@ -32,36 +37,12 @@ from .ranges import RANK_TOL, RIESZ_REL, SUPPORT_TOL, rank_cut  # noqa: F401
 from .zak import FiberedVector, ZakTransform
 
 __all__ = [
-    "BracketFunction",
     "FrameReport",
-    "bracket",
     "frame_check",
     "frame_check_fibers",
     "riesz_check",
     "riesz_check_fibers",
-    "single_generator_report",
 ]
-
-
-@dataclass
-class BracketFunction:
-    """[psi, phi](alpha) = <Z[psi](alpha), Z[phi](alpha)> per fiber."""
-
-    values: np.ndarray
-
-    @property
-    def n_fibers(self) -> int:
-        return int(self.values.size)
-
-    def mean(self) -> complex:
-        """Equals <psi, phi> by the isometry."""
-        return complex(np.mean(self.values))
-
-
-def bracket(zak: ZakTransform, psi, phi) -> BracketFunction:
-    Zpsi = zak.forward(psi)
-    Zphi = zak.forward(phi)
-    return BracketFunction(values=Zpsi.fiber_inner(Zphi))
 
 
 @dataclass
@@ -173,13 +154,3 @@ def riesz_check(zak: ZakTransform, gens,
                 tolerance: float = SUPPORT_TOL) -> FrameReport:
     """Riesz bounds of the orbit system: extremes of the fiber Gram spectra."""
     return riesz_check_fibers([zak.forward(g) for g in gens], tolerance)
-
-
-def single_generator_report(zak: ZakTransform, psi,
-                            tolerance: float = SUPPORT_TOL):
-    """The frame report of the orbit of psi, plus its bracket.  The fiber
-    spectra are the square norms ||Z[psi](alpha)||^2, so the bounds are
-    their minimum over Omega_psi and their maximum."""
-    Zpsi = zak.forward(psi)
-    brk = BracketFunction(values=Zpsi.fiber_inner(Zpsi))
-    return frame_check_fibers([Zpsi], tolerance), brk

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .action import QuasiInvariantAction, TilingTransversal, tiling_transversal
+from .action import QuasiInvariantAction, tiling_transversal
 
 __all__ = ["FiberedVector", "ZakTransform"]
 
@@ -84,11 +84,10 @@ class ZakTransform:
     for synthesis.
     """
 
-    def __init__(self, action: QuasiInvariantAction,
-                 transversal: TilingTransversal | None = None):
+    def __init__(self, action: QuasiInvariantAction):
         self.action = action
         self.group = action.group
-        self.transversal = transversal or tiling_transversal(action)
+        self.transversal = tiling_transversal(action)
         G = self.group
         mu = action.space.weights
         C = self.transversal.points

@@ -13,8 +13,8 @@ import numpy as np
 
 from zakfiber import FiniteAbelianGroup, WeightedSpace, ZakTransform, \
     affine_action, build_scenario, character, duality_check, frame_check, \
-    parseval_decompose, range_from_generators, riesz_check, \
-    single_generator_report, ti_analyze, verify_decomposition, weil_check
+    parseval_decompose, range_from_generators, riesz_check, ti_analyze, \
+    verify_decomposition, weil_check
 from zakfiber.cli import run
 from zakfiber.decomp import parseval_decompose_fibers, \
     verify_decomposition_fibers
@@ -153,7 +153,7 @@ def test_criterion_06_parseval_not_riesz_generator():
         a = s1_action()
         zk = ZakTransform(a)
         psi = star_generator()
-        rep, _ = single_generator_report(zk, psi)
+        rep = frame_check(zk, [psi])
         assert list(rep.support.astype(int)) == [1, 0, 0, 0]
         assert rep.is_frame and rep.is_parseval
         assert not rep.is_riesz
@@ -165,7 +165,7 @@ def test_criterion_06_parseval_not_riesz_generator():
             for g in a.group.elements():
                 c = rng.standard_normal() + 1j * rng.standard_normal()
                 combo += c * a.apply(g, psi)
-            rep, _ = single_generator_report(zk, combo)
+            rep = frame_check(zk, [combo])
             assert not rep.is_riesz
 
 

@@ -315,6 +315,36 @@ def test_verify_detects_disagreement(monkeypatch, tmp_path):
     assert [c["name"] for c in bad] == ["frame_bounds_vs_dense"]
 
 
+def test_commands_look_kernels_up_at_call_time(monkeypatch):
+    # a kernel bound into a table or closure at import would escape this
+    # patch, and the benchmark's span tracer, which replaces it the same way
+    from zakfiber import frames, ranges
+    calls = set()
+
+    def recording(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls.add(name)
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for module, name in [(frames, "frame_check_fibers"),
+                         (frames, "riesz_check_fibers"),
+                         (ranges, "range_from_fibers")]:
+        monkeypatch.setattr(module, name,
+                            recording(name, getattr(module, name)))
+    expected = {
+        "frame": {"frame_check_fibers"},
+        "riesz": {"riesz_check_fibers"},
+        "decompose": {"frame_check_fibers"},
+        "verify": {"frame_check_fibers", "riesz_check_fibers",
+                   "range_from_fibers"},
+    }
+    for command, kernels in expected.items():
+        calls.clear()
+        invoke_json([command, "--scenario", "s1"])
+        assert calls == kernels, command
+
+
 def _fixture_variant(tmp_path, name, edit, literal=None):
     """Write a copy of a shipped fixture after ``edit(doc)``; every "X" left
     in the document is replaced by the raw JSON ``literal``."""

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
-from zakfiber import ZakTransform, frame_check, parseval_decompose, \
-    verify_decomposition
+from zakfiber import ZakTransform, fixture_path, frame_check, \
+    parse_scenario, parseval_decompose, verify_decomposition
 from zakfiber.decomp import parseval_decompose_fibers, \
     verify_decomposition_fibers
 from zakfiber.zak import FiberedVector
@@ -133,3 +134,19 @@ def test_generator_order_is_respected():
     for i in range(4):
         # colinear fibers: cross product of the two 2-vectors vanishes
         assert abs(Z0[i, 0] * P0[i, 1] - Z0[i, 1] * P0[i, 0]) < 1e-12
+
+
+@pytest.mark.parametrize("e", [-900, -600, -520, 0, 300])
+def test_scaled_generators_give_the_same_parts(e):
+    # squares of 2**-520-scale fibers are subnormal and of 2**-600-scale
+    # ones zero; the factor 1/3 keeps the subnormal squares inexact
+    sc = parse_scenario(fixture_path("s1"))
+    zk = ZakTransform(sc.action)
+    base = [g / 3 for g in sc.generators]
+    reference = parseval_decompose(zk, base)
+    gens = [2.0 ** e * g for g in base]
+    parts = parseval_decompose(zk, gens)
+    assert len(parts) == len(reference)
+    assert verify_decomposition(zk, gens, parts).ok
+    for p, q in zip(parts, reference):
+        assert np.array_equal(p, q)

@@ -1,10 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from zakfiber import ZakTransform, bracket, fixture_path, frame_check, \
-    parse_scenario, riesz_check, single_generator_report
+from zakfiber import ZakTransform, fixture_path, frame_check, \
+    parse_scenario, riesz_check
 from zakfiber.oracle import dense_frame_bounds, dense_riesz_bounds
 
 from helpers import delta, random_complex, s1_action, s2_action, \
@@ -14,12 +12,12 @@ from helpers import delta, random_complex, s1_action, s2_action, \
 def test_bracket_known_values():
     a = s1_action()
     zk = ZakTransform(a)
-    brk = bracket(zk, delta(8, 0), delta(8, 2))
+    Z0, Z2 = zk.forward(delta(8, 0)), zk.forward(delta(8, 2))
     # [delta_0, delta_2](alpha) = conj(i^alpha)
     expected = np.array([1, -1j, -1, 1j], dtype=complex)
-    assert np.allclose(brk.values, expected, atol=1e-12)
-    assert brk.mean() == pytest.approx(a.space.inner(delta(8, 0), delta(8, 2)),
-                                       abs=1e-12)
+    assert np.allclose(Z0.fiber_inner(Z2), expected, atol=1e-12)
+    assert Z0.inner(Z2) == pytest.approx(a.space.inner(delta(8, 0), delta(8, 2)),
+                                         abs=1e-12)
 
 
 def test_bracket_mean_is_inner_product():
@@ -28,8 +26,8 @@ def test_bracket_mean_is_inner_product():
         zk = ZakTransform(a)
         f = random_complex(rng, a.space.size)
         g = random_complex(rng, a.space.size)
-        assert bracket(zk, f, g).mean() == pytest.approx(a.space.inner(f, g),
-                                                         abs=1e-12)
+        assert zk.forward(f).inner(zk.forward(g)) == pytest.approx(
+            a.space.inner(f, g), abs=1e-12)
 
 
 def test_frame_report_orthonormal_pair():
@@ -80,28 +78,16 @@ def test_weighted_space_reports():
 def test_star_generator_parseval_but_not_riesz():
     zk = ZakTransform(s1_action())
     psi = star_generator()
-    rep, brk = single_generator_report(zk, psi)
+    rep = frame_check(zk, [psi])
     assert list(rep.support.astype(int)) == [1, 0, 0, 0]
     assert rep.lower == pytest.approx(1.0, abs=1e-12)
     assert rep.upper == pytest.approx(1.0, abs=1e-12)
     assert rep.is_frame and rep.is_parseval
     assert not rep.is_riesz
     # bracket values are the fiber square norms here
-    assert np.allclose(brk.values, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_single_generator_matches_frame_check():
-    rng = np.random.default_rng(79)
-    for a in (s1_action(), s2_action()):
-        zk = ZakTransform(a)
-        for _ in range(10):
-            psi = random_complex(rng, a.space.size)
-            rep1, _ = single_generator_report(zk, psi)
-            rep2 = frame_check(zk, [psi])
-            assert rep1.lower == pytest.approx(rep2.lower, rel=1e-12)
-            assert rep1.upper == pytest.approx(rep2.upper, rel=1e-12)
-            assert rep1.is_riesz == rep2.is_riesz
-            assert list(rep1.dims) == list(rep2.dims)
+    Zpsi = zk.forward(psi)
+    assert np.allclose(Zpsi.fiber_inner(Zpsi), [1.0, 0.0, 0.0, 0.0],
+                       atol=1e-12)
 
 
 def test_single_generator_riesz_agrees_with_dense():
@@ -109,7 +95,7 @@ def test_single_generator_riesz_agrees_with_dense():
     # tolerance, but the smallest is 1e-12 of the largest
     a = s1_action()
     psi = 100 * star_generator() + 1e-4 * delta(8, 1)
-    rep, _ = single_generator_report(ZakTransform(a), psi)
+    rep = frame_check(ZakTransform(a), [psi])
     _, _, independent = dense_riesz_bounds(a, [psi])
     assert not independent
     assert rep.is_riesz == independent
@@ -117,15 +103,17 @@ def test_single_generator_riesz_agrees_with_dense():
 
 
 @pytest.mark.parametrize("name", ["s1", "s1-parseval", "s2", "star"])
-def test_single_generator_report_is_frame_check(name):
+def test_single_generator_bounds_are_bracket_extremes(name):
     sc = parse_scenario(fixture_path(name))
     zk = ZakTransform(sc.action)
     for psi in sc.generators + sc.candidates:
-        rep, _ = single_generator_report(zk, psi)
-        ref = frame_check(zk, [psi])
-        for field in dataclasses.fields(ref):
-            got, want = getattr(rep, field.name), getattr(ref, field.name)
-            assert np.array_equal(got, want), (name, field.name)
+        rep = frame_check(zk, [psi])
+        Zpsi = zk.forward(psi)
+        norms = Zpsi.fiber_inner(Zpsi).real
+        assert np.allclose(rep.smax2, norms, rtol=1e-12, atol=1e-300)
+        nonzero = norms[rep.dims > 0]
+        assert rep.lower == pytest.approx(nonzero.min(), rel=1e-12)
+        assert rep.upper == pytest.approx(nonzero.max(), rel=1e-12)
 
 
 def test_bounds_match_dense_oracle():
@@ -153,7 +141,7 @@ def test_degenerate_report():
     assert rep.lower is None and rep.upper is None
     assert not rep.is_frame and not rep.is_riesz and not rep.is_parseval
     assert rep.is_bessel
-    rep, _ = single_generator_report(zk, np.zeros(8))
+    rep = riesz_check(zk, [np.zeros(8)])
     assert rep.degenerate
     assert rep.lower is None
 
@@ -161,9 +149,9 @@ def test_degenerate_report():
 def test_tolerance_controls_support():
     zk = ZakTransform(s1_action())
     psi = delta(8, 0) + 1e-6 * delta(8, 2)
-    rep, _ = single_generator_report(zk, psi, tolerance=1e-10)
+    rep = frame_check(zk, [psi], tolerance=1e-10)
     assert rep.support.all()
-    rep, _ = single_generator_report(zk, psi, tolerance=1e-3)
+    rep = frame_check(zk, [psi], tolerance=1e-3)
     # the perturbation only reaches 1e-12-scale square norms off alpha=0;
     # all four fibers keep mass ~1 from delta_0 though, so support is full
     assert rep.support.all()

@@ -14,13 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from zakfiber.cli import _ACTION_COMMANDS, _TRANSLATION_SUBCOMMANDS, run
+from zakfiber.cli import _DISPATCH, run
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 FIXTURES = ["s1", "s1-parseval", "s2", "s3", "star"]
 FORMATS = ["structured", "csv-fibers"]
-COMMANDS = _ACTION_COMMANDS + [f"translation {s}"
-                               for s in _TRANSLATION_SUBCOMMANDS]
+COMMANDS = list(_DISPATCH)
 CASES = [f"{c} --scenario {f} --format {fmt}"
          for c in COMMANDS for f in FIXTURES for fmt in FORMATS]
 
