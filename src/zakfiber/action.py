@@ -37,10 +37,10 @@ __all__ = [
 class NotFreeError(RuntimeError):
     """Raised when an orbit has a nontrivial stabilizer; carries a witness."""
 
-    def __init__(self, point: int, message: str | None = None):
+    def __init__(self, point: int):
         self.point = int(point)
-        super().__init__(message or f"action is not free: point {point} has a "
-                                    "nontrivial stabilizer")
+        super().__init__(f"action is not free: point {point} has a "
+                         "nontrivial stabilizer")
 
 
 class WeightedSpace:

@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import stack_generator_fibers
 from .ranges import ORTHO_TOL, RANK_TOL, membership_fibers, range_from_fibers
-from .zak import FiberedVector, ZakTransform
+from .zak import FiberedVector, ZakTransform, stack_generator_fibers
 
 __all__ = [
     "parseval_decompose",

@@ -32,9 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import stack_generator_fibers
 from .ranges import RANK_TOL, RIESZ_REL, SUPPORT_TOL, rank_cut  # noqa: F401
-from .zak import FiberedVector, ZakTransform
+from .zak import FiberedVector, ZakTransform, stack_generator_fibers
 
 __all__ = [
     "FrameReport",
@@ -68,7 +67,6 @@ class FrameReport:
     is_frame: bool
     is_parseval: bool
     is_riesz: bool
-    tolerance: float
     degenerate: bool
 
     @property
@@ -127,7 +125,6 @@ def _assemble(s2: np.ndarray, dims: np.ndarray, tolerance: float,
         is_frame=is_frame,
         is_parseval=is_parseval,
         is_riesz=is_riesz,
-        tolerance=tolerance,
         degenerate=degenerate,
     )
 

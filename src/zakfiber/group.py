@@ -52,11 +52,10 @@ class FiniteAbelianGroup:
                 raise ValueError(f"invariant_factors[{j}] must be >= 1, got {n}")
         self.invariant_factors: Element = factors
         self.rank = len(factors)
-        self.order = int(np.prod(factors))
+        self.order = math.prod(factors)
         # mixed-radix place values for index(); lexicographic == C order
-        self._places = tuple(
-            int(np.prod(factors[j + 1 :], initial=1)) for j in range(len(factors))
-        )
+        self._places = tuple(math.prod(factors[j + 1 :])
+                             for j in range(len(factors)))
         self._elements: list[Element] | None = None
 
     def __repr__(self) -> str:

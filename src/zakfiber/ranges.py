@@ -36,8 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import stack_generator_fibers
-from .zak import FiberedVector, ZakTransform
+from .zak import FiberedVector, ZakTransform, stack_generator_fibers
 
 __all__ = [
     "RangeFunction",

@@ -54,15 +54,28 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _object(d: dict, key: str, where: str = "") -> dict:
+    value = _require(d, key, where)
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where}{key} must be an object")
+    return value
+
+
+def _wrap(where: str, build, *args):
+    """``build(*args)``; a library ValueError becomes "<where>: ..."."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise ScenarioError(f"{where}: {e}") from e
+
+
 def _int_list(value, where: str) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ScenarioError(f"{where} must be a non-empty list of integers")
-    out = []
     for i, v in enumerate(value):
         if not isinstance(v, int) or isinstance(v, bool):
             raise ScenarioError(f"{where}[{i}] must be an integer")
-        out.append(v)
-    return out
+    return value
 
 
 def _finite(v) -> bool:
@@ -73,19 +86,21 @@ def _finite(v) -> bool:
         return False
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _complex_vector(value, size: int, where: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != size:
         raise ScenarioError(f"{where} must be a list of {size} [re, im] pairs")
-    out = np.empty(size, dtype=complex)
     for i, pair in enumerate(value):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) and
-                           not isinstance(v, bool) for v in pair)):
+                or not _number(pair[0]) or not _number(pair[1])):
             raise ScenarioError(f"{where}[{i}] must be an [re, im] pair")
-        if not all(_finite(v) for v in pair):
+        if not (_finite(pair[0]) and _finite(pair[1])):
             raise ScenarioError(f"{where}[{i}] must hold finite numbers")
-        out[i] = complex(pair[0], pair[1])
-    return out
+    # the same bits as complex(re, im) for each pair
+    return np.array(value, dtype=float).view(complex)[:, 0]
 
 
 def _vector_list(value, size: int, where: str) -> list[np.ndarray]:
@@ -95,68 +110,23 @@ def _vector_list(value, size: int, where: str) -> list[np.ndarray]:
             for i, v in enumerate(value)]
 
 
-def scenario_from_dict(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-    version = _require(doc, "schema_version", "")
-    if version != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"schema_version {version!r} is not supported (expected "
-            f"{SCHEMA_VERSION})"
-        )
-    name = doc.get("name", "unnamed")
-    if not isinstance(name, str):
-        raise ScenarioError("name must be a string")
+def _generators(block: dict, size: int, where: str):
+    """(generators, candidates) of a block; ``where`` prefixes the keys."""
+    gens = _vector_list(_require(block, "generators", where), size,
+                        f"{where}generators")
+    if not gens:
+        raise ScenarioError(f"{where}generators must be non-empty")
+    return gens, _vector_list(block.get("candidates", []), size,
+                              f"{where}candidates")
 
-    has_action = "action" in doc
-    has_translation = "translation" in doc
-    if has_action == has_translation:
-        raise ScenarioError(
-            "exactly one of the action/translation blocks must be present"
-        )
 
-    if has_translation:
-        t = doc["translation"]
-        if not isinstance(t, dict):
-            raise ScenarioError("translation must be an object")
-        factors = _int_list(_require(t, "group_factors", "translation."),
-                            "translation.group_factors")
-        try:
-            G = FiniteAbelianGroup(factors)
-        except ValueError as e:
-            raise ScenarioError(f"translation.group_factors: {e}") from e
-        raw_gens = _require(t, "subgroup_generators", "translation.")
-        if not isinstance(raw_gens, list):
-            raise ScenarioError("translation.subgroup_generators must be a "
-                                "list of elements")
-        sub_gens = [_int_list(g, f"translation.subgroup_generators[{i}]")
-                    for i, g in enumerate(raw_gens)]
-        try:
-            ts = build_scenario(G, sub_gens)
-        except ValueError as e:
-            raise ScenarioError(f"translation.subgroup_generators: {e}") from e
-        gens = _vector_list(_require(t, "generators", "translation."),
-                            G.order, "translation.generators")
-        if not gens:
-            raise ScenarioError("translation.generators must be non-empty")
-        cands = _vector_list(t.get("candidates", []), G.order,
-                             "translation.candidates")
-        return Scenario(name=name, kind="translation", generators=gens,
-                        candidates=cands, translation=ts)
+def _group(block: dict, key: str, where: str) -> FiniteAbelianGroup:
+    factors = _int_list(_require(block, key, f"{where}."), f"{where}.{key}")
+    return _wrap(f"{where}.{key}", FiniteAbelianGroup, factors)
 
-    gblock = _require(doc, "group", "")
-    if not isinstance(gblock, dict):
-        raise ScenarioError("group must be an object")
-    factors = _int_list(_require(gblock, "invariant_factors", "group."),
-                        "group.invariant_factors")
-    try:
-        G = FiniteAbelianGroup(factors)
-    except ValueError as e:
-        raise ScenarioError(f"group.invariant_factors: {e}") from e
 
-    sblock = _require(doc, "space", "")
-    if not isinstance(sblock, dict):
-        raise ScenarioError("space must be an object")
+def _space(doc: dict) -> WeightedSpace:
+    sblock = _object(doc, "space")
     size = _require(sblock, "size", "space.")
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise ScenarioError("space.size must be a positive integer")
@@ -164,54 +134,75 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(weights, list) or len(weights) != size:
         raise ScenarioError(f"space.weights must be a list of {size} numbers")
     for i, w in enumerate(weights):
-        if not isinstance(w, (int, float)) or isinstance(w, bool) or w <= 0:
+        if not _number(w) or w <= 0:
             raise ScenarioError(f"space.weights[{i}] must be > 0")
         if not _finite(w):
             raise ScenarioError(f"space.weights[{i}] must be finite")
-    space = WeightedSpace(weights)
+    return WeightedSpace(weights)
 
-    ablock = doc["action"]
-    if not isinstance(ablock, dict):
-        raise ScenarioError("action must be an object")
-    has_table = "table" in ablock
-    has_affine = "affine" in ablock
-    if has_table == has_affine:
+
+def _table(table, order: int, size: int) -> list[list[int]]:
+    """Table rows; all rows are checked for integers before any range."""
+    if not isinstance(table, list) or len(table) != order:
         raise ScenarioError(
-            "action needs exactly one of: table, affine"
+            f"action.table must have one row per group element ({order} rows)"
         )
-    if has_affine:
-        aff = ablock["affine"]
-        if not isinstance(aff, dict):
-            raise ScenarioError("action.affine must be an object")
+    rows = [_int_list(row, f"action.table[{i}]")
+            for i, row in enumerate(table)]
+    for i, row in enumerate(rows):
+        if min(row) < 0 or max(row) >= size:
+            raise ScenarioError(
+                f"action.table[{i}] entries must lie in 0..{size - 1}"
+            )
+    return rows
+
+
+def scenario_from_dict(doc: dict) -> Scenario:
+    if not isinstance(doc, dict):
+        raise ScenarioError("scenario document must be a JSON object")
+    version = _require(doc, "schema_version", "")
+    if version != SCHEMA_VERSION:
+        raise ScenarioError(f"schema_version {version!r} is not supported "
+                            f"(expected {SCHEMA_VERSION})")
+    name = doc.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise ScenarioError("name must be a string")
+
+    has_action = "action" in doc
+    if has_action == ("translation" in doc):
+        raise ScenarioError("exactly one of the action/translation blocks "
+                            "must be present")
+
+    if not has_action:
+        t = _object(doc, "translation")
+        G = _group(t, "group_factors", "translation")
+        raw_gens = _require(t, "subgroup_generators", "translation.")
+        if not isinstance(raw_gens, list):
+            raise ScenarioError("translation.subgroup_generators must be a "
+                                "list of elements")
+        sub_gens = [_int_list(g, f"translation.subgroup_generators[{i}]")
+                    for i, g in enumerate(raw_gens)]
+        ts = _wrap("translation.subgroup_generators", build_scenario, G,
+                   sub_gens)
+        gens, cands = _generators(t, G.order, "translation.")
+        return Scenario(name=name, kind="translation", generators=gens,
+                        candidates=cands, translation=ts)
+
+    G = _group(_object(doc, "group"), "invariant_factors", "group")
+    space = _space(doc)
+    ablock = _object(doc, "action")
+    if ("table" in ablock) == ("affine" in ablock):
+        raise ScenarioError("action needs exactly one of: table, affine")
+    if "affine" in ablock:
+        aff = _object(ablock, "affine", "action.")
         ms = _int_list(_require(aff, "multipliers", "action.affine."),
                        "action.affine.multipliers")
-        try:
-            act = affine_action(G, space, ms)
-        except ValueError as e:
-            raise ScenarioError(f"action.affine: {e}") from e
+        act = _wrap("action.affine", affine_action, G, space, ms)
     else:
-        table = ablock["table"]
-        if not isinstance(table, list) or len(table) != G.order:
-            raise ScenarioError(
-                f"action.table must have one row per group element "
-                f"({G.order} rows)"
-            )
-        rows = [_int_list(row, f"action.table[{i}]")
-                for i, row in enumerate(table)]
-        for i, row in enumerate(rows):
-            if min(row) < 0 or max(row) >= size:
-                raise ScenarioError(
-                    f"action.table[{i}] entries must lie in 0..{size - 1}"
-                )
-        try:
-            act = QuasiInvariantAction(G, space, rows)
-        except ValueError as e:
-            raise ScenarioError(f"action.table: {e}") from e
+        rows = _table(ablock["table"], G.order, space.size)
+        act = _wrap("action.table", QuasiInvariantAction, G, space, rows)
 
-    gens = _vector_list(_require(doc, "generators", ""), size, "generators")
-    if not gens:
-        raise ScenarioError("generators must be non-empty")
-    cands = _vector_list(doc.get("candidates", []), size, "candidates")
+    gens, cands = _generators(doc, space.size, "")
     return Scenario(name=name, kind="action", generators=gens,
                     candidates=cands, action=act)
 

@@ -75,13 +75,31 @@ class FiberedVector:
         return complex(np.sum(self.fiber_inner(other)) / self.n_fibers)
 
 
+def stack_generator_fibers(fibered) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a non-empty list of FiberedVectors on one fibration.
+
+    Returns (stack, weights) with stack shape (n_fibers, n_points, n_gens);
+    the stack is a fresh array that callers may scale in place.
+    """
+    if not fibered:
+        raise ValueError("at least one fibered generator is required")
+    first = fibered[0]
+    for fv in fibered[1:]:
+        if fv.fibers.shape != first.fibers.shape:
+            raise ValueError("generator fiber shapes do not match")
+        if not np.array_equal(fv.fiber_weights, first.fiber_weights):
+            raise ValueError("generator fiber weights do not match")
+    stack = np.stack([fv.fibers for fv in fibered], axis=2)
+    return stack, first.fiber_weights
+
+
 class ZakTransform:
     """Forward/inverse fiberization for one validated free action.
 
-    Precomputes, per group element gamma and representative x: the source
-    point sigma_{-gamma}(x) with amplitude J(-gamma, x)^(1/2) for analysis,
-    and the destination sigma_gamma(x) with amplitude J(gamma, x)^(-1/2)
-    for synthesis.
+    Precomputes, per group element gamma and representative x, the point
+    sigma_{-gamma}(x) with amplitude J(-gamma, x)^(1/2) for analysis and
+    its inverse J(-gamma, x)^(-1/2) for synthesis: the inverse writes the
+    value at gamma back to the point the forward read it from.
     """
 
     def __init__(self, action: QuasiInvariantAction):
@@ -91,13 +109,10 @@ class ZakTransform:
         G = self.group
         mu = action.space.weights
         C = self.transversal.points
-        neg = G.neg_index_table()
-        # src[gi, ci] = sigma_{-gamma_gi}(C[ci]);  dst[gi, ci] = sigma_{gamma_gi}(C[ci])
-        self._src = action.table[neg][:, C]
-        self._dst = action.table[:, C]
+        # src[gi, ci] = sigma_{-gamma_gi}(C[ci])
+        self._src = action.table[G.neg_index_table()][:, C]
         self._amp_fwd = np.sqrt(mu[self._src] / mu[C])
-        self._amp_inv = np.sqrt(mu[C] / mu[self._dst])
-        self._neg = neg
+        self._amp_inv = np.sqrt(mu[C] / mu[self._src])
         self.fiber_weights = mu[C].copy()
         self.ambient_weights = mu
 
@@ -134,9 +149,8 @@ class ZakTransform:
                                     self.n_points)
         u = np.fft.ifftn(shaped, axes=tuple(range(self.group.rank)))
         u = u.reshape(self.group.order, self.n_points)
-        # u[gi] = (1/|Gamma|) sum_alpha Phi(alpha) (gamma, alpha); the
-        # synthesis formula needs the value at -gamma
-        t = u[self._neg]
+        # u[gi] = (1/|Gamma|) sum_alpha Phi(alpha) (gamma, alpha) is the
+        # orbit value the forward transform read at src[gi]
         psi = np.empty(self.action.space.size, dtype=complex)
-        psi[self._dst] = self._amp_inv * t
+        psi[self._src] = self._amp_inv * u
         return psi

@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,8 @@ from zakfiber import (
     idft,
     subgroup_from_generators,
 )
+from zakfiber.cli import run
+from zakfiber.scenario import fixture_path
 
 
 def test_factor_validation():
@@ -29,6 +34,28 @@ def test_order_and_enumeration():
     assert els == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     for i, el in enumerate(els):
         assert G.index(el) == i
+
+
+@pytest.mark.parametrize("factors,order", [
+    ([2**32, 2**32], 2**64),
+    ([2**32 + 1, 2**32 - 1], 2**64 - 1),
+    ([3, 2**40, 2**40], 3 * 2**80),
+], ids=["2^64", "2^64-1", "3*2^80"])
+def test_order_does_not_wrap_at_64_bits(factors, order):
+    assert FiniteAbelianGroup(factors).order == order
+
+
+def test_huge_group_order_in_cli_message(tmp_path):
+    doc = json.loads(fixture_path("s1").read_text())
+    doc["group"]["invariant_factors"] = [2**32, 2**32]
+    doc["action"] = {"table": []}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["validate", "--scenario", str(path)], out=out, err=err)
+    assert (code, out.getvalue()) == (4, "")
+    assert err.getvalue() == ("error: action.table must have one row per "
+                              "group element (18446744073709551616 rows)\n")
 
 
 def test_arithmetic():

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from zakfiber.scenario import ScenarioError, fixture_path, parse_scenario, \
@@ -54,6 +56,25 @@ def test_translation_document():
     assert len(sc.candidates) == 1
 
 
+def _translation(d, **fields):
+    """Replace the action blocks of ``d`` by a valid translation block
+    on Z_12 with subgroup <3>, then apply ``fields`` to it."""
+    for key in ("group", "space", "action", "generators"):
+        d.pop(key)
+    d["translation"] = {"group_factors": [12],
+                        "subgroup_generators": [[3]],
+                        "generators": [[[1, 0]] + [[0, 0]] * 11]}
+    d["translation"].update(fields)
+
+
+def _table(*rows):
+    return lambda d: d["action"].update(table=list(rows))
+
+
+def _generator(*pairs):
+    return lambda d: d.update(generators=[list(pairs)])
+
+
 @pytest.mark.parametrize("mutate,message", [
     (lambda d: d.pop("schema_version"), "missing field schema_version"),
     (lambda d: d.update(schema_version=9),
@@ -74,6 +95,86 @@ def test_translation_document():
      "action needs exactly one of: table, affine"),
     (lambda d: d.update(translation={}),
      "exactly one of the action/translation blocks must be present"),
+    (lambda d: d.update(name=3), "name must be a string"),
+    (lambda d: (d.pop("action"), d.update(translation=[])),
+     "translation must be an object"),
+    (lambda d: d.update(group=[2]), "group must be an object"),
+    (lambda d: d.update(space=4), "space must be an object"),
+    (lambda d: d.update(action=[]), "action must be an object"),
+    (lambda d: d.update(action={"affine": [2]}),
+     "action.affine must be an object"),
+    (lambda d: d["space"].update(size=0),
+     "space.size must be a positive integer"),
+    (lambda d: d["space"].update(size=True),
+     "space.size must be a positive integer"),
+    (lambda d: d["space"].update(size=4.0),
+     "space.size must be a positive integer"),
+    (lambda d: d["space"].update(size=3, weights="x"),
+     "space.weights must be a list of 3 numbers"),
+    (lambda d: d["space"].update(weights=[1.0, True, 3.0, 4.0]),
+     "space.weights[1] must be > 0"),
+    (lambda d: d.update(generators={}),
+     "generators must be a list of complex vectors"),
+    (lambda d: d.update(candidates="x"),
+     "candidates must be a list of complex vectors"),
+    (_generator([1, 0], [0, True], [0, 0], [0, 0]),
+     "generators[0][1] must be an [re, im] pair"),
+    (_generator([1, 0], [0, 0], [0, 0], "x"),
+     "generators[0][3] must be an [re, im] pair"),
+    # the first failing pair wins: non-finite pair 1 before malformed pair 3
+    (_generator([1, 0], [math.nan, 0], [0, 0], [0, 0, 0]),
+     "generators[0][1] must hold finite numbers"),
+    (lambda d: d["group"].update(invariant_factors=[]),
+     "group.invariant_factors must be a non-empty list of integers"),
+    (lambda d: d["group"].update(invariant_factors=[2.0]),
+     "group.invariant_factors[0] must be an integer"),
+    (lambda d: d["group"].update(invariant_factors=[True]),
+     "group.invariant_factors[0] must be an integer"),
+    (lambda d: d["group"].update(invariant_factors=[0]),
+     "group.invariant_factors: invariant_factors[0] must be >= 1, got 0"),
+    # the group is read before the space
+    (lambda d: (d["group"].update(invariant_factors=[0]),
+                d["space"].update(size=0)),
+     "group.invariant_factors: invariant_factors[0] must be >= 1, got 0"),
+    (lambda d: d["action"].update(table={}),
+     "action.table must have one row per group element (2 rows)"),
+    (_table([0, 1, 2, 3]),
+     "action.table must have one row per group element (2 rows)"),
+    (_table([0, 1, 2, 3], []),
+     "action.table[1] must be a non-empty list of integers"),
+    (_table([0, 1, 2, 3], [0, 1, True, 3]),
+     "action.table[1][2] must be an integer"),
+    # every row is checked for integers before any row for its range
+    (_table([0, 1, 2, 9], [0, 1, 2.5, 3]),
+     "action.table[1][2] must be an integer"),
+    (_table([0, 1, 2, 9], [0, 1, 2, -1]),
+     "action.table[0] entries must lie in 0..3"),
+    (lambda d: d.update(action={"affine": {"multipliers": [True]}}),
+     "action.affine.multipliers[0] must be an integer"),
+    (lambda d: d.update(action={"affine": {}}),
+     "missing field action.affine.multipliers"),
+    (lambda d: _translation(d, group_factors=[]),
+     "translation.group_factors must be a non-empty list of integers"),
+    (lambda d: _translation(d, group_factors=[0]),
+     "translation.group_factors: invariant_factors[0] must be >= 1, got 0"),
+    (lambda d: _translation(d, subgroup_generators=3),
+     "translation.subgroup_generators must be a list of elements"),
+    (lambda d: _translation(d, subgroup_generators=[3]),
+     "translation.subgroup_generators[0] must be a non-empty list of "
+     "integers"),
+    (lambda d: _translation(d, subgroup_generators=[[12]]),
+     "translation.subgroup_generators: element (12,) out of range for "
+     "factors (12,)"),
+    # the subgroup is built before the generators are read
+    (lambda d: _translation(d, subgroup_generators=[[1, 2]], generators=[]),
+     "translation.subgroup_generators: element (1, 2) has arity 2, "
+     "expected 1"),
+    (lambda d: _translation(d, generators=[]),
+     "translation.generators must be non-empty"),
+    (lambda d: _translation(d, generators=[[[1, 0]]]),
+     "translation.generators[0] must be a list of 12 [re, im] pairs"),
+    (lambda d: _translation(d, candidates={}),
+     "translation.candidates must be a list of complex vectors"),
 ])
 def test_malformed_documents(mutate, message):
     doc = base_action_doc()
@@ -81,6 +182,26 @@ def test_malformed_documents(mutate, message):
     with pytest.raises(ScenarioError) as e:
         scenario_from_dict(doc)
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("doc", [[], "x", None, 1])
+def test_document_must_be_an_object(doc):
+    with pytest.raises(ScenarioError) as e:
+        scenario_from_dict(doc)
+    assert str(e.value) == "scenario document must be a JSON object"
+
+
+def test_vectors_are_complex_of_each_pair_bit_for_bit():
+    pairs = [[-0.0, 0.0], [0.0, -0.0], [2**53 + 1, -(2**53 + 1)],
+             [2**64 + 1, 5e-324], [-5e-324, 3], [-0.0, -0.0]]
+    doc = base_action_doc()
+    doc["space"] = {"size": len(pairs), "weights": [1.0] * len(pairs)}
+    doc["action"] = {"table": [list(range(len(pairs)))] * 2}
+    doc["generators"] = [pairs]
+    (vec,) = scenario_from_dict(doc).generators
+    expected = np.array([complex(re, im) for re, im in pairs])
+    assert vec.dtype == complex
+    assert vec.tobytes() == expected.tobytes()
 
 
 def test_bad_table_is_wrapped():
