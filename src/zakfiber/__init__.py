@@ -12,7 +12,6 @@ from .action import (
     ActionReport,
     NotFreeError,
     QuasiInvariantAction,
-    TilingTransversal,
     WeightedSpace,
     affine_action,
     tiling_transversal,

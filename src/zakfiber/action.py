@@ -27,7 +27,6 @@ __all__ = [
     "WeightedSpace",
     "QuasiInvariantAction",
     "ActionReport",
-    "TilingTransversal",
     "NotFreeError",
     "affine_action",
     "validate_action",
@@ -212,32 +211,14 @@ def validate_action(a: QuasiInvariantAction) -> ActionReport:
     return ActionReport(ok=not violations, violations=violations)
 
 
-@dataclass
-class TilingTransversal:
-    """One representative per orbit of a free action.
-
-    ``points[k]`` is the smallest point index in orbit k (orbits appear in
-    order of first appearance, so ``points`` is increasing).  For every
-    point x, ``orbit_of[x]`` names its orbit and ``shift_of[x]`` is the
-    flat group index of the unique gamma with sigma_gamma(rep) = x.
-    """
-
-    points: np.ndarray
-    orbit_of: np.ndarray
-    shift_of: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(self.points.size)
-
-
-def tiling_transversal(a: QuasiInvariantAction) -> TilingTransversal:
+def tiling_transversal(a: QuasiInvariantAction) -> np.ndarray:
     """Orbit representatives of a validated action; raises NotFreeError.
 
-    The representative of an orbit is its smallest point, found by
-    doubling windows of steps along each e_j.  The action is free when
-    every orbit has |group| points; otherwise the witness is the smallest
-    point that some sigma_gamma with gamma != 0 fixes.
+    Returns the increasing array of representatives, one per orbit: the
+    smallest point of the orbit, found by doubling windows of steps along
+    each e_j.  The action is free when every orbit has |group| points;
+    otherwise the witness is the smallest point that some sigma_gamma
+    with gamma != 0 fixes.
     """
     G = a.group
     t = a.table
@@ -254,9 +235,4 @@ def tiling_transversal(a: QuasiInvariantAction) -> TilingTransversal:
         fixed = t == points
         fixed[G.index(G.zero)] = False
         raise NotFreeError(point=int(np.flatnonzero(np.any(fixed, axis=0))[0]))
-    orbit_of = np.full(N, -1, dtype=np.intp)
-    shift_of = np.full(N, -1, dtype=np.intp)
-    orbit_of[t[:, reps]] = np.arange(reps.size)
-    shift_of[t[:, reps]] = np.arange(G.order)[:, None]
-    return TilingTransversal(points=reps, orbit_of=orbit_of,
-                             shift_of=shift_of)
+    return reps

@@ -7,7 +7,8 @@ for compatibility but has no effect: every fiber computation runs as one
 batched numpy call.
 
 Exit codes: 0 success, 2 validation failure, incompatible request or
-numerically unusable scenario (non-finite report, failed SVD),
+numerically unusable scenario (non-finite report, failed SVD, floating-point
+overflow, division by zero or invalid operation),
 3 fiber-vs-oracle disagreement in ``verify``, 4 I/O or parse error.
 """
 
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import decomp, frames, oracle, ranges, translation
-from .action import NotFreeError, validate_action
+from .action import NotFreeError, tiling_transversal, validate_action
 from .scenario import SCHEMA_VERSION, Scenario, ScenarioError, fixture_path, \
     parse_scenario
 from .translation import TranslationScenario
@@ -174,7 +175,7 @@ def cmd_validate(sc: Scenario, args) -> tuple[dict, int]:
     violations = list(result.violations)
     if result.ok:
         try:
-            ZakTransform(sc.action)
+            tiling_transversal(sc.action)
         except NotFreeError as e:
             violations.append(str(e))
     ok = not violations
@@ -230,22 +231,22 @@ def cmd_member(sc: Scenario, args) -> tuple[dict, int]:
     return rep, EXIT_OK
 
 
-def cmd_frame(sc: Scenario, args) -> tuple[dict, int]:
+def _spectral(sc: Scenario, args, kernel: str) -> dict:
+    """Fiber spectra and summary from the kernel ``frames.<kernel>``."""
     rep = _base_report(sc, args)
     _, fibered = _generator_fibers(sc)
-    report = frames.frame_check_fibers(fibered, tolerance=args.tolerance)
+    report = getattr(frames, kernel)(fibered, tolerance=args.tolerance)
     rep["fibers"] = _fiber_records(report)
     rep["summary"] = _summary(report)
-    return rep, EXIT_OK
+    return rep
+
+
+def cmd_frame(sc: Scenario, args) -> tuple[dict, int]:
+    return _spectral(sc, args, "frame_check_fibers"), EXIT_OK
 
 
 def cmd_riesz(sc: Scenario, args) -> tuple[dict, int]:
-    rep = _base_report(sc, args)
-    _, fibered = _generator_fibers(sc)
-    report = frames.riesz_check_fibers(fibered, tolerance=args.tolerance)
-    rep["fibers"] = _fiber_records(report)
-    rep["summary"] = _summary(report)
-    return rep, EXIT_OK
+    return _spectral(sc, args, "riesz_check_fibers"), EXIT_OK
 
 
 def cmd_bracket(sc: Scenario, args) -> tuple[dict, int]:
@@ -346,12 +347,8 @@ def cmd_translation_duality(sc: Scenario, args) -> tuple[dict, int]:
 
 
 def cmd_translation_analyze(sc: Scenario, args) -> tuple[dict, int]:
-    rep = _base_report(sc, args)
-    J, report = translation.ti_analyze(sc.translation, sc.generators,
-                                       tolerance=args.tolerance)
-    rep["fibers"] = _fiber_records(report)
-    rep["summary"] = _summary(report)
-    rep["length"] = J.length()
+    rep = _spectral(sc, args, "frame_check_fibers")
+    rep["length"] = rep["summary"]["length"]
     return rep, EXIT_OK
 
 
@@ -553,10 +550,11 @@ def run(argv=None, out=None, err=None) -> int:
         return EXIT_VALIDATION
 
     try:
-        report, code = _DISPATCH[args.command](sc, args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            report, code = _DISPATCH[args.command](sc, args)
         _emit(report, args.command, args.format, out)
         return code
-    except (Incompatible, np.linalg.LinAlgError) as e:
+    except (Incompatible, np.linalg.LinAlgError, FloatingPointError) as e:
         err.write(f"error: {e}\n")
         return EXIT_VALIDATION
 

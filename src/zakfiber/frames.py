@@ -14,10 +14,11 @@ weight-scaled fiber matrix B(alpha) = diag(sqrt(mu)) [Z[phi](alpha)]_phi:
                     number of generators (which covers more generators
                     than points),  B = max of the largest.
 
-A fiber belongs to the support when its largest squared singular value
-exceeds the tolerance; for a single generator that is the set
+A report is degenerate when every fiber has rank 0.  A fiber belongs to
+the support when its largest squared singular value exceeds the
+tolerance; for a single generator that is the set
 Omega_psi = {alpha : ||Z[psi](alpha)||^2 > tolerance}; it sets only the
-support size and degeneracy of a report.
+support size of a report.
 
 A single generator needs no special case: its fiber spectra are the
 brackets [psi, psi](alpha) = ||Z[psi](alpha)||^2 (bracket values are
@@ -49,11 +50,11 @@ class FrameReport:
     """Per-fiber spectra plus global bounds and verdicts.
 
     ``lower``/``upper`` are None exactly when the report is degenerate
-    (every generator fiber vanishes).  ``smin2`` holds the smallest
-    retained squared singular value per fiber (0 where the fiber is
-    empty), ``smax2`` the largest, and ``gram_min`` the smallest
-    eigenvalue of the fiber Gram matrix, 0 where the fiber's rank is
-    below the number of generators.
+    (every fiber has rank 0).  ``smin2`` holds the smallest retained
+    squared singular value per fiber (0 where the fiber is empty),
+    ``smax2`` the largest, and ``gram_min`` the smallest eigenvalue of
+    the fiber Gram matrix, 0 where the fiber's rank is below the number
+    of generators.
     """
 
     dims: np.ndarray
@@ -100,7 +101,7 @@ def _assemble(s2: np.ndarray, dims: np.ndarray, tolerance: float,
     smin2 = np.where(dims > 0, s2[idx, np.maximum(dims, 1) - 1], 0.0)
     support = smax2 > tolerance
 
-    degenerate = not bool(support.any())
+    degenerate = not bool(dims.any())
     if degenerate:
         lower = upper = None
         is_frame = is_parseval = is_riesz = False

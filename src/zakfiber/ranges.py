@@ -16,8 +16,9 @@ weight-scaled fiber matrix diag(sqrt(mu)) [Z[phi](alpha)]_phi.
   RANK_TOL     1e-10  sigma > RANK_TOL * sigma_max of all     rank_cut: range,
                fibers (relative, sigma); decomp: residual     frame and riesz;
                > RANK_TOL * largest column norm, all fibers   parseval_decompose
-  SUPPORT_TOL  1e-10  sigma_max^2 > tol; Parseval: |A - 1|    frame and riesz,
-               and |B - 1| <= tol (absolute, sigma^2)         ti_analyze
+  SUPPORT_TOL  1e-10  sigma_max^2 > tol, counted only in      frame and riesz,
+               support_size; Parseval: |A - 1| and            ti_analyze
+               |B - 1| <= tol (absolute, sigma^2)
   RIESZ_REL    1e-9   min sigma^2 > RIESZ_REL * max sigma^2   frame and riesz
                over all fibers (relative, sigma^2)            (is_riesz)
   MEMBER_TOL   1e-9   residual <= MEMBER_TOL * max(1, norm)   membership,

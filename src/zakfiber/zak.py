@@ -108,7 +108,7 @@ class ZakTransform:
         self.transversal = tiling_transversal(action)
         G = self.group
         mu = action.space.weights
-        C = self.transversal.points
+        C = self.transversal
         # src[gi, ci] = sigma_{-gamma_gi}(C[ci])
         self._src = action.table[G.neg_index_table()][:, C]
         self._amp_fwd = np.sqrt(mu[self._src] / mu[C])
@@ -122,7 +122,7 @@ class ZakTransform:
 
     @property
     def n_points(self) -> int:
-        return self.transversal.count
+        return int(self.transversal.size)
 
     def synthesis_matrix(self, gens) -> np.ndarray:
         return oracle.synthesis_matrix(self.action, gens)

@@ -74,7 +74,7 @@ def naive_apply(a: QuasiInvariantAction, gamma, psi) -> np.ndarray:
 def naive_zak(a: QuasiInvariantAction, zk: ZakTransform, psi) -> np.ndarray:
     """Defining triple sum of the fiberization, one term at a time."""
     G = a.group
-    C = zk.transversal.points
+    C = zk.transversal
     out = np.zeros((G.order, C.size), dtype=complex)
     for ai, alpha in enumerate(G.elements()):
         for ci, c in enumerate(C):
@@ -144,24 +144,21 @@ def reference_validate(a: QuasiInvariantAction) -> list[str]:
     return violations
 
 
-def reference_tiling(a: QuasiInvariantAction):
-    """(points, orbit_of, shift_of) by a scan over the points; raises
+def reference_tiling(a: QuasiInvariantAction) -> np.ndarray:
+    """Orbit representatives by a scan over the points; raises
     NotFreeError at the first representative whose orbit collides."""
-    N = a.space.size
-    orbit_of = np.full(N, -1, dtype=np.intp)
-    shift_of = np.full(N, -1, dtype=np.intp)
+    seen = np.zeros(a.space.size, dtype=bool)
     reps = []
-    for x in range(N):
-        if orbit_of[x] >= 0:
+    for x in range(a.space.size):
+        if seen[x]:
             continue
         reps.append(x)
         for gi in range(a.group.order):
             y = int(a.table[gi, x])
-            if orbit_of[y] >= 0:
+            if seen[y]:
                 raise NotFreeError(point=x)
-            orbit_of[y] = len(reps) - 1
-            shift_of[y] = gi
-    return np.asarray(reps, dtype=np.intp), orbit_of, shift_of
+            seen[y] = True
+    return np.asarray(reps, dtype=np.intp)
 
 
 def reference_closure(G: FiniteAbelianGroup, gens) -> tuple:

@@ -87,15 +87,11 @@ def test_jacobian_cocycle():
 
 
 def test_transversal_fixtures():
-    t1 = tiling_transversal(s1_action())
-    assert list(t1.points) == [0, 1]
-    t2 = tiling_transversal(s2_action())
-    assert list(t2.points) == [0, 1]
-    # every point is sigma_(shift)(representative of its orbit)
-    a = s1_action()
-    for x in range(8):
-        rep = t1.points[t1.orbit_of[x]]
-        assert a.table[t1.shift_of[x], rep] == x
+    for a in (s1_action(), s2_action()):
+        points = tiling_transversal(a)
+        assert list(points) == [0, 1]
+        # the orbits of the representatives tile the space
+        assert sorted(a.table[:, points].ravel()) == list(range(a.space.size))
 
 
 def test_transversal_not_free():

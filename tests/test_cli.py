@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -333,15 +334,16 @@ def test_commands_look_kernels_up_at_call_time(monkeypatch):
         monkeypatch.setattr(module, name,
                             recording(name, getattr(module, name)))
     expected = {
-        "frame": {"frame_check_fibers"},
-        "riesz": {"riesz_check_fibers"},
-        "decompose": {"frame_check_fibers"},
-        "verify": {"frame_check_fibers", "riesz_check_fibers",
-                   "range_from_fibers"},
+        ("frame", "s1"): {"frame_check_fibers"},
+        ("riesz", "s1"): {"riesz_check_fibers"},
+        ("decompose", "s1"): {"frame_check_fibers"},
+        ("verify", "s1"): {"frame_check_fibers", "riesz_check_fibers",
+                           "range_from_fibers"},
+        ("translation analyze", "s3"): {"frame_check_fibers"},
     }
-    for command, kernels in expected.items():
+    for (command, scenario), kernels in expected.items():
         calls.clear()
-        invoke_json([command, "--scenario", "s1"])
+        invoke_json([*command.split(), "--scenario", scenario])
         assert calls == kernels, command
 
 
@@ -405,6 +407,41 @@ def test_verify_zero_generator(tmp_path, name):
     assert riesz[0]["deviation"] == 0.0
 
 
+def _scale_vectors(factor):
+    def edit(doc):
+        block = doc.get("translation", doc)
+        for key in ("generators", "candidates"):
+            if key in block:
+                block[key] = [[[factor * x for x in pair] for pair in v]
+                              for v in block[key]]
+    return edit
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e-8])
+@pytest.mark.parametrize("name", ["s1", "s1-parseval", "s2", "s3", "star"])
+def test_verify_tiny_nonzero_system(tmp_path, name, factor):
+    # sigma_max^2 lies under --tolerance, but the system is not zero: both
+    # routes report its bounds, so they agree
+    path = _fixture_variant(tmp_path, name, _scale_vectors(factor))
+    code, out, err = invoke(["verify", "--scenario", path])
+    assert code == 0, out
+
+
+def test_frame_tiny_nonzero_system(tmp_path):
+    from zakfiber import ZakTransform, oracle
+    from zakfiber.scenario import parse_scenario
+    path = _fixture_variant(tmp_path, "s1", _scale_vectors(1e-6))
+    summary = invoke_json(["frame", "--scenario", path])["summary"]
+    assert summary["frame"] is True
+    assert summary["degenerate"] is False
+    assert summary["support_size"] == 0
+    sc = parse_scenario(path)
+    M = ZakTransform(sc.action).synthesis_matrix(sc.generators)
+    lower, upper = oracle.frame_bounds_of_matrix(M)
+    assert summary["lower"] == pytest.approx(lower, rel=1e-8, abs=0)
+    assert summary["upper"] == pytest.approx(upper, rel=1e-8, abs=0)
+
+
 @pytest.mark.parametrize("name", ["s1", "s3"])
 def test_decompose_zero_generator(tmp_path, name):
     # the zero space has the empty decomposition
@@ -442,19 +479,31 @@ def test_huge_table_entry_is_io_error(tmp_path):
     assert err == "error: action.table[1] entries must lie in 0..3\n"
 
 
-@pytest.mark.parametrize("command", ["frame", "zak", "riesz", "verify"])
+def _overflow_weight(doc):
+    doc["space"]["weights"][0] = 1e308
+
+
+def _overflow_generator(doc):
+    doc["generators"][0][0] = [1e170, 0.0]
+
+
+@pytest.mark.parametrize("command", ["frame", "zak", "riesz", "verify",
+                                     "decompose"])
 def test_overflow_scale_weight_exits_2(tmp_path, command):
-    # finite weights whose squares overflow: no Infinity on stdout in
-    # either format and no traceback from the dense route's eigensolver
-    def edit(doc):
-        doc["space"]["weights"][0] = 1e308
-    path = _fixture_variant(tmp_path, "s1", edit)
-    for fmt in ("structured", "csv-fibers"):
-        with np.errstate(all="ignore"):
-            code, out, err = invoke([command, "--scenario", path,
-                                     "--format", fmt])
-        assert (code, out) == (2, ""), fmt
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+    # finite numbers whose squares overflow: no Infinity on stdout in
+    # either format, no traceback from the dense route's eigensolver, no
+    # numpy warning on stderr, and no audit that passes on an infinite norm
+    for edit in (_overflow_weight, _overflow_generator):
+        path = _fixture_variant(tmp_path, "s1", edit)
+        for fmt in ("structured", "csv-fibers"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = invoke([command, "--scenario", path,
+                                         "--format", fmt])
+            assert not [w for w in caught
+                        if w.category is RuntimeWarning], (edit, fmt)
+            assert (code, out) == (2, ""), (edit, fmt)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def _pairs(v):
@@ -477,6 +526,28 @@ def test_verify_near_dependent_generators(tmp_path, eps, code):
     path = _fixture_variant(tmp_path, "s1", edit)
     code_got, out, err = invoke(["verify", "--scenario", path])
     assert code_got == code, out
+
+
+@pytest.mark.parametrize("eps", [
+    9e-11,
+    *[pytest.param(eps, marks=pytest.mark.xfail(
+        strict=True, reason="Gram-Schmidt keeps a vector whose residual "
+        "exceeds RANK_TOL * the largest column norm, a looser cut than "
+        "rank_cut's RANK_TOL * sigma_max")) for eps in (1.2e-10, 1.5e-10)],
+    3e-10,
+])
+def test_decompose_near_rank_cut(tmp_path, eps):
+    # generators delta_0 and delta_0 + eps * delta_1 with eps near the
+    # rank cut: the decomposition has as many parts as the range's length
+    d0, d1 = np.eye(8)[:2]
+
+    def edit(doc):
+        doc["generators"] = [_pairs(d0), _pairs(d0 + eps * d1)]
+    path = _fixture_variant(tmp_path, "s1", edit)
+    length = invoke_json(["range", "--scenario", path])["length"]
+    code, out, err = invoke(["decompose", "--scenario", path])
+    assert code == 0, out
+    assert len(json.loads(out)["parts"]) == length
 
 
 @pytest.mark.parametrize("c, lower", [(1e-2, 1e-4), (3e-5, 1e12)],

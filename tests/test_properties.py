@@ -120,9 +120,9 @@ def test_tiling_transversal_agrees_with_scan(case):
             tiling_transversal(a)
         assert got.value.point == e.point
         return
-    t = tiling_transversal(a)
-    for got, want in zip((t.points, t.orbit_of, t.shift_of), expected):
-        assert np.array_equal(got, want)
+    points = tiling_transversal(a)
+    assert np.array_equal(points, expected)
+    assert sorted(a.table[:, points].ravel()) == list(range(a.space.size))
 
 
 @PROPERTY

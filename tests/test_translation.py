@@ -207,7 +207,7 @@ def test_translation_agrees_with_action_pipeline():
     act = affine_action(FiniteAbelianGroup([4]), WeightedSpace(np.ones(12)),
                         [3])
     zk = ZakTransform(act)
-    assert list(zk.transversal.points) == [0, 1, 2]
+    assert list(zk.transversal) == [0, 1, 2]
     for gens12 in ([delta(12, 0)], [delta(12, 0) + delta(12, 1)]):
         J_t, rep_t = ti_analyze(s, gens12)
         J_a = range_from_generators(zk, gens12)

@@ -120,7 +120,7 @@ def test_orbit_norm_identity():
     zk = ZakTransform(a)
     psi = random_complex(rng, 4)
     total = 0.0
-    for ci, c in enumerate(zk.transversal.points):
+    for ci, c in enumerate(zk.transversal):
         for g in a.group.elements():
             total += abs(a.apply(g, psi)[c]) ** 2 * a.space.weights[c]
     assert total == pytest.approx(a.space.norm_sq(psi))
