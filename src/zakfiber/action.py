@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .group import FiniteAbelianGroup
 
@@ -157,7 +158,8 @@ def affine_action(
                 f"multiplier {m} is incompatible: {m}*{n} is not 0 mod {N}"
             )
     shifts = group.coordinates @ np.asarray([m % N for m in ms], dtype=np.intp)
-    table = (shifts[:, None] + np.arange(N)) % N
+    # row r of the windows over 0..N-1, 0..N-1 is (r + x) mod N
+    table = sliding_window_view(np.arange(2 * N) % N, N)[shifts % N]
     return QuasiInvariantAction(group, space, table)
 
 

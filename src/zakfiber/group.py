@@ -10,16 +10,16 @@ so dual points use the same tuple representation.  Enumeration order is
 lexicographic everywhere, which makes every derived object (transversals,
 fiber indexing, reports) reproducible.
 
-Elements are tuples at the public API and flat index arrays inside:
-``coordinates`` holds every element as a row, and ``flat`` maps
-coordinate rows, reduced mod the factors, to their positions.  No other
-module knows this mixed-radix encoding.
+A single element is a tuple at the public API; a set of elements is a
+read-only intp array of coordinate rows, shape (n, rank), in lexicographic
+order.  ``flat`` maps coordinate rows, reduced mod the factors, to their
+positions; no other module knows this mixed-radix encoding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -184,34 +184,33 @@ def idft(G: FiniteAbelianGroup, values: Sequence[complex]) -> np.ndarray:
     return np.fft.ifftn(F.reshape(G.invariant_factors)).ravel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup stored by its sorted member list.
+    """A subgroup stored by its members, as coordinate rows.
 
     ``generators`` is a generating set (possibly redundant); derived
-    subgroups such as annihilators use their full member list.
+    subgroups such as annihilators use their full member array.
     """
 
     parent: FiniteAbelianGroup
-    members: tuple[Element, ...]
-    generators: tuple[Element, ...]
-    _member_set: frozenset[Element] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_member_set", frozenset(self.members))
+    members: np.ndarray
+    generators: np.ndarray
 
     @property
     def order(self) -> int:
         return len(self.members)
 
     def __contains__(self, el: Iterable[int]) -> bool:
-        return tuple(int(v) for v in el) in self._member_set
+        t = tuple(int(v) for v in el)
+        return (len(t) == self.parent.rank
+                and bool(np.any(np.all(self.members == t, axis=1))))
 
 
-def _elements_at(G: FiniteAbelianGroup, flat: np.ndarray) -> list[Element]:
-    """Tuples of the elements at the given flat indices."""
-    els = G.elements()
-    return [els[i] for i in flat.tolist()]
+def _rows(G: FiniteAbelianGroup, flat: np.ndarray) -> np.ndarray:
+    """Read-only coordinate rows of the elements at the given flat indices."""
+    rows = G.coordinates[flat]
+    rows.flags.writeable = False
+    return rows
 
 
 def subgroup_from_generators(
@@ -223,21 +222,22 @@ def subgroup_from_generators(
     S + m*g for 0 <= m < r, where r is the least m > 0 with m*g in S, so
     each generator costs time linear in the size it produces.
     """
-    gens = [G.check(g) for g in generators]
+    gens = _rows(G, np.sort(np.array([G.index(g) for g in generators],
+                                     dtype=np.intp)))
     coords = G.coordinates
     inside = np.zeros(G.order, dtype=bool)
     inside[0] = True
     members = np.zeros(1, dtype=np.intp)  # flat index of the identity
     exponent = math.lcm(*G.invariant_factors)
     for g in gens:
-        steps = np.arange(exponent + 1, dtype=np.intp)[:, None] * np.asarray(g)
+        steps = np.arange(exponent + 1, dtype=np.intp)[:, None] * g
         r = 1 + int(np.argmax(inside[G.flat(steps[1:])]))
         members = G.flat(coords[members][None, :, :]
                          + steps[:r, None, :]).ravel()
         inside[members] = True
-    members = np.flatnonzero(inside)  # flat order is lexicographic
-    return Subgroup(parent=G, members=tuple(_elements_at(G, members)),
-                    generators=tuple(gens))
+    # flat order is lexicographic
+    return Subgroup(parent=G, members=_rows(G, np.flatnonzero(inside)),
+                    generators=gens)
 
 
 def annihilator(G: FiniteAbelianGroup, sub: Subgroup) -> Subgroup:
@@ -249,17 +249,14 @@ def annihilator(G: FiniteAbelianGroup, sub: Subgroup) -> Subgroup:
     """
     if sub.parent != G:
         raise ValueError("subgroup does not belong to this group")
-    gens = np.asarray(sub.generators if sub.generators else sub.members,
-                      dtype=np.intp)
     L = math.lcm(*G.invariant_factors)
     scale = np.asarray([L // n for n in G.invariant_factors], dtype=np.intp)
-    pairing = (G.coordinates * scale) @ gens.T % L
-    members = np.flatnonzero(np.all(pairing == 0, axis=1))
-    members = tuple(_elements_at(G, members))
+    pairing = (G.coordinates * scale) @ sub.generators.T % L
+    members = _rows(G, np.flatnonzero(np.all(pairing == 0, axis=1)))
     return Subgroup(parent=G, members=members, generators=members)
 
 
-def coset_transversal(G: FiniteAbelianGroup, sub: Subgroup) -> list[Element]:
+def coset_transversal(G: FiniteAbelianGroup, sub: Subgroup) -> np.ndarray:
     """Lexicographically smallest representative of each coset of ``sub``.
 
     An element is a representative when no member of its coset comes
@@ -267,6 +264,5 @@ def coset_transversal(G: FiniteAbelianGroup, sub: Subgroup) -> list[Element]:
     """
     if sub.parent != G:
         raise ValueError("subgroup does not belong to this group")
-    offsets = np.asarray(sub.members, dtype=np.intp)
-    first = G.flat(G.coordinates[:, None, :] + offsets[None, :, :]).min(axis=1)
-    return _elements_at(G, np.flatnonzero(first == np.arange(G.order)))
+    first = G.flat(G.coordinates[:, None] + sub.members).min(axis=1)
+    return _rows(G, np.flatnonzero(first == np.arange(G.order)))

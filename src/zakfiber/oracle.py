@@ -68,8 +68,7 @@ def translation_synthesis_matrix(s, gens) -> np.ndarray:
             raise ValueError(f"generator shape {g.shape} does not match "
                              f"group order {G.order}")
     # index map for translation: (T_gamma phi)(x) = phi(x - gamma)
-    members = np.asarray(s.gamma.members, dtype=np.intp)
-    src = G.flat(G.coordinates[:, None, :] - members[None, :, :])
+    src = G.flat(G.coordinates[:, None] - s.gamma.members)
     return np.concatenate([phi[src] for phi in gens], axis=1)
 
 

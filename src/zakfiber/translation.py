@@ -28,8 +28,8 @@ import numpy as np
 
 from . import oracle
 from .frames import SUPPORT_TOL, FrameReport, frame_check_fibers
-from .group import Element, FiniteAbelianGroup, Subgroup, annihilator, \
-    character, coset_transversal, dft, subgroup_from_generators
+from .group import FiniteAbelianGroup, Subgroup, annihilator, character, \
+    coset_transversal, dft, subgroup_from_generators
 from .ranges import RangeFunction, range_from_fibers
 from .zak import FiberedVector
 
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class TranslationScenario:
     """A subgroup Gamma of G with its annihilator and both transversals;
     the fibration (see :mod:`zakfiber.zak`) of translation by Gamma."""
@@ -55,8 +55,8 @@ class TranslationScenario:
     G: FiniteAbelianGroup
     gamma: Subgroup
     gamma_star: Subgroup
-    coset_reps: list[Element]   # C, transversal of G / Gamma
-    dual_reps: list[Element]    # Omega, transversal of G^ / Gamma*
+    coset_reps: np.ndarray   # C, transversal of G / Gamma
+    dual_reps: np.ndarray    # Omega, transversal of G^ / Gamma*
     normalization: dict[str, float]
 
     @property
@@ -71,13 +71,6 @@ class TranslationScenario:
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(_char_matrix, _shift_index), built on first use."""
         return _char_matrix(self), _shift_index(self)
-
-    @cached_property
-    def _coords(self) -> tuple[np.ndarray, ...]:
-        """Coordinate arrays of Gamma, Gamma*, C and Omega."""
-        return tuple(np.asarray(els, dtype=np.intp) for els in (
-            self.gamma.members, self.gamma_star.members, self.coset_reps,
-            self.dual_reps))
 
     @property
     def ambient_weights(self) -> np.ndarray:
@@ -131,9 +124,8 @@ def _check_function(s: TranslationScenario, f) -> np.ndarray:
 def weil_check(s: TranslationScenario, f):
     """Total sum over G versus the iterated coset sum over C x Gamma."""
     v = _check_function(s, f)
-    gamma, _, C, _ = s._coords
     lhs = complex(np.sum(v))
-    rhs = complex(np.sum(v[s.G.flat(C[:, None, :] + gamma[None, :, :])]))
+    rhs = complex(np.sum(v[s.G.flat(s.coset_reps[:, None] + s.gamma.members)]))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -143,7 +135,7 @@ def _zak_sums(s: TranslationScenario, v: np.ndarray, omega: np.ndarray,
     Fourier transform, broadcast over the leading axes of the coordinate
     arrays ``omega`` and ``x``."""
     G = s.G
-    gamma = s._coords[0]
+    gamma = s.gamma.members
     terms = v[G.flat(x[..., None, :] - gamma)] \
         * np.conj(character(G, gamma, omega[..., None, :]))
     return np.sum(terms, axis=-1)
@@ -159,14 +151,12 @@ def zak_point(s: TranslationScenario, f, omega: Iterable[int],
 
 def _char_matrix(s: TranslationScenario) -> np.ndarray:
     """K[wi, gi] = conj((gamma_gi, omega_wi))."""
-    gamma, _, _, omega = s._coords
-    return np.conj(character(s.G, gamma[None, :, :], omega[:, None, :]))
+    return np.conj(character(s.G, s.gamma.members, s.dual_reps[:, None]))
 
 
 def _shift_index(s: TranslationScenario) -> np.ndarray:
     """S[gi, ci] = index of C[ci] - gamma_gi in G."""
-    gamma, _, C, _ = s._coords
-    return s.G.flat(C[None, :, :] - gamma[:, None, :])
+    return s.G.flat(s.coset_reps - s.gamma.members[:, None])
 
 
 def zakG_forward(s: TranslationScenario, f) -> FiberedVector:
@@ -195,9 +185,8 @@ def zakG_inverse(s: TranslationScenario, Phi: FiberedVector) -> np.ndarray:
 def fiberize(s: TranslationScenario, f) -> np.ndarray:
     """T f[omega_i, delta_j] = fhat(omega_i + delta_j), fhat over G^."""
     v = _check_function(s, f)
-    _, gamma_star, _, omega = s._coords
     fhat = dft(s.G, v)
-    return fhat[s.G.flat(omega[:, None, :] + gamma_star[None, :, :])]
+    return fhat[s.G.flat(s.dual_reps[:, None] + s.gamma_star.members)]
 
 
 @dataclass
@@ -217,12 +206,11 @@ def duality_check(s: TranslationScenario, f, g=None) -> DualityReport:
     <Z[f](-omega), Z[g](-omega)> on C are compared as well.
     """
     v = _check_function(s, f)
-    G = s.G
-    _, gamma_star, C, omega = s._coords
+    G, C, omega = s.G, s.coset_reps, s.dual_reps
     coords = G.coordinates
     neg_omega = coords[G.flat(-omega)][:, None, :]   # (|Omega|, 1, rank)
     Tf = fiberize(s, v)
-    synth = np.conj(character(G, C[:, None, :], gamma_star[None, :, :]))
+    synth = np.conj(character(G, C[:, None], s.gamma_star.members))
     lhs = np.sum(Tf[:, None, :] * synth, axis=-1) * s.gamma.order / G.order
     rhs = character(G, C, omega[:, None, :]) \
         * _zak_sums(s, v, neg_omega, coords[G.flat(-C)])

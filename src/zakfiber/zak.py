@@ -109,8 +109,9 @@ class ZakTransform:
         G = self.group
         mu = action.space.weights
         C = self.transversal
-        # src[gi, ci] = sigma_{-gamma_gi}(C[ci])
-        self._src = action.table[G.neg_index_table()][:, C]
+        # src[gi, ci] = sigma_{-gamma_gi}(C[ci]); in Fortran order, which
+        # the last bits of the forward FFT depend on
+        self._src = np.asfortranarray(action.table[:, C][G.neg_index_table()])
         self._amp_fwd = np.sqrt(mu[self._src] / mu[C])
         self._amp_inv = np.sqrt(mu[C] / mu[self._src])
         self.fiber_weights = mu[C].copy()

@@ -41,6 +41,16 @@ def s3_scenario() -> TranslationScenario:
     return build_scenario(FiniteAbelianGroup([12]), [[3]])
 
 
+def assert_coordinate_rows(G: FiniteAbelianGroup, rows) -> None:
+    """``rows`` is a read-only intp array of distinct coordinate rows of G
+    in lexicographic order."""
+    assert isinstance(rows, np.ndarray) and rows.dtype == np.intp
+    assert rows.ndim == 2 and rows.shape[1] == G.rank
+    assert not rows.flags.writeable
+    assert np.all((rows >= 0) & (rows < G.invariant_factors))
+    assert np.all(np.diff(G.flat(rows)) > 0)
+
+
 def star_generator() -> np.ndarray:
     """Single generator on the s1 space whose fibers are the indicator of
     the zero fiber: 1/4 on the even points, 0 on the odd ones."""

@@ -17,6 +17,8 @@ from zakfiber import (
 from zakfiber.cli import run
 from zakfiber.scenario import fixture_path
 
+from helpers import assert_coordinate_rows
+
 
 def test_factor_validation():
     with pytest.raises(ValueError):
@@ -153,9 +155,9 @@ def test_dft_length_mismatch():
 def test_subgroup_closure():
     G = FiniteAbelianGroup([12])
     sub = subgroup_from_generators(G, [(3,)])
-    assert sub.members == ((0,), (3,), (6,), (9,))
+    assert sub.members.tolist() == [[0], [3], [6], [9]]
     trivial = subgroup_from_generators(G, [])
-    assert trivial.members == ((0,),)
+    assert trivial.members.tolist() == [[0]]
     full = subgroup_from_generators(FiniteAbelianGroup([4]), [(1,)])
     assert full.order == 4
 
@@ -172,17 +174,50 @@ def test_subgroup_closure_properties():
     assert G.order % sub.order == 0
 
 
+def test_sets_of_elements_are_coordinate_rows():
+    G = FiniteAbelianGroup([2, 4, 3])
+    sub = subgroup_from_generators(G, [(1, 2, 0), (0, 0, 1), (0, 2, 0)])
+    ann = annihilator(G, sub)
+    for rows in (sub.members, sub.generators, ann.members, ann.generators,
+                 coset_transversal(G, sub), coset_transversal(G, ann)):
+        assert_coordinate_rows(G, rows)
+    assert sub.generators.tolist() == [[0, 0, 1], [0, 2, 0], [1, 2, 0]]
+    trivial = subgroup_from_generators(G, [])
+    assert trivial.generators.shape == (0, 3)
+    assert_coordinate_rows(G, trivial.members)
+    assert annihilator(G, trivial).order == G.order
+
+
+def test_subgroup_membership_rejects_foreign_elements():
+    G = FiniteAbelianGroup([2, 4])
+    sub = subgroup_from_generators(G, [(1, 2)])
+    assert (1, 2) in sub and [0, 0] in sub
+    assert (1, 1) not in sub
+    # wrong arity or out of range: not a member, and no error
+    for el in ((0,), (0, 0, 0), (), (2, 0), (1, 6), (-1, 2)):
+        assert el not in sub
+
+
+def test_subgroup_of_another_group_is_rejected():
+    G, H = FiniteAbelianGroup([12]), FiniteAbelianGroup([6])
+    sub = subgroup_from_generators(H, [(2,)])
+    with pytest.raises(ValueError, match="does not belong"):
+        annihilator(G, sub)
+    with pytest.raises(ValueError, match="does not belong"):
+        coset_transversal(G, sub)
+
+
 def test_annihilator_values():
     G = FiniteAbelianGroup([12])
     sub = subgroup_from_generators(G, [(3,)])
     ann = annihilator(G, sub)
-    assert ann.members == ((0,), (4,), (8,))
+    assert ann.members.tolist() == [[0], [4], [8]]
     assert sub.order * ann.order == G.order
     # trivial and full subgroups
     triv = subgroup_from_generators(G, [])
     assert annihilator(G, triv).order == G.order
     full = subgroup_from_generators(G, [(1,)])
-    assert annihilator(G, full).members == ((0,),)
+    assert annihilator(G, full).members.tolist() == [[0]]
 
 
 def test_annihilator_is_involutive():
@@ -191,18 +226,19 @@ def test_annihilator_is_involutive():
         G = FiniteAbelianGroup(factors)
         sub = subgroup_from_generators(G, gens)
         double = annihilator(G, annihilator(G, sub))
-        assert double.members == sub.members
+        assert double.members.tolist() == sub.members.tolist()
         assert sub.order * annihilator(G, sub).order == G.order
 
 
 def test_coset_transversal_values():
     G = FiniteAbelianGroup([12])
     sub = subgroup_from_generators(G, [(3,)])
-    assert coset_transversal(G, sub) == [(0,), (1,), (2,)]
+    assert coset_transversal(G, sub).tolist() == [[0], [1], [2]]
     G8 = FiniteAbelianGroup([8])
     sub8 = subgroup_from_generators(G8, [(2,)])
-    assert coset_transversal(G8, sub8) == [(0,), (1,)]
-    assert coset_transversal(G, subgroup_from_generators(G, [(1,)])) == [(0,)]
+    assert coset_transversal(G8, sub8).tolist() == [[0], [1]]
+    full = subgroup_from_generators(G, [(1,)])
+    assert coset_transversal(G, full).tolist() == [[0]]
 
 
 def test_coset_transversal_covers_exactly():
@@ -218,4 +254,4 @@ def test_coset_transversal_covers_exactly():
             seen.add(pt)
     assert len(seen) == G.order
     # deterministic
-    assert coset_transversal(G, sub) == reps
+    assert coset_transversal(G, sub).tolist() == reps.tolist()

@@ -9,15 +9,16 @@ from zakfiber.oracle import riesz_bounds_of_matrix, \
     translation_synthesis_matrix
 from zakfiber.zak import FiberedVector
 
-from helpers import delta, naive_zakG, random_complex, s3_scenario
+from helpers import assert_coordinate_rows, delta, naive_zakG, \
+    random_complex, s3_scenario
 
 
 def test_s3_structure():
     s = s3_scenario()
-    assert s.gamma.members == ((0,), (3,), (6,), (9,))
-    assert s.gamma_star.members == ((0,), (4,), (8,))
-    assert s.coset_reps == [(0,), (1,), (2,)]
-    assert s.dual_reps == [(0,), (1,), (2,), (3,)]
+    assert s.gamma.members.tolist() == [[0], [3], [6], [9]]
+    assert s.gamma_star.members.tolist() == [[0], [4], [8]]
+    assert s.coset_reps.tolist() == [[0], [1], [2]]
+    assert s.dual_reps.tolist() == [[0], [1], [2], [3]]
     assert s.n_cosets == 3 and s.n_dual == 4
     assert s.normalization == {
         "m_G": 1.0,
@@ -29,13 +30,23 @@ def test_s3_structure():
     }
 
 
+def test_scenario_sets_are_coordinate_rows():
+    G = FiniteAbelianGroup([2, 6])
+    s = build_scenario(G, [(1, 3)])
+    for rows in (s.gamma.members, s.gamma_star.members, s.coset_reps,
+                 s.dual_reps):
+        assert_coordinate_rows(G, rows)
+    assert s.coset_reps.shape == (s.n_cosets, 2)
+    assert s.dual_reps.shape == (s.n_dual, 2) == (s.gamma.order, 2)
+
+
 def test_extreme_subgroups():
     G = FiniteAbelianGroup([12])
     full = build_scenario(G, [[1]])
     assert full.gamma.order == 12 and full.gamma_star.order == 1
     assert full.n_cosets == 1 and full.n_dual == 12
     trivial = build_scenario(G, [])
-    assert trivial.gamma.members == ((0,),)
+    assert trivial.gamma.members.tolist() == [[0]]
     assert trivial.gamma_star.order == 12
     assert trivial.n_cosets == 12 and trivial.n_dual == 1
 
