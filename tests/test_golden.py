@@ -1,8 +1,17 @@
 """Golden snapshot of the CLI: stdout, stderr and exit code, byte for byte.
 
-Every command runs on every shipped fixture in both output formats.  The
-expected outputs live in ``tests/golden/cli.json``; any change in a report,
-down to the last bit of a float, fails here.  After an intended output
+Every command runs on every shipped fixture, and on ``nondyadic`` kept
+next to the goldens, in both output formats.  The expected outputs live
+in ``tests/golden/cli.json``; any change in a report, down to the last
+bit of a float, fails here.
+
+The shipped fixtures have dyadic weights and 0/1 generators, so most
+floating-point reorderings leave their reports unchanged.
+``tests/golden/nondyadic.json`` pins those last bits: Z_6 acts on 24
+points by x -> x + 4 gamma, with weights drawn uniformly from [0.5, 3)
+and two complex Gaussian generators, all from
+``numpy.random.default_rng(6)`` and rounded to 6 decimals; the third
+generator is 0.5 g0 - 1.25 g1, and there is one random candidate.  After an intended output
 change, rewrite the snapshot with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -17,7 +26,9 @@ import pytest
 from zakfiber.cli import _DISPATCH, run
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
-FIXTURES = ["s1", "s1-parseval", "s2", "s3", "star"]
+FIXTURES = ["s1", "s1-parseval", "s2", "s3", "star", "nondyadic"]
+# fixture names that resolve to a scenario file next to the goldens
+LOCAL = {"nondyadic": GOLDEN.parent / "nondyadic.json"}
 FORMATS = ["structured", "csv-fibers"]
 COMMANDS = list(_DISPATCH)
 CASES = [f"{c} --scenario {f} --format {fmt}"
@@ -26,7 +37,8 @@ CASES = [f"{c} --scenario {f} --format {fmt}"
 
 def capture(case: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    code = run(case.split(), out=out, err=err)
+    argv = [str(LOCAL.get(arg, arg)) for arg in case.split()]
+    code = run(argv, out=out, err=err)
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -37,7 +49,7 @@ def golden():
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
-    assert len(CASES) == 150
+    assert len(CASES) == 180
 
 
 @pytest.mark.parametrize("case", CASES)
