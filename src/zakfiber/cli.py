@@ -386,9 +386,9 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
             checks.append({"name": f"duality_gen{i}", "deviation": float(dev),
                            "ok": bool(dev <= VERIFY_TRANSFORM_TOL * scale)})
 
-    M = fib.synthesis_matrix(gens)
+    F = oracle.factor(fib.synthesis_matrix(gens))
     frame_fiber = frames.frame_check_fibers(fibered, tolerance=args.tolerance)
-    A_dense, B_dense = oracle.frame_bounds_of_matrix(M)
+    A_dense, B_dense = oracle.frame_bounds_of_matrix(F)
     dev = max(_rel_dev(frame_fiber.lower, A_dense),
               _rel_dev(frame_fiber.upper, B_dense))
     checks.append({
@@ -400,7 +400,7 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
     })
 
     riesz_fiber = frames.riesz_check_fibers(fibered, tolerance=args.tolerance)
-    Ar, Br, independent = oracle.riesz_bounds_of_matrix(M)
+    Ar, Br, independent = oracle.riesz_bounds_of_matrix(F)
     upper_scale = max(riesz_fiber.upper or 0.0, Br or 0.0)
     dev_r = max(_riesz_lower_dev(riesz_fiber.lower, Ar, upper_scale),
                 _rel_dev(riesz_fiber.upper, Br))
@@ -421,7 +421,7 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
         for i, (g, fv, n) in enumerate(zip(gens, fibered, norms_sq))]
     members += [(f"cand{i}", c, ranges.membership(fib, c, J))
                 for i, c in enumerate(sc.candidates)]
-    dense = oracle.membership_of_matrix(M, np.stack(
+    dense = oracle.membership_of_matrix(F, np.stack(
         [sqrtw * f for _, f, _ in members], axis=1)) if members else ((), ())
     for (label, _, (member_f, res_f)), member_d, res_d in zip(members,
                                                              *dense):
@@ -431,6 +431,11 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
             "dense": [bool(member_d), float(res_d)],
             "ok": bool(member_f == member_d),
         })
+
+    # dim V is the sum of the fiber dimensions, the transform being unitary
+    dim_fiber = int(J.dims.sum())
+    checks.append({"name": "dimension_vs_dense", "fiber": dim_fiber,
+                   "dense": F.rank, "ok": dim_fiber == F.rank})
 
     ok = all(c["ok"] for c in checks)
     rep["checks"] = checks

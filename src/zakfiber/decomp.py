@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ranges import ORTHO_TOL, RANK_TOL, membership_fibers, range_from_fibers
+from .ranges import ORTHO_TOL, RANK_TOL, fiber_spectra, membership_fibers, \
+    range_from_fibers
 from .zak import FiberedVector, ZakTransform, stack_generator_fibers
 
 __all__ = [
@@ -99,7 +100,7 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
     Steps (a) and (b) read one batched Gram matrix of the part stack,
     gram[i, m, n] = <part_m, part_n> on fiber i.
     """
-    dims = range_from_fibers(gen_fibers).dims
+    dims = fiber_spectra(gen_fibers)[1]
     gram = np.zeros((dims.size, 0, 0), dtype=complex)
     nonzero = np.zeros((dims.size, 0), dtype=bool)
     if part_fibers:

@@ -33,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ranges import RANK_TOL, RIESZ_REL, SUPPORT_TOL, rank_cut  # noqa: F401
-from .zak import FiberedVector, ZakTransform, stack_generator_fibers
+from .ranges import RIESZ_REL, SUPPORT_TOL, fiber_spectra
+from .zak import FiberedVector, ZakTransform
 
 __all__ = [
     "FrameReport",
@@ -73,23 +73,6 @@ class FrameReport:
     @property
     def n_fibers(self) -> int:
         return int(self.dims.size)
-
-
-def _fiber_spectra(fibered: Sequence[FiberedVector]):
-    """Squared singular values of the weight-scaled fiber matrices.
-
-    The fiber stack (n_fibers, n_points, n_gens) is scaled by sqrt(mu)
-    along the points axis and decomposed by one batched SVD.  Returns
-    (s2, dims) where s2 has one row per fiber, padded with zeros to the
-    number of generators (the fiber Gram spectrum), in descending order;
-    dims counts the values retained by :func:`ranges.rank_cut`.
-    """
-    stack, weights = stack_generator_fibers(fibered)
-    stack *= np.sqrt(weights)[:, None]
-    s = np.linalg.svd(stack, compute_uv=False)
-    s2 = np.zeros((stack.shape[0], stack.shape[2]))
-    s2[:, : s.shape[1]] = s ** 2
-    return s2, rank_cut(s)
 
 
 def _assemble(s2: np.ndarray, dims: np.ndarray, tolerance: float,
@@ -132,7 +115,7 @@ def _assemble(s2: np.ndarray, dims: np.ndarray, tolerance: float,
 
 def frame_check_fibers(fibered: Sequence[FiberedVector],
                        tolerance: float = SUPPORT_TOL) -> FrameReport:
-    s2, dims = _fiber_spectra(fibered)
+    s2, dims = fiber_spectra(fibered)
     return _assemble(s2, dims, tolerance, riesz_style=False)
 
 
@@ -144,7 +127,7 @@ def frame_check(zak: ZakTransform, gens,
 
 def riesz_check_fibers(fibered: Sequence[FiberedVector],
                        tolerance: float = SUPPORT_TOL) -> FrameReport:
-    s2, dims = _fiber_spectra(fibered)
+    s2, dims = fiber_spectra(fibered)
     return _assemble(s2, dims, tolerance, riesz_style=True)
 
 

@@ -41,6 +41,7 @@ from .zak import FiberedVector, ZakTransform, stack_generator_fibers
 
 __all__ = [
     "RangeFunction",
+    "fiber_spectra",
     "range_from_generators",
     "range_from_fibers",
     "membership",
@@ -59,6 +60,23 @@ def rank_cut(s: np.ndarray) -> np.ndarray:
     """Per-fiber rank: how many singular values in each row of ``s`` exceed
     RANK_TOL times the largest of all fibers, as in the dense spectrum."""
     return np.sum(s > RANK_TOL * s.max(), axis=1)
+
+
+def fiber_spectra(fibered: Sequence[FiberedVector]):
+    """Squared singular values of the weight-scaled fiber matrices.
+
+    The fiber stack (n_fibers, n_points, n_gens) is scaled by sqrt(mu)
+    along the points axis and decomposed by one batched spectrum-only SVD.
+    Returns (s2, dims) where s2 has one row per fiber, padded with zeros
+    to the number of generators (the fiber Gram spectrum), in descending
+    order; dims counts the values retained by :func:`rank_cut`.
+    """
+    stack, weights = stack_generator_fibers(fibered)
+    stack *= np.sqrt(weights)[:, None]
+    s = np.linalg.svd(stack, compute_uv=False)
+    s2 = np.zeros((stack.shape[0], stack.shape[2]))
+    s2[:, : s.shape[1]] = s ** 2
+    return s2, rank_cut(s)
 
 
 @dataclass

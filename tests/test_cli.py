@@ -304,7 +304,7 @@ def test_verify_detects_disagreement(monkeypatch, tmp_path):
     # force the dense oracle to lie so the disagreement path is exercised
     import zakfiber.cli as cli
 
-    def wrong_bounds(M):
+    def wrong_bounds(F):
         return 0.5, 0.5
 
     monkeypatch.setattr(cli.oracle, "frame_bounds_of_matrix", wrong_bounds)
@@ -314,6 +314,46 @@ def test_verify_detects_disagreement(monkeypatch, tmp_path):
     assert rep["ok"] is False
     bad = [c for c in rep["checks"] if not c["ok"]]
     assert [c["name"] for c in bad] == ["frame_bounds_vs_dense"]
+
+
+@pytest.mark.parametrize("name", ["s1", "s3"])
+def test_verify_detects_dimension_disagreement(monkeypatch, name):
+    # one more dimension on fiber 0 of the fiber route alone; the range
+    # basis, and so every membership verdict, is left as it is
+    import zakfiber.cli as cli
+    range_from_fibers = cli.ranges.range_from_fibers
+
+    def one_dimension_more(fibered):
+        J = range_from_fibers(fibered)
+        J.dims = J.dims.copy()
+        J.dims[0] += 1
+        return J
+
+    monkeypatch.setattr(cli.ranges, "range_from_fibers", one_dimension_more)
+    code, out, err = invoke(["verify", "--scenario", name])
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    bad = [c for c in rep["checks"] if not c["ok"]]
+    assert [c["name"] for c in bad] == ["dimension_vs_dense"]
+    assert bad[0]["fiber"] == bad[0]["dense"] + 1
+
+
+@pytest.mark.parametrize("name", ["s1", "s3"])
+def test_verify_factors_the_dense_matrix_once(monkeypatch, name):
+    # the fiber route's SVDs take 3-d stacks; the dense route's take M
+    svd = np.linalg.svd
+    dense_calls = []
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            dense_calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    code, out, err = invoke(["verify", "--scenario", name])
+    assert code == 0, err
+    assert len(dense_calls) == 1
 
 
 def test_commands_look_kernels_up_at_call_time(monkeypatch):
@@ -437,7 +477,7 @@ def test_frame_tiny_nonzero_system(tmp_path):
     assert summary["support_size"] == 0
     sc = parse_scenario(path)
     M = ZakTransform(sc.action).synthesis_matrix(sc.generators)
-    lower, upper = oracle.frame_bounds_of_matrix(M)
+    lower, upper = oracle.frame_bounds_of_matrix(oracle.factor(M))
     assert summary["lower"] == pytest.approx(lower, rel=1e-8, abs=0)
     assert summary["upper"] == pytest.approx(upper, rel=1e-8, abs=0)
 

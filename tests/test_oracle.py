@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from zakfiber.oracle import brute_membership, dense_frame_bounds, \
-    dense_riesz_bounds, frame_bounds_of_matrix, membership_of_matrix, \
-    riesz_bounds_of_matrix, synthesis_matrix
+    dense_riesz_bounds, factor, frame_bounds_of_matrix, \
+    membership_of_matrix, riesz_bounds_of_matrix, synthesis_matrix
 
 from helpers import delta, random_complex, s1_action, s2_action
 
@@ -92,15 +92,15 @@ def test_membership_random_combination():
 def test_matrix_helpers_consistent():
     rng = np.random.default_rng(47)
     M = random_complex(rng, 12).reshape(3, 4)
-    A, B = frame_bounds_of_matrix(M)
+    A, B = frame_bounds_of_matrix(factor(M))
     eig = np.linalg.eigvalsh(M @ M.conj().T)
     assert B == pytest.approx(eig[-1])
     assert A >= 0
-    Ar, Br, ok = riesz_bounds_of_matrix(M)
+    Ar, Br, ok = riesz_bounds_of_matrix(factor(M))
     assert Br == pytest.approx(eig[-1])
     # a random 3x4 matrix has dependent columns
     assert not ok
-    member, res = membership_of_matrix(M, M[:, 0])
+    member, res = membership_of_matrix(factor(M), M[:, 0])
     assert member and res < 1e-12
 
 
@@ -110,11 +110,12 @@ def test_membership_batched_matches_one_column_at_a_time():
     inside = M @ random_complex(rng, M.shape[1])
     b = np.stack([inside, random_complex(rng, 8), delta(8, 4), delta(8, 1),
                   np.zeros(8), 1e-3 * inside], axis=1)
-    member, residual = membership_of_matrix(M, b)
+    F = factor(M)
+    member, residual = membership_of_matrix(F, b)
     assert member.shape == residual.shape == (6,)
     assert list(member) == [True, False, True, False, True, True]
     for j in range(b.shape[1]):
-        one_member, one_residual = membership_of_matrix(M, b[:, j])
+        one_member, one_residual = membership_of_matrix(F, b[:, j])
         assert member[j] == one_member
         scale = max(1.0, np.linalg.norm(b[:, j]))
         assert abs(residual[j] - one_residual) <= 1e-12 * scale
