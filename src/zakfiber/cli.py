@@ -53,7 +53,7 @@ def _c2(z) -> list[float]:
 
 
 def _cvec(v) -> list[list[float]]:
-    return [_c2(z) for z in np.asarray(v, dtype=complex)]
+    return np.ascontiguousarray(v, complex).view(float).reshape(-1, 2).tolist()
 
 
 def _rel_dev(a: float | None, b: float | None) -> float:

@@ -5,6 +5,10 @@ Complex vectors are stored as lists of [re, im] pairs.  Exactly one of
 the ``action`` and ``translation`` blocks must be present.  Actions are
 given as explicit permutation tables or as the affine shorthand
 sigma_gamma(x) = x + sum_j m_j gamma_j mod N, expanded at load time.
+
+Tables, weights and vectors are loaded whole: one type scan and one array
+per block, checked for range, sign and finiteness as a whole.  The element
+loops run only when a block fails; they name its first bad entry.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -90,17 +95,34 @@ def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _flat(rows: list, types: set, width: int, dtype) -> np.ndarray | None:
+    """The entries of ``rows``, lists of ``width`` entries, as one flat array;
+    None if a row is not such a list, an entry's exact type is not in
+    ``types`` (so bool is not int) or an integer overflows ``dtype``."""
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {width} \
+            and set(map(type, chain.from_iterable(rows))) <= types:
+        try:
+            return np.fromiter(chain.from_iterable(rows), dtype,
+                               len(rows) * width)
+        except OverflowError:
+            pass
+    return None
+
+
 def _complex_vector(value, size: int, where: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != size:
         raise ScenarioError(f"{where} must be a list of {size} [re, im] pairs")
-    for i, pair in enumerate(value):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not _number(pair[0]) or not _number(pair[1])):
-            raise ScenarioError(f"{where}[{i}] must be an [re, im] pair")
-        if not (_finite(pair[0]) and _finite(pair[1])):
-            raise ScenarioError(f"{where}[{i}] must hold finite numbers")
+    a = _flat(value, {int, float}, 2, float)
+    if a is None or not np.isfinite(a).all():
+        for i, pair in enumerate(value):
+            if (not isinstance(pair, list) or len(pair) != 2
+                    or not _number(pair[0]) or not _number(pair[1])):
+                raise ScenarioError(f"{where}[{i}] must be an [re, im] pair")
+            if not (_finite(pair[0]) and _finite(pair[1])):
+                raise ScenarioError(f"{where}[{i}] must hold finite numbers")
+        a = np.array(value, dtype=float)  # subclasses of int and float
     # the same bits as complex(re, im) for each pair
-    return np.array(value, dtype=float).view(complex)[:, 0]
+    return a.reshape(-1).view(complex)
 
 
 def _vector_list(value, size: int, where: str) -> list[np.ndarray]:
@@ -133,28 +155,35 @@ def _space(doc: dict) -> WeightedSpace:
     weights = _require(sblock, "weights", "space.")
     if not isinstance(weights, list) or len(weights) != size:
         raise ScenarioError(f"space.weights must be a list of {size} numbers")
-    for i, w in enumerate(weights):
-        if not _number(w) or w <= 0:
-            raise ScenarioError(f"space.weights[{i}] must be > 0")
-        if not _finite(w):
-            raise ScenarioError(f"space.weights[{i}] must be finite")
-    return WeightedSpace(weights)
+    w = _flat([weights], {int, float}, size, float)
+    if w is None or not ((w > 0).all() and np.isfinite(w).all()):
+        for i, wi in enumerate(weights):
+            if not _number(wi) or wi <= 0:
+                raise ScenarioError(f"space.weights[{i}] must be > 0")
+            if not _finite(wi):
+                raise ScenarioError(f"space.weights[{i}] must be finite")
+    return WeightedSpace(weights if w is None else w)
 
 
-def _table(table, order: int, size: int) -> list[list[int]]:
-    """Table rows; all rows are checked for integers before any range."""
+def _table(table, order: int, size: int) -> np.ndarray:
+    """(order, size) array; every row passes each check before the next."""
     if not isinstance(table, list) or len(table) != order:
-        raise ScenarioError(
-            f"action.table must have one row per group element ({order} rows)"
-        )
-    rows = [_int_list(row, f"action.table[{i}]")
-            for i, row in enumerate(table)]
-    for i, row in enumerate(rows):
-        if min(row) < 0 or max(row) >= size:
-            raise ScenarioError(
-                f"action.table[{i}] entries must lie in 0..{size - 1}"
-            )
-    return rows
+        raise ScenarioError("action.table must have one row per group "
+                            f"element ({order} rows)")
+    t = _flat(table, {int}, size, np.intp)
+    if t is None or t.min() < 0 or t.max() >= size:
+        rows = [_int_list(row, f"action.table[{i}]")
+                for i, row in enumerate(table)]
+        for i, row in enumerate(rows):
+            if min(row) < 0 or max(row) >= size:
+                raise ScenarioError(f"action.table[{i}] entries must lie "
+                                    f"in 0..{size - 1}")
+        for i, row in enumerate(rows):
+            if len(row) != size:
+                raise ScenarioError(f"action.table[{i}] must have {size} "
+                                    "entries")
+        t = np.array(rows, dtype=np.intp)
+    return t.reshape(order, size)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -199,8 +228,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                        "action.affine.multipliers")
         act = _wrap("action.affine", affine_action, G, space, ms)
     else:
-        rows = _table(ablock["table"], G.order, space.size)
-        act = _wrap("action.table", QuasiInvariantAction, G, space, rows)
+        table = _table(ablock["table"], G.order, space.size)
+        act = _wrap("action.table", QuasiInvariantAction, G, space, table)
 
     gens, cands = _generators(doc, space.size, "")
     return Scenario(name=name, kind="action", generators=gens,
@@ -210,11 +239,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
 def parse_scenario(path) -> Scenario:
     p = Path(path)
     try:
-        text = p.read_text()
+        data = p.read_bytes()
     except OSError as e:
         raise ScenarioError(f"cannot read scenario file {p}: {e}") from e
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
+        # bytes: json detects the encoding, whatever the locale's is
+        doc = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ScenarioError(f"scenario file {p} is not valid JSON: {e}") from e
     return scenario_from_dict(doc)

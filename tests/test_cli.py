@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zakfiber
 from zakfiber.cli import run
 from zakfiber.scenario import fixture_path
 
@@ -265,6 +270,48 @@ def test_parse_error_is_io_error(tmp_path):
     code, out, err = invoke(["frame", "--scenario", str(p2)])
     assert code == 4
     assert "exactly one of the action/translation blocks" in err
+
+
+def _one_error_line(err):
+    return err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_non_utf8_file_is_io_error(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"schema_version": 1, "name": "\xe9"}')
+    code, out, err = invoke(["validate", "--scenario", str(p)])
+    assert (code, out) == (4, "")
+    assert _one_error_line(err) and "not valid JSON" in err
+
+
+def test_deep_nesting_is_io_error(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000)
+    code, out, err = invoke(["validate", "--scenario", str(p)])
+    assert (code, out) == (4, "")
+    assert _one_error_line(err) and "not valid JSON" in err
+
+
+def test_utf8_bom_parses(tmp_path):
+    p = tmp_path / "bom.json"
+    p.write_bytes(b"\xef\xbb\xbf" + fixture_path("s1").read_bytes())
+    assert invoke_json(["validate", "--scenario", str(p)])["ok"] is True
+
+
+def test_utf8_name_parses_under_an_ascii_locale(tmp_path):
+    # the locale's encoding is ASCII; PYTHONUTF8=0 keeps Python's UTF-8 mode,
+    # which LC_ALL=C alone turns on, from decoding text as UTF-8 anyway
+    doc = json.loads(fixture_path("s1").read_text())
+    doc["name"] = "\u0393-space"
+    p = tmp_path / "gamma.json"
+    p.write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+    src = str(Path(zakfiber.__file__).parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "zakfiber.cli", "validate",
+                           "--scenario", str(p)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
 
 
 def test_csv_fibers_format():
