@@ -115,12 +115,6 @@ def _generator(*pairs):
      "space.weights must be a list of 3 numbers"),
     (lambda d: d["space"].update(weights=[1.0, True, 3.0, 4.0]),
      "space.weights[1] must be > 0"),
-    (lambda d: d["space"].update(weights=[1.0, "2", 3.0, 4.0]),
-     "space.weights[1] must be > 0"),
-    (lambda d: d["space"].update(weights=[1.0, None, 3.0, 4.0]),
-     "space.weights[1] must be > 0"),
-    (lambda d: d["space"].update(weights=[1.0, 10**400, 3.0, 4.0]),
-     "space.weights[1] must be finite"),
     (lambda d: d.update(generators={}),
      "generators must be a list of complex vectors"),
     (lambda d: d.update(candidates="x"),
@@ -129,12 +123,6 @@ def _generator(*pairs):
      "generators[0][1] must be an [re, im] pair"),
     (_generator([1, 0], [0, 0], [0, 0], "x"),
      "generators[0][3] must be an [re, im] pair"),
-    (_generator(None, [0, 0], [0, 0], [0, 0]),
-     "generators[0][0] must be an [re, im] pair"),
-    (_generator([[1], [0]], [0, 0], [0, 0], [0, 0]),
-     "generators[0][0] must be an [re, im] pair"),
-    (_generator(["1", 0], [0, 0], [0, 0], [0, 0]),
-     "generators[0][0] must be an [re, im] pair"),
     # the first failing pair wins: non-finite pair 1 before malformed pair 3
     (_generator([1, 0], [math.nan, 0], [0, 0], [0, 0, 0]),
      "generators[0][1] must hold finite numbers"),
@@ -163,14 +151,6 @@ def _generator(*pairs):
      "action.table[1][2] must be an integer"),
     (_table([0, 1, 2, 9], [0, 1, 2, -1]),
      "action.table[0] entries must lie in 0..3"),
-    (_table([0, 1, 2, 3], 5),
-     "action.table[1] must be a non-empty list of integers"),
-    (_table([0, 1, 2, 3], [0, 1, 2, 2**70]),
-     "action.table[1] entries must lie in 0..3"),
-    (_table([0, 1, 2, 3], [0, 1, 2]), "action.table[1] must have 4 entries"),
-    # every row is checked for its range before any for its length
-    (_table([0, 1, 2], [0, 1, 2, 4]),
-     "action.table[1] entries must lie in 0..3"),
     (lambda d: d.update(action={"affine": {"multipliers": [True]}}),
      "action.affine.multipliers[0] must be an integer"),
     (lambda d: d.update(action={"affine": {}}),
@@ -204,6 +184,34 @@ def test_malformed_documents(mutate, message):
     with pytest.raises(ScenarioError) as e:
         scenario_from_dict(doc)
     assert str(e.value) == message
+
+
+# Entries of the blocks the loader checks as whole arrays: weights, table
+# rows and generator pairs that are of the wrong type, size or range.
+@pytest.mark.parametrize("mutate,message", [
+    (lambda d: d["space"].update(weights=[1.0, "2", 3.0, 4.0]),
+     "space.weights[1] must be > 0"),
+    (lambda d: d["space"].update(weights=[1.0, None, 3.0, 4.0]),
+     "space.weights[1] must be > 0"),
+    (lambda d: d["space"].update(weights=[1.0, 10**400, 3.0, 4.0]),
+     "space.weights[1] must be finite"),
+    (_generator(None, [0, 0], [0, 0], [0, 0]),
+     "generators[0][0] must be an [re, im] pair"),
+    (_generator([[1], [0]], [0, 0], [0, 0], [0, 0]),
+     "generators[0][0] must be an [re, im] pair"),
+    (_generator(["1", 0], [0, 0], [0, 0], [0, 0]),
+     "generators[0][0] must be an [re, im] pair"),
+    (_table([0, 1, 2, 3], 5),
+     "action.table[1] must be a non-empty list of integers"),
+    (_table([0, 1, 2, 3], [0, 1, 2, 2**70]),
+     "action.table[1] entries must lie in 0..3"),
+    (_table([0, 1, 2, 3], [0, 1, 2]), "action.table[1] must have 4 entries"),
+    # every row is checked for its range before any for its length
+    (_table([0, 1, 2], [0, 1, 2, 4]),
+     "action.table[1] entries must lie in 0..3"),
+])
+def test_malformed_entries(mutate, message):
+    test_malformed_documents(mutate, message)
 
 
 @pytest.mark.parametrize("doc", [[], "x", None, 1])
