@@ -273,15 +273,11 @@ def cmd_decompose(sc: Scenario, args) -> tuple[dict, int]:
     parts = [fib.inverse(p) for p in part_fibers]
     audit = decomp.verify_decomposition_fibers(fibered, part_fibers,
                                                tolerance=args.tolerance)
+    J = audit.parts_range
+    union = frames.report_from_spectra(J.s2, J.dims, args.tolerance,
+                                       riesz_style=False)
     # the zero space has the empty decomposition, which is trivially Parseval
-    union_ok = not part_fibers
-    union = {"lower": None, "upper": None}
-    if part_fibers:
-        union_report = frames.frame_check_fibers(part_fibers,
-                                                 tolerance=args.tolerance)
-        union = {"lower": union_report.lower, "upper": union_report.upper}
-        union_ok = union_report.is_parseval
-    ok = audit.ok and union_ok
+    ok = audit.ok and (union.is_parseval or not part_fibers)
     rep["parts"] = [_cvec(p) for p in parts]
     rep["audit"] = {
         "orthogonality_max": audit.orthogonality_max,
@@ -291,7 +287,7 @@ def cmd_decompose(sc: Scenario, args) -> tuple[dict, int]:
         "membership_ok": audit.membership_ok,
         "membership_residuals": audit.membership_residuals,
     }
-    rep["union_bounds"] = union
+    rep["union_bounds"] = {"lower": union.lower, "upper": union.upper}
     rep["ok"] = ok
     return rep, EXIT_OK if ok else EXIT_VALIDATION
 
@@ -386,8 +382,11 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
             checks.append({"name": f"duality_gen{i}", "deviation": float(dev),
                            "ok": bool(dev <= VERIFY_TRANSFORM_TOL * scale)})
 
+    # one fiber factorization and one dense one; every check below reads them
     F = oracle.factor(fib.synthesis_matrix(gens))
-    frame_fiber = frames.frame_check_fibers(fibered, tolerance=args.tolerance)
+    J = ranges.range_from_fibers(fibered)
+    frame_fiber = frames.report_from_spectra(J.s2, J.dims, args.tolerance,
+                                             riesz_style=False)
     A_dense, B_dense = oracle.frame_bounds_of_matrix(F)
     dev = max(_rel_dev(frame_fiber.lower, A_dense),
               _rel_dev(frame_fiber.upper, B_dense))
@@ -399,7 +398,8 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
         "ok": bool(dev <= VERIFY_BOUND_REL),
     })
 
-    riesz_fiber = frames.riesz_check_fibers(fibered, tolerance=args.tolerance)
+    riesz_fiber = frames.report_from_spectra(J.s2, J.dims, args.tolerance,
+                                             riesz_style=True)
     Ar, Br, independent = oracle.riesz_bounds_of_matrix(F)
     upper_scale = max(riesz_fiber.upper or 0.0, Br or 0.0)
     dev_r = max(_riesz_lower_dev(riesz_fiber.lower, Ar, upper_scale),
@@ -414,7 +414,6 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
     })
 
     # on actions the generators' own membership is cross-checked as well
-    J = ranges.range_from_fibers(fibered)
     sqrtw = np.sqrt(fib.ambient_weights)
     members = [] if ts is not None else [
         (f"gen{i}", g, ranges.membership_fibers(fv, J, norm=np.sqrt(n)))

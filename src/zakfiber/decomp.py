@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ranges import ORTHO_TOL, RANK_TOL, fiber_spectra, membership_fibers, \
-    range_from_fibers
+from .ranges import ORTHO_TOL, RANK_TOL, RangeFunction, fiber_spectra, \
+    membership_fibers, range_from_fibers
 from .zak import FiberedVector, ZakTransform, stack_generator_fibers
 
 __all__ = [
@@ -87,6 +87,7 @@ class DecompositionCheck:
     membership_residuals: list[float]
     membership_ok: bool
     ok: bool
+    parts_range: RangeFunction  # of the parts, from step (d)
 
 
 def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
@@ -148,6 +149,7 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
         membership_residuals=membership_residuals,
         membership_ok=membership_ok,
         ok=orthogonality_ok and parseval_ok and dims_match and membership_ok,
+        parts_range=J_parts,
     )
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "FrameReport",
     "frame_check",
     "frame_check_fibers",
+    "report_from_spectra",
     "riesz_check",
     "riesz_check_fibers",
 ]
@@ -75,8 +76,9 @@ class FrameReport:
         return int(self.dims.size)
 
 
-def _assemble(s2: np.ndarray, dims: np.ndarray, tolerance: float,
-              riesz_style: bool) -> FrameReport:
+def report_from_spectra(s2: np.ndarray, dims: np.ndarray, tolerance: float,
+                        riesz_style: bool) -> FrameReport:
+    """Report from the spectra (s2, dims); Riesz lower bound if riesz_style."""
     n_fibers, n_gens = s2.shape
     smax2 = s2[:, 0].copy()
     gram_min = np.where(dims < n_gens, 0.0, s2[:, -1])
@@ -116,7 +118,7 @@ def _assemble(s2: np.ndarray, dims: np.ndarray, tolerance: float,
 def frame_check_fibers(fibered: Sequence[FiberedVector],
                        tolerance: float = SUPPORT_TOL) -> FrameReport:
     s2, dims = fiber_spectra(fibered)
-    return _assemble(s2, dims, tolerance, riesz_style=False)
+    return report_from_spectra(s2, dims, tolerance, riesz_style=False)
 
 
 def frame_check(zak: ZakTransform, gens,
@@ -128,7 +130,7 @@ def frame_check(zak: ZakTransform, gens,
 def riesz_check_fibers(fibered: Sequence[FiberedVector],
                        tolerance: float = SUPPORT_TOL) -> FrameReport:
     s2, dims = fiber_spectra(fibered)
-    return _assemble(s2, dims, tolerance, riesz_style=True)
+    return report_from_spectra(s2, dims, tolerance, riesz_style=True)
 
 
 def riesz_check(zak: ZakTransform, gens,

@@ -4,7 +4,7 @@ The invariant subspace generated by a family A of functions is described
 completely by the map alpha -> J(alpha) = span{Z[phi](alpha) : phi in A}
 inside l2(C, mu).  All J(alpha) are stored as one padded stack of bases,
 orthonormal in the weighted inner product, from one batched SVD of the
-weight-scaled fiber matrices.
+weight-scaled fiber matrices, kept with its squared spectrum ``s2``.
 
 Every cut of the fiber route is one of the constants below; ``frames``
 and ``decomp`` import them.  Only ``tolerance`` can be set per call: it
@@ -62,21 +62,24 @@ def rank_cut(s: np.ndarray) -> np.ndarray:
     return np.sum(s > RANK_TOL * s.max(), axis=1)
 
 
-def fiber_spectra(fibered: Sequence[FiberedVector]):
-    """Squared singular values of the weight-scaled fiber matrices.
-
-    The fiber stack (n_fibers, n_points, n_gens) is scaled by sqrt(mu)
-    along the points axis and decomposed by one batched spectrum-only SVD.
-    Returns (s2, dims) where s2 has one row per fiber, padded with zeros
-    to the number of generators (the fiber Gram spectrum), in descending
-    order; dims counts the values retained by :func:`rank_cut`.
-    """
+def _factor(fibered: Sequence[FiberedVector], compute_uv: bool):
+    """(U or None, s2, dims, weights) from one batched SVD of the stack
+    (n_fibers, n_points, n_gens) scaled by sqrt(mu) along the points axis.
+    s2 is the fiber Gram spectrum, descending and padded with zeros to
+    n_gens; dims counts the values retained by :func:`rank_cut`."""
     stack, weights = stack_generator_fibers(fibered)
     stack *= np.sqrt(weights)[:, None]
-    s = np.linalg.svd(stack, compute_uv=False)
+    svd = np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
+    U, s = svd[:2] if compute_uv else (None, svd)
     s2 = np.zeros((stack.shape[0], stack.shape[2]))
     s2[:, : s.shape[1]] = s ** 2
-    return s2, rank_cut(s)
+    return U, s2, rank_cut(s), weights
+
+
+def fiber_spectra(fibered: Sequence[FiberedVector]):
+    """Padded squared spectra s2 and ranks dims of the weight-scaled fiber
+    matrices, from one batched spectrum-only SVD (see :func:`_factor`)."""
+    return _factor(fibered, compute_uv=False)[1:3]
 
 
 @dataclass
@@ -85,12 +88,14 @@ class RangeFunction:
 
     ``basis`` has shape (n_fibers, n_points, length): in fiber i the first
     ``dims[i]`` columns Q satisfy Q^H diag(mu) Q = I up to 1e-10, and the
-    columns past ``dims[i]`` are exactly zero.
+    columns past ``dims[i]`` are exactly zero.  ``s2`` is the padded
+    squared spectrum they were cut from, as :func:`fiber_spectra` gives it.
     """
 
     basis: np.ndarray
     dims: np.ndarray
     fiber_weights: np.ndarray
+    s2: np.ndarray
 
     @property
     def n_fibers(self) -> int:
@@ -104,19 +109,16 @@ class RangeFunction:
 def range_from_fibers(fibered: Sequence[FiberedVector]) -> RangeFunction:
     """Rank-revealing orthonormalization of the generator fibers.
 
-    The fiber stack (n_fibers, n_points, n_gens) is scaled by sqrt(mu)
-    and decomposed by one batched thin SVD.  U, cut to the largest rank
-    that :func:`rank_cut` retains, is pulled back in place to weighted-
+    The weight-scaled fiber stack is decomposed by one batched thin SVD
+    (:func:`_factor`).  U, cut to the largest rank that
+    :func:`rank_cut` retains, is pulled back in place to weighted-
     orthonormal bases, zero past each fiber's own rank.
     """
-    stack, weights = stack_generator_fibers(fibered)
-    stack *= np.sqrt(weights)[:, None]
-    U, s, _ = np.linalg.svd(stack, full_matrices=False)
-    dims = rank_cut(s)
+    U, s2, dims, weights = _factor(fibered, compute_uv=True)
     basis = U[:, :, : dims.max()]
     basis *= (1.0 / np.sqrt(weights))[:, None]
     np.copyto(basis, 0, where=np.arange(dims.max()) >= dims[:, None, None])
-    return RangeFunction(basis=basis, dims=dims, fiber_weights=weights)
+    return RangeFunction(basis, dims, weights, s2)
 
 
 def range_from_generators(zak, gens) -> RangeFunction:

@@ -363,50 +363,76 @@ def test_verify_detects_disagreement(monkeypatch, tmp_path):
     assert [c["name"] for c in bad] == ["frame_bounds_vs_dense"]
 
 
-@pytest.mark.parametrize("name", ["s1", "s3"])
-def test_verify_detects_dimension_disagreement(monkeypatch, name):
-    # one more dimension on fiber 0 of the fiber route alone; the range
-    # basis, and so every membership verdict, is left as it is
+def _repeat_generators(doc):
+    block = doc.get("translation", doc)
+    block["generators"] = block["generators"] * 2
+
+
+# plain s3 is independent, so one more dense dimension would flip its
+# Riesz verdict as well; with its generator repeated it is not
+@pytest.mark.parametrize("name, edit", [("s1", None),
+                                        ("s3", _repeat_generators)],
+                         ids=["s1", "s3"])
+def test_verify_detects_dimension_disagreement(monkeypatch, tmp_path, name,
+                                               edit):
+    # the dense route alone reports one more retained sigma: sigma_r is
+    # repeated and U_r gains a zero column, so the dense frame and Riesz
+    # bounds and every membership residual are left as they are
     import zakfiber.cli as cli
-    range_from_fibers = cli.ranges.range_from_fibers
+    factor = cli.oracle.factor
 
-    def one_dimension_more(fibered):
-        J = range_from_fibers(fibered)
-        J.dims = J.dims.copy()
-        J.dims[0] += 1
-        return J
+    def one_dimension_more(M):
+        U, s, rank, n_cols = factor(M)
+        zero = np.zeros((U.shape[0], 1), dtype=U.dtype)
+        return cli.oracle.Factorization(
+            np.concatenate([U[:, :rank], zero, U[:, rank:]], axis=1),
+            np.concatenate([s[:rank], s[rank - 1:rank], s[rank:]]),
+            rank + 1, n_cols)
 
-    monkeypatch.setattr(cli.ranges, "range_from_fibers", one_dimension_more)
+    if edit is not None:
+        name = _fixture_variant(tmp_path, name, edit)
+    monkeypatch.setattr(cli.oracle, "factor", one_dimension_more)
     code, out, err = invoke(["verify", "--scenario", name])
     assert code == 3
     rep = json.loads(out)
     assert rep["ok"] is False
     bad = [c for c in rep["checks"] if not c["ok"]]
     assert [c["name"] for c in bad] == ["dimension_vs_dense"]
-    assert bad[0]["fiber"] == bad[0]["dense"] + 1
+    assert bad[0]["dense"] == bad[0]["fiber"] + 1
 
 
-@pytest.mark.parametrize("name", ["s1", "s3"])
-def test_verify_factors_the_dense_matrix_once(monkeypatch, name):
-    # the fiber route's SVDs take 3-d stacks; the dense route's take M
+@pytest.mark.parametrize("command, name, dense, fiber", [
+    ("verify", "s1", 1, 1),
+    ("verify", "s3", 1, 1),
+    ("decompose", "s1", 0, 2),
+    ("frame", "s1", 0, 1),
+    ("riesz", "s1", 0, 1),
+    ("range", "s1", 0, 1),
+    ("translation analyze", "s3", 0, 1),
+], ids=["s1", "s3", "decompose-s1", "frame-s1", "riesz-s1", "range-s1",
+        "translation-analyze-s3"])
+def test_verify_factors_the_dense_matrix_once(monkeypatch, command, name,
+                                              dense, fiber):
+    # the fiber route's SVDs take 3-d stacks; the dense route's take M.
+    # verify factors each route once, and decompose its generators and
+    # its parts once each
     svd = np.linalg.svd
-    dense_calls = []
+    calls = []
 
     def counting(a, *args, **kwargs):
-        if np.ndim(a) == 2:
-            dense_calls.append(np.shape(a))
+        calls.append(np.ndim(a))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    code, out, err = invoke(["verify", "--scenario", name])
+    code, out, err = invoke([*command.split(), "--scenario", name])
     assert code == 0, err
-    assert len(dense_calls) == 1
+    assert (calls.count(2), calls.count(3)) == (dense, fiber)
 
 
 def test_commands_look_kernels_up_at_call_time(monkeypatch):
     # a kernel bound into a table or closure at import would escape this
     # patch, and the benchmark's span tracer, which replaces it the same way
-    from zakfiber import frames, ranges
+    from zakfiber import decomp, frames, ranges
     calls = set()
 
     def recording(name, kernel):
@@ -417,21 +443,44 @@ def test_commands_look_kernels_up_at_call_time(monkeypatch):
 
     for module, name in [(frames, "frame_check_fibers"),
                          (frames, "riesz_check_fibers"),
-                         (ranges, "range_from_fibers")]:
+                         (ranges, "range_from_fibers"),
+                         (decomp, "parseval_decompose_fibers"),
+                         (decomp, "verify_decomposition_fibers")]:
         monkeypatch.setattr(module, name,
                             recording(name, getattr(module, name)))
     expected = {
         ("frame", "s1"): {"frame_check_fibers"},
         ("riesz", "s1"): {"riesz_check_fibers"},
-        ("decompose", "s1"): {"frame_check_fibers"},
-        ("verify", "s1"): {"frame_check_fibers", "riesz_check_fibers",
-                           "range_from_fibers"},
+        ("decompose", "s1"): {"parseval_decompose_fibers",
+                              "verify_decomposition_fibers"},
+        ("verify", "s1"): {"range_from_fibers"},
         ("translation analyze", "s3"): {"frame_check_fibers"},
     }
     for (command, scenario), kernels in expected.items():
         calls.clear()
         invoke_json([*command.split(), "--scenario", scenario])
         assert calls == kernels, command
+
+
+NONDYADIC = str(Path(__file__).parent / "golden" / "nondyadic.json")
+
+
+@pytest.mark.parametrize("name", ["s1", "s1-parseval", "s2", "s3", "star",
+                                  NONDYADIC], ids=lambda n: Path(n).stem)
+def test_verify_fiber_side_matches_the_single_commands(name):
+    # verify reads its bounds off the range function's thin SVD, while
+    # frame and riesz take a spectrum-only SVD: another LAPACK driver
+    checks = {c["name"]: c for c in
+              invoke_json(["verify", "--scenario", name])["checks"]}
+    for command, check in [("frame", "frame_bounds_vs_dense"),
+                           ("riesz", "riesz_bounds_vs_dense")]:
+        summary = invoke_json([command, "--scenario", name])["summary"]
+        expected = [summary["lower"], summary["upper"]]
+        assert checks[check]["fiber"] == pytest.approx(expected, rel=1e-12,
+                                                       abs=0.0), command
+    dims = [f["dim"] for f in
+            invoke_json(["range", "--scenario", name])["fibers"]]
+    assert checks["dimension_vs_dense"]["fiber"] == sum(dims)
 
 
 def _fixture_variant(tmp_path, name, edit, literal=None):
