@@ -1,10 +1,10 @@
 """Decomposition of an invariant space into orthogonal Parseval orbits.
 
-Fiberwise Gram-Schmidt over the generator fibers, in generator order with
-a drop tolerance, yields functions Phi_n whose fibers have norm 0 or 1.
-Pulling each Phi_n back through the inverse transform produces generators
-psi_n whose orbit systems are Parseval frames of mutually orthogonal
-invariant subspaces summing to the original space.
+Fiberwise Gram-Schmidt (classical, with a second pass) over the generator
+fibers, in generator order with a drop tolerance, yields functions Phi_n
+whose fibers have norm 0 or 1.  Pulling each Phi_n back through the
+inverse transform gives generators psi_n whose orbit systems are Parseval
+frames of mutually orthogonal invariant subspaces summing to the space.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+# unused, but bench/spans.py requires this binding to trace it
 from .ranges import ORTHO_TOL, RANK_TOL, RangeFunction, fiber_spectra, \
     membership_fibers, range_from_fibers
 from .zak import FiberedVector, ZakTransform, stack_generator_fibers
@@ -30,9 +31,9 @@ def parseval_decompose_fibers(fibered: Sequence[FiberedVector]
                               ) -> list[FiberedVector]:
     """Fiberwise orthonormalization of generator fibers, kept in order.
 
-    Per fiber the generators are orthonormalized by modified Gram-Schmidt
-    (with one re-orthogonalization sweep); a vector is dropped when its
-    residual weighted norm falls below RANK_TOL times the largest
+    Per fiber each generator is projected out of the vectors accepted
+    before it by classical Gram-Schmidt with a second pass; it is dropped
+    when its residual weighted norm falls below RANK_TOL times the largest
     original column norm over all fibers.  The n-th output holds the n-th
     surviving vector of every fiber, zero where fewer survive.
 
@@ -52,20 +53,19 @@ def parseval_decompose_fibers(fibered: Sequence[FiberedVector]
         return np.sqrt(np.sum(np.abs(v) ** 2 * weights, axis=-1))
 
     ref = np.max([wnorm(col) for col in cols])
-    slots = np.zeros((n_gens, n_fibers, n_points), dtype=complex)
+    slots = np.zeros((n_fibers, n_gens, n_points), dtype=complex)
     count = np.zeros(n_fibers, dtype=int)
     for col in cols:
         r = col.copy()
-        for _ in range(2):  # the second sweep firms up orthogonality
-            for n in range(count.max()):
-                q = slots[n]
-                c = np.sum(r * np.conj(q) * weights, axis=-1)
-                r -= c[:, None] * q
+        S = slots[:, : count.max()]
+        for _ in range(2):  # the second pass firms up orthogonality
+            c = np.conj(S @ np.conj(r * weights)[:, :, None])
+            r -= (c.swapaxes(1, 2) @ S)[:, 0]
         nr = wnorm(r)
         keep = np.flatnonzero(nr > RANK_TOL * ref)
-        slots[count[keep], keep] = r[keep] / nr[keep, None]
+        slots[keep, count[keep]] = r[keep] / nr[keep, None]
         count[keep] += 1
-    return [FiberedVector(slots[n], weights) for n in range(count.max())]
+    return [FiberedVector(slots[:, n], weights) for n in range(count.max())]
 
 
 def parseval_decompose(zak: ZakTransform, gens) -> list[np.ndarray]:
@@ -87,7 +87,7 @@ class DecompositionCheck:
     membership_residuals: list[float]
     membership_ok: bool
     ok: bool
-    parts_range: RangeFunction  # of the parts, from step (d)
+    parts_range: RangeFunction  # the parts and their Gram spectrum
 
 
 def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
@@ -98,19 +98,17 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
     part, exact per-fiber dimension bookkeeping, and membership of every
     original generator in the union of the part orbits.
 
-    Steps (a) and (b) read one batched Gram matrix of the part stack,
-    gram[i, m, n] = <part_m, part_n> on fiber i.
+    Steps (a) and (b) read the batched Gram matrix of the part stack,
+    gram[i, m, n] = <part_m, part_n> on fiber i; (d) projects onto the stack.
     """
     dims = fiber_spectra(gen_fibers)[1]
-    gram = np.zeros((dims.size, 0, 0), dtype=complex)
-    nonzero = np.zeros((dims.size, 0), dtype=bool)
-    if part_fibers:
-        stack, weights = stack_generator_fibers(part_fibers)
-        nonzero = np.any(stack != 0, axis=1)
-        weighted = np.conj(stack)
-        weighted *= weights[:, None]
-        gram = stack.swapaxes(1, 2) @ weighted
-        del stack, weighted
+    # no parts: an empty stack on the generators' fibers and weights
+    stack, weights = stack_generator_fibers(part_fibers or gen_fibers[:1])
+    stack = stack[:, :, : len(part_fibers)]
+    nonzero = np.any(stack != 0, axis=1)
+    weighted = np.conj(stack)
+    weighted *= weights[:, None]
+    gram = stack.swapaxes(1, 2) @ weighted
 
     # (a) fiberwise orthogonality between distinct parts
     off = np.abs(gram[:, ~np.eye(gram.shape[1], dtype=bool)])
@@ -131,11 +129,12 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
     dim_rows = [(int(s), int(d)) for s, d in zip(summed, dims)]
     dims_match = bool(np.array_equal(summed, dims))
 
-    # (d) the original generators live in the union of the part orbits;
-    # no parts span the zero space
-    J_parts = range_from_fibers(part_fibers or [FiberedVector(
-        np.zeros_like(gen_fibers[0].fibers), gen_fibers[0].fiber_weights)])
-    checks = [membership_fibers(fv, J_parts) for fv in gen_fibers]
+    # (d) the generators lie in the union of the part orbits; the parts
+    # are its basis once (a) and (b) pass, else the residuals overstate
+    s2 = np.zeros((dims.size, max(1, gram.shape[1])))
+    s2[:, : gram.shape[1]] = np.linalg.eigvalsh(gram)[:, ::-1]
+    parts_range = RangeFunction(stack, summed, weights, s2)
+    checks = [membership_fibers(fv, parts_range) for fv in gen_fibers]
     membership_residuals = [residual for _, residual in checks]
     membership_ok = all(member for member, _ in checks)
 
@@ -149,7 +148,7 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
         membership_residuals=membership_residuals,
         membership_ok=membership_ok,
         ok=orthogonality_ok and parseval_ok and dims_match and membership_ok,
-        parts_range=J_parts,
+        parts_range=parts_range,
     )
 
 

@@ -133,7 +133,7 @@ def _project_fibers(Phi: FiberedVector, J: RangeFunction) -> np.ndarray:
     """Fiberwise weighted-orthogonal projection Q Q^H diag(mu) v onto J,
     with Q^H diag(mu) v taken as conj((diag(mu) v)^H Q) to leave Q as is."""
     if Phi.fibers.shape[0] != J.n_fibers or \
-            Phi.fibers.shape[1] != J.fiber_weights.size:
+            not np.array_equal(Phi.fiber_weights, J.fiber_weights):
         raise ValueError("fibered vector does not match the range function")
     coef = np.conj(np.conj(Phi.fibers * J.fiber_weights)[:, None, :]
                    @ J.basis)

@@ -121,6 +121,37 @@ def test_fiber_level_entry_points():
     assert check.ok
 
 
+def test_audit_rejects_parts_of_another_geometry():
+    # parts orthonormal under other fiber weights span the generator
+    # fibers, but their fiber norms under the generators' weights are not 1
+    rng = np.random.default_rng(107)
+    w, other = np.array([1.0, 4.0, 0.5]), np.array([2.0, 1.0, 1.0])
+    fibers = [rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+              for _ in range(2)]
+    gens = [FiberedVector(f, w) for f in fibers]
+    parts = parseval_decompose_fibers([FiberedVector(f, other)
+                                       for f in fibers])
+    with pytest.raises(ValueError):
+        verify_decomposition_fibers(gens, parts)
+
+
+def test_audit_takes_one_fiber_svd(monkeypatch):
+    # the generators' spectrum; the parts are read off their own Gram
+    sc = parse_scenario(fixture_path("s1"))
+    zk = ZakTransform(sc.action)
+    parts = parseval_decompose(zk, sc.generators)
+    svd = np.linalg.svd
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.ndim(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert verify_decomposition(zk, sc.generators, parts).ok
+    assert calls == [3]
+
+
 def test_generator_order_is_respected():
     # the first generator survives unscaled in direction: part 0 spans the
     # same fiber lines as generator 0 wherever it is nonzero

@@ -3,13 +3,17 @@
 The kernels in frames, ranges and decomp treat the whole fiber stack at
 once.  Here each fiber keeps its own subset of generators (some repeated,
 some dropped, some fibers entirely zero), so fiber ranks differ, and
-every factorization must equal, bit for bit, a loop that handles one
-fiber at a time with a single-matrix SVD or a one-dimensional
-Gram-Schmidt.  The loops apply the rank rule of the package: a singular
-value or a Gram-Schmidt residual counts when it exceeds RANK_TOL times
-the largest over all fibers.  The batched products (projection onto a
-range function, the audit's fiber Gram matrix) sum in another order than
-a loop, so they match it to 1e-12 relative.
+every SVD must equal, bit for bit, a loop that handles one fiber at a
+time with a single-matrix SVD.  The loops apply the rank rule of the
+package: a singular value or a Gram-Schmidt residual counts when it
+exceeds RANK_TOL times the largest over all fibers.  The batched
+products (projection onto a range function, the audit's fiber Gram
+matrix) sum in another order than a loop, so they match it to 1e-12
+relative.  Gram-Schmidt sums in another order too: the batched kernel
+projects onto all accepted vectors at once (classical, with a second
+pass), the reference loop onto one at a time (modified), so the two
+agree on the part count and the exact zeros, and on the values to 1e-13
+absolute.
 """
 
 import itertools
@@ -208,7 +212,50 @@ def check_decompose(fibered, w):
     expected = reference_mgs(fibered, w)
     assert len(parts) == len(expected)
     for p, e in zip(parts, expected):
-        assert np.array_equal(p.fibers, e)
+        assert np.array_equal(p.fibers == 0, e == 0)
+        assert np.max(np.abs(p.fibers - e)) <= 1e-13
+
+
+def lstsq_distance(claim, fv, w):
+    """Root mean over the fibers of the weighted distance of fv from the
+    span of the claimed parts, one least-squares solve per fiber."""
+    d2 = 0.0
+    for B, v in zip(per_fiber_matrices(claim, w), fv.fibers):
+        b = np.sqrt(w) * v
+        x = np.linalg.lstsq(B, b, rcond=None)[0]
+        d2 += np.sum(np.abs(b - B @ x) ** 2)
+    return np.sqrt(d2 / len(fv.fibers))
+
+
+def check_parts_range(fibered, w):
+    """The audit's reads of the part stack: its Gram spectrum against one
+    SVD per fiber of the weight-scaled parts, and, on claims that are not
+    orthonormal, each membership residual against the distance from the
+    span of the claim, which projecting onto the claim never understates."""
+    parts = parseval_decompose_fibers(fibered)
+    J = verify_decomposition_fibers(fibered, parts).parts_range
+    n_fibers = fibered[0].n_fibers
+    s2 = np.zeros((n_fibers, max(1, len(parts))))
+    dims = np.zeros(n_fibers, dtype=int)
+    if parts:
+        mats = per_fiber_matrices(parts, w)
+        s2[:, : len(parts)] = [np.linalg.svd(B, compute_uv=False) ** 2
+                               for B in mats]
+        dims = [np.linalg.matrix_rank(B) for B in mats]
+    assert np.max(np.abs(J.s2 - s2)) <= 1e-14
+    assert np.array_equal(J.dims, dims)
+    doubled = [FiberedVector(2.0 * p.fibers, w) for p in parts[:1]] \
+        + parts[1:]
+    for claim in (doubled, parts + parts[:1], list(fibered)):
+        if not claim:
+            continue
+        check = verify_decomposition_fibers(fibered, claim)
+        for fv, residual in zip(fibered, check.membership_residuals):
+            distance = lstsq_distance(claim, fv, w)
+            member, got = membership_fibers(fv, check.parts_range)
+            assert got == residual >= distance
+            if member:
+                assert distance <= MEMBER_TOL * max(1.0, np.sqrt(fv.norm_sq()))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -229,6 +276,12 @@ def test_range_matches_per_fiber_svd(shape, seed):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_decompose_matches_per_fiber_gram_schmidt(shape, seed):
     check_decompose(*mixed_rank_stack(np.random.default_rng(seed), *shape))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_audit_reads_the_part_stack(shape, seed):
+    check_parts_range(*mixed_rank_stack(np.random.default_rng(seed), *shape))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -258,3 +311,4 @@ def test_tiny_fiber_falls_under_the_global_cut(seed):
     check_decompose(fibered, w)
     assert check_project(fibered, w)
     check_audit(fibered, w)
+    check_parts_range(fibered, w)

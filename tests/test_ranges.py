@@ -149,6 +149,17 @@ def test_fiber_shape_mismatch():
         membership_fibers(bad, J)
 
 
+def test_fiber_weight_mismatch():
+    # J's weights would measure a vector of another geometry wrongly
+    zk = ZakTransform(s1_action())
+    J = range_from_generators(zk, [delta(8, 0)])
+    from zakfiber import FiberedVector
+    other = FiberedVector(zk.forward(delta(8, 1)).fibers,
+                          2.0 * zk.fiber_weights)
+    with pytest.raises(ValueError):
+        membership_fibers(other, J)
+
+
 def test_range_function_length():
     zk = ZakTransform(s1_action())
     J = range_from_generators(zk, [delta(8, 0), delta(8, 1)])
