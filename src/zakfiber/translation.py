@@ -27,7 +27,8 @@ from typing import Iterable
 import numpy as np
 
 from . import oracle
-from .frames import SUPPORT_TOL, FrameReport, frame_check_fibers
+from .frames import SUPPORT_TOL, FrameReport, frame_check_fibers, \
+    report_from_spectra  # frame_check_fibers: unused, bench/spans.py binds it
 from .group import FiniteAbelianGroup, Subgroup, annihilator, character, \
     coset_transversal, dft, subgroup_from_generators
 from .ranges import RangeFunction, range_from_fibers
@@ -239,7 +240,5 @@ def ti_analyze(s: TranslationScenario, gens,
     gens = list(gens)
     if len(gens) == 0:
         raise ValueError("at least one generator is required")
-    fibered = [zakG_forward(s, g) for g in gens]
-    J = range_from_fibers(fibered)
-    report = frame_check_fibers(fibered, tolerance)
-    return J, report
+    J = range_from_fibers([zakG_forward(s, g) for g in gens])
+    return J, report_from_spectra(J.s2, J.dims, tolerance, riesz_style=False)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .action import QuasiInvariantAction, tiling_transversal
+from .action import AffineAction, QuasiInvariantAction, tiling_transversal
 
 __all__ = ["FiberedVector", "ZakTransform"]
 
@@ -105,13 +105,15 @@ class ZakTransform:
     def __init__(self, action: QuasiInvariantAction):
         self.action = action
         self.group = action.group
-        self.transversal = tiling_transversal(action)
-        G = self.group
+        C = self.transversal = tiling_transversal(action)
         mu = action.space.weights
-        C = self.transversal
         # src[gi, ci] = sigma_{-gamma_gi}(C[ci]); in Fortran order, which
         # the last bits of the forward FFT depend on
-        self._src = np.asfortranarray(action.table[:, C][G.neg_index_table()])
+        if isinstance(action, AffineAction):  # s_{-gamma} = -s_gamma mod N
+            src = ((C[:, None] - action.shifts) % action.space.size).T
+        else:
+            src = action.table[:, C][self.group.neg_index_table()]
+        self._src = np.asfortranarray(src)
         self._amp_fwd = np.sqrt(mu[self._src] / mu[C])
         self._amp_inv = np.sqrt(mu[C] / mu[self._src])
         self.fiber_weights = mu[C].copy()

@@ -81,6 +81,59 @@ def test_validate_reports_non_free_action(tmp_path):
     assert any("free" in v for v in rep["violations"])
 
 
+# runs one command in a fresh interpreter; prints its exit code, output,
+# seconds inside cli.run and peak resident memory (VmHWM, which unlike
+# ru_maxrss does not carry the parent's high-water mark across exec)
+_MEASURED_RUN = """
+import io, json, sys, time
+from zakfiber.cli import run
+out, err = io.StringIO(), io.StringIO()
+start = time.perf_counter()
+code = run(sys.argv[1:], out=out, err=err)
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as f:
+    hwm = next(line for line in f if line.startswith("VmHWM:"))
+print(json.dumps({"code": code, "out": out.getvalue(), "err": err.getvalue(),
+                  "seconds": seconds, "hwm_mb": int(hwm.split()[1]) / 1024}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("command", ["validate", "zak", "range", "frame",
+                                     "decompose", "verify"])
+def test_huge_affine_group_exits_without_its_table(tmp_path, command):
+    # |G| = 2**22 on 2 points: not free, decided from the multipliers
+    # without expanding the |G| x N table
+    doc = {
+        "schema_version": 1,
+        "name": "huge-affine",
+        "group": {"invariant_factors": [4194304]},
+        "space": {"size": 2, "weights": [1, 1]},
+        "action": {"affine": {"multipliers": [2]}},
+        "generators": [[[1, 0], [0, 0]]],
+    }
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    src = str(Path(zakfiber.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _MEASURED_RUN, command,
+                           "--scenario", str(p)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    res = json.loads(proc.stdout)
+    not_free = "action is not free: point 0 has a nontrivial stabilizer"
+    assert res["code"] == 2
+    if command == "validate":
+        rep = json.loads(res["out"])
+        assert rep["ok"] is False and rep["violations"] == [not_free]
+        assert res["err"] == ""
+    else:
+        assert res["out"] == ""
+        assert res["err"] == f"error: scenario action is not free: {not_free}\n"
+    assert res["seconds"] < 0.5
+    assert res["hwm_mb"] < 100
+
+
 def test_zak_command():
     rep = invoke_json(["zak", "--scenario", "s1"])
     recs = rep["generators"]

@@ -139,6 +139,48 @@ def test_affine_action_reduces_multipliers(G, data):
     assert np.array_equal(table, (np.arange(N) + shift[:, None]) % N)
 
 
+@st.composite
+def affine_cases(draw):
+    """(group, N, multipliers) of a well-defined affine action: N is a
+    multiple of |G|, of lcm(n_j) or neither, and multipliers may be
+    negative or at least N."""
+    factors = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    G = FiniteAbelianGroup(factors)
+    kind = draw(st.sampled_from(["order", "lcm", "any"]))
+    if kind == "any":
+        N = draw(st.integers(1, 24))
+    else:
+        N = (G.order if kind == "order" else math.lcm(*factors)) \
+            * draw(st.integers(1, 3))
+    ms = [draw(st.integers(-8, 8)) * (N // math.gcd(N, n))
+          + draw(st.integers(-2, 2)) * N for n in factors]
+    return G, N, ms
+
+
+@PROPERTY
+@given(affine_cases())
+def test_symbolic_affine_action_matches_its_table(case):
+    G, N, ms = case
+    weights = 10.0 ** np.random.default_rng(N).uniform(-3, 3, N)
+    a = affine_action(G, WeightedSpace(weights), ms)
+    expanded = QuasiInvariantAction(G, a.space, a.table)
+    # the symbolic validation skips the laws that the table obeys
+    assert validate_action(a).ok and validate_action(expanded).ok
+    try:
+        expected = tiling_transversal(expanded)
+    except NotFreeError as e:
+        with pytest.raises(NotFreeError) as got:
+            tiling_transversal(a)
+        assert got.value.point == e.point
+        return
+    points = tiling_transversal(a)
+    assert points.dtype == expected.dtype
+    assert np.array_equal(points, expected)
+    src, ref = ZakTransform(a)._src, ZakTransform(expanded)._src
+    assert src.dtype == ref.dtype and src.flags.f_contiguous
+    assert np.array_equal(src, ref)
+
+
 @PROPERTY
 @given(groups(max_order=36), st.data())
 def test_subgroup_structure_agrees_with_references(G, data):

@@ -5,8 +5,10 @@ from zakfiber import FiniteAbelianGroup, WeightedSpace, ZakTransform, \
     affine_action, build_scenario, character, duality_check, fiberize, \
     frame_check, range_from_generators, ti_analyze, weil_check, zakG_forward, \
     zakG_inverse, zak_point
+from zakfiber.frames import report_from_spectra
 from zakfiber.oracle import factor, riesz_bounds_of_matrix, \
     translation_synthesis_matrix
+from zakfiber.ranges import SUPPORT_TOL
 from zakfiber.zak import FiberedVector
 
 from helpers import assert_coordinate_rows, delta, naive_zakG, \
@@ -188,6 +190,22 @@ def test_ti_analyze_single_delta():
     assert rep.is_parseval and rep.is_riesz
 
 
+def test_ti_analyze_takes_one_fiber_svd(monkeypatch):
+    # the frame report is read off the range's own spectrum
+    rng = np.random.default_rng(167)
+    gens = [random_complex(rng, 12) for _ in range(2)]
+    svd = np.linalg.svd
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.ndim(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    ti_analyze(s3_scenario(), gens)
+    assert calls == [3]
+
+
 def test_ti_analyze_rejects_empty():
     with pytest.raises(ValueError):
         ti_analyze(s3_scenario(), [])
@@ -267,12 +285,21 @@ def test_translation_scenario_is_a_fibration(monkeypatch):
     assert np.array_equal(s.synthesis_matrix(gens),
                           translation_synthesis_matrix(s, gens))
 
-    rep = frame_check(s, gens)
-    _, rep_ti = ti_analyze(s, gens)
-    for key, value in vars(rep).items():
-        assert np.array_equal(value, getattr(rep_ti, key)), key
-
+    # ti_analyze reads its report off the range's own spectrum; the
+    # spectrum-only SVD of frame_check may differ in the last bits
     J = range_from_fibers([s.forward(g) for g in gens])
+    _, rep_ti = ti_analyze(s, gens)
+    rep_j = report_from_spectra(J.s2, J.dims, SUPPORT_TOL, riesz_style=False)
+    rep = frame_check(s, gens)
+    for key, value in vars(rep_j).items():
+        assert np.array_equal(value, getattr(rep_ti, key)), key
+    for key in ("dims", "support", "is_bessel", "is_frame", "is_parseval",
+                "is_riesz", "degenerate"):
+        assert np.array_equal(getattr(rep_ti, key), getattr(rep, key)), key
+    for key in ("smin2", "smax2", "gram_min", "lower", "upper"):
+        np.testing.assert_allclose(getattr(rep_ti, key), getattr(rep, key),
+                                   rtol=1e-13, atol=0, err_msg=key)
+
     outside = random_complex(rng, 12)
     for f, expected in ((gens[0] - 2j * gens[1], True), (outside, False)):
         member, residual = membership(s, f, J)
