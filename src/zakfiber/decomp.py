@@ -14,10 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-# unused, but bench/spans.py requires this binding to trace it
+# range_from_fibers: unused, but bench/spans.py requires the binding
 from .ranges import ORTHO_TOL, RANK_TOL, RangeFunction, fiber_spectra, \
-    membership_fibers, range_from_fibers
-from .zak import FiberedVector, ZakTransform, stack_generator_fibers
+    generator_system, membership_fibers, range_from_fibers
+from .zak import FiberedVector, Fibration, stack_generator_fibers
 
 __all__ = [
     "parseval_decompose",
@@ -26,6 +26,41 @@ __all__ = [
     "verify_decomposition",
     "verify_decomposition_fibers",
 ]
+
+def _orthonormalize(stack: np.ndarray, weights: np.ndarray):
+    """(slots, count): slots[:, n] holds the n-th surviving vector of every
+    fiber of the generator stack, zero where fewer survive, for n below
+    count.  The stack is only read."""
+    n_fibers, n_points, n_gens = stack.shape
+    # squared entries of a tiny stack underflow; a power of two is exact
+    peak = np.max(np.abs(stack))
+    scale = 2.0 ** -np.frexp(peak)[1] if peak > 0 else 1.0
+
+    def column(j: int) -> np.ndarray:
+        # a scaled C-ordered copy: the last bits of the sums below depend
+        # on the layout
+        r = stack[:, :, j].copy()
+        r *= scale
+        return r
+
+    def wnorm(v: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.sum(np.abs(v) ** 2 * weights, axis=-1))
+
+    ref = np.max([wnorm(column(j)) for j in range(n_gens)])
+    slots = np.zeros((n_fibers, n_gens, n_points), dtype=complex)
+    count = np.zeros(n_fibers, dtype=int)
+    for j in range(n_gens):
+        r = column(j)
+        S = slots[:, : count.max()]
+        for _ in range(2):  # the second pass firms up orthogonality
+            c = np.conj(S @ np.conj(r * weights)[:, :, None])
+            r -= (c.swapaxes(1, 2) @ S)[:, 0]
+        nr = wnorm(r)
+        keep = np.flatnonzero(nr > RANK_TOL * ref)
+        slots[keep, count[keep]] = r[keep] / nr[keep, None]
+        count[keep] += 1
+    return slots, int(count.max())
+
 
 def parseval_decompose_fibers(fibered: Sequence[FiberedVector]
                               ) -> list[FiberedVector]:
@@ -42,36 +77,17 @@ def parseval_decompose_fibers(fibered: Sequence[FiberedVector]
     the others, where the projection onto it is +0 and subtracts nothing.
     """
     stack, weights = stack_generator_fibers(fibered)
-    n_fibers, n_points, n_gens = stack.shape
-    # squared entries of a tiny stack underflow; a power of two is exact
-    peak = np.max(np.abs(stack))
-    if peak > 0:
-        stack *= 2.0 ** -np.frexp(peak)[1]
-    cols = np.moveaxis(stack, 2, 0)
-
-    def wnorm(v: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(np.abs(v) ** 2 * weights, axis=-1))
-
-    ref = np.max([wnorm(col) for col in cols])
-    slots = np.zeros((n_fibers, n_gens, n_points), dtype=complex)
-    count = np.zeros(n_fibers, dtype=int)
-    for col in cols:
-        r = col.copy()
-        S = slots[:, : count.max()]
-        for _ in range(2):  # the second pass firms up orthogonality
-            c = np.conj(S @ np.conj(r * weights)[:, :, None])
-            r -= (c.swapaxes(1, 2) @ S)[:, 0]
-        nr = wnorm(r)
-        keep = np.flatnonzero(nr > RANK_TOL * ref)
-        slots[keep, count[keep]] = r[keep] / nr[keep, None]
-        count[keep] += 1
-    return [FiberedVector(slots[:, n], weights) for n in range(count.max())]
+    slots, count = _orthonormalize(stack, weights)
+    return [FiberedVector(slots[:, n], weights) for n in range(count)]
 
 
-def parseval_decompose(zak: ZakTransform, gens) -> list[np.ndarray]:
-    """Generators psi_1..psi_L of orthogonal Parseval orbit systems."""
-    parts = parseval_decompose_fibers([zak.forward(g) for g in gens])
-    return [zak.inverse(p) for p in parts]
+def parseval_decompose(zak: Fibration, gens) -> list[np.ndarray]:
+    """Generators psi_1..psi_L of orthogonal Parseval orbit systems;
+    ``zak`` is either fibration (see :mod:`zakfiber.zak`)."""
+    system = generator_system(zak, gens)
+    slots, count = _orthonormalize(system.stack, system.weights)
+    return [zak.inverse(FiberedVector(slots[:, n], system.weights))
+            for n in range(count)]
 
 
 @dataclass
@@ -104,7 +120,15 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
     dims = fiber_spectra(gen_fibers)[1]
     # no parts: an empty stack on the generators' fibers and weights
     stack, weights = stack_generator_fibers(part_fibers or gen_fibers[:1])
-    stack = stack[:, :, : len(part_fibers)]
+    return _audit(gen_fibers, dims, stack[:, :, : len(part_fibers)], weights,
+                  tolerance)
+
+
+def _audit(gen_fibers: Sequence[FiberedVector], dims: np.ndarray,
+           stack: np.ndarray, weights: np.ndarray, tolerance: float
+           ) -> DecompositionCheck:
+    """:func:`verify_decomposition_fibers` given the generators' fiber
+    ranks ``dims`` and the parts' stack."""
     nonzero = np.any(stack != 0, axis=1)
     weighted = np.conj(stack)
     weighted *= weights[:, None]
@@ -152,9 +176,22 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
     )
 
 
-def verify_decomposition(zak: ZakTransform, gens, parts,
+def verify_decomposition(zak: Fibration, gens, parts,
                          tolerance: float = ORTHO_TOL
                          ) -> DecompositionCheck:
-    gen_fibers = [zak.forward(g) for g in gens]
-    part_fibers = [zak.forward(p) for p in parts]
-    return verify_decomposition_fibers(gen_fibers, part_fibers, tolerance)
+    """:func:`verify_decomposition_fibers` on either fibration (see
+    :mod:`zakfiber.zak`): the generators come from its memo entry, whose
+    rank it reads, and the parts are fiberized at once without replacing
+    that entry."""
+    system = generator_system(zak, gens)
+    parts = list(parts)
+    if parts:
+        # C-ordered, as stack_generator_fibers lays it out: the last bits
+        # of the membership residuals depend on the layout
+        stack = np.ascontiguousarray(zak.forward_many(parts)[0])
+    else:
+        stack = np.zeros(system.stack.shape[:2] + (0,), dtype=complex)
+    gen_fibers = [FiberedVector(system.stack[:, :, j], system.weights)
+                  for j in range(system.stack.shape[2])]
+    return _audit(gen_fibers, system.spectra()[1], stack,
+                  system.weights, tolerance)

@@ -33,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ranges import RIESZ_REL, SUPPORT_TOL, fiber_spectra
-from .zak import FiberedVector, ZakTransform
+from .ranges import RIESZ_REL, SUPPORT_TOL, fiber_spectra, generator_system
+from .zak import FiberedVector, Fibration
 
 __all__ = [
     "FrameReport",
@@ -121,10 +121,12 @@ def frame_check_fibers(fibered: Sequence[FiberedVector],
     return report_from_spectra(s2, dims, tolerance, riesz_style=False)
 
 
-def frame_check(zak: ZakTransform, gens,
+def frame_check(zak: Fibration, gens,
                 tolerance: float = SUPPORT_TOL) -> FrameReport:
-    """Frame bounds of the orbit system of ``gens`` on the space it spans."""
-    return frame_check_fibers([zak.forward(g) for g in gens], tolerance)
+    """Frame bounds of the orbit system of ``gens`` on the space it spans;
+    ``zak`` is either fibration (see :mod:`zakfiber.zak`)."""
+    s2, dims = generator_system(zak, gens).spectra()
+    return report_from_spectra(s2, dims, tolerance, riesz_style=False)
 
 
 def riesz_check_fibers(fibered: Sequence[FiberedVector],
@@ -133,7 +135,9 @@ def riesz_check_fibers(fibered: Sequence[FiberedVector],
     return report_from_spectra(s2, dims, tolerance, riesz_style=True)
 
 
-def riesz_check(zak: ZakTransform, gens,
+def riesz_check(zak: Fibration, gens,
                 tolerance: float = SUPPORT_TOL) -> FrameReport:
-    """Riesz bounds of the orbit system: extremes of the fiber Gram spectra."""
-    return riesz_check_fibers([zak.forward(g) for g in gens], tolerance)
+    """Riesz bounds of the orbit system: extremes of the fiber Gram spectra;
+    ``zak`` is either fibration (see :mod:`zakfiber.zak`)."""
+    s2, dims = generator_system(zak, gens).spectra()
+    return report_from_spectra(s2, dims, tolerance, riesz_style=True)

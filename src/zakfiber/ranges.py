@@ -37,11 +37,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .zak import FiberedVector, ZakTransform, stack_generator_fibers
+from .zak import FiberedVector, Fibration, stack_generator_fibers
 
 __all__ = [
     "RangeFunction",
     "fiber_spectra",
+    "GeneratorSystem",
+    "generator_system",
     "range_from_generators",
     "range_from_fibers",
     "membership",
@@ -62,24 +64,68 @@ def rank_cut(s: np.ndarray) -> np.ndarray:
     return np.sum(s > RANK_TOL * s.max(), axis=1)
 
 
-def _factor(fibered: Sequence[FiberedVector], compute_uv: bool):
-    """(U or None, s2, dims, weights) from one batched SVD of the stack
-    (n_fibers, n_points, n_gens) scaled by sqrt(mu) along the points axis.
-    s2 is the fiber Gram spectrum, descending and padded with zeros to
-    n_gens; dims counts the values retained by :func:`rank_cut`."""
-    stack, weights = stack_generator_fibers(fibered)
-    stack *= np.sqrt(weights)[:, None]
-    svd = np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
+def _factor(stack: np.ndarray, weights: np.ndarray, compute_uv: bool):
+    """(U or None, s2, dims) from one batched SVD of the generator stack
+    (n_fibers, n_points, n_gens) scaled by sqrt(mu) along the points axis,
+    into a new array.  s2 is the fiber Gram spectrum, descending and padded
+    with zeros to n_gens; dims counts the values retained by
+    :func:`rank_cut`."""
+    scaled = stack * np.sqrt(weights)[:, None]
+    svd = np.linalg.svd(scaled, full_matrices=False, compute_uv=compute_uv)
     U, s = svd[:2] if compute_uv else (None, svd)
     s2 = np.zeros((stack.shape[0], stack.shape[2]))
     s2[:, : s.shape[1]] = s ** 2
-    return U, s2, rank_cut(s), weights
+    return U, s2, rank_cut(s)
 
 
 def fiber_spectra(fibered: Sequence[FiberedVector]):
     """Padded squared spectra s2 and ranks dims of the weight-scaled fiber
     matrices, from one batched spectrum-only SVD (see :func:`_factor`)."""
-    return _factor(fibered, compute_uv=False)[1:3]
+    return _factor(*stack_generator_fibers(fibered), compute_uv=False)[1:]
+
+
+class GeneratorSystem:
+    """The memo entry of a fibration: one generator system, fiberized once.
+
+    ``stack`` holds the fibers (n_fibers, n_points, k) and ``weights`` the
+    fibration's fiber weights.  The stack is read-only, and ``weights`` is
+    the fibration's own array: a result that keeps either holds a copy.
+    """
+
+    def __init__(self, zak: Fibration, vectors: list[np.ndarray]):
+        self.stack, self.weights = zak.forward_many(vectors)
+        self.stack.flags.writeable = False
+        # the key, stacked once the forward's own temporaries are freed
+        self._rows = np.stack(vectors)
+        self._rows.flags.writeable = False
+        self._spectra = None
+
+    def holds(self, vectors: list[np.ndarray]) -> bool:
+        """Are these the generators of the entry, bit for bit?"""
+        # row by row, with no stack of the vectors; as bits, since as
+        # values -0.0 == 0.0 and NaN != NaN
+        return len(vectors) == len(self._rows) and all(
+            v.shape == row.shape and np.array_equal(
+                row.view(np.int64), np.ascontiguousarray(v).view(np.int64))
+            for row, v in zip(self._rows, vectors))
+
+    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`fiber_spectra` of the stack: computed on first use, and
+        handed out as copies."""
+        if self._spectra is None:
+            self._spectra = _factor(self.stack, self.weights,
+                                    compute_uv=False)[1:]
+        return tuple(a.copy() for a in self._spectra)
+
+
+def generator_system(zak: Fibration, gens) -> GeneratorSystem:
+    """The memo entry of ``gens`` on either fibration (see
+    :mod:`zakfiber.zak`): its last one when the generators are the same
+    bits, else a new one that replaces it."""
+    vectors = [np.asarray(g, dtype=complex) for g in gens]
+    if zak.memo is None or not zak.memo.holds(vectors):
+        zak.memo = GeneratorSystem(zak, vectors)
+    return zak.memo
 
 
 @dataclass
@@ -90,12 +136,17 @@ class RangeFunction:
     ``dims[i]`` columns Q satisfy Q^H diag(mu) Q = I up to 1e-10, and the
     columns past ``dims[i]`` are exactly zero.  ``s2`` is the padded
     squared spectrum they were cut from, as :func:`fiber_spectra` gives it.
+    Every array is its own.
     """
 
     basis: np.ndarray
     dims: np.ndarray
     fiber_weights: np.ndarray
     s2: np.ndarray
+
+    def __post_init__(self):
+        # the weights passed in are a fibration's own array
+        self.fiber_weights = self.fiber_weights.copy()
 
     @property
     def n_fibers(self) -> int:
@@ -106,27 +157,33 @@ class RangeFunction:
         return int(self.basis.shape[2])
 
 
-def range_from_fibers(fibered: Sequence[FiberedVector]) -> RangeFunction:
-    """Rank-revealing orthonormalization of the generator fibers.
+def _range(stack: np.ndarray, weights: np.ndarray) -> RangeFunction:
+    """Rank-revealing orthonormalization of a generator stack.
 
     The weight-scaled fiber stack is decomposed by one batched thin SVD
     (:func:`_factor`).  U, cut to the largest rank that
     :func:`rank_cut` retains, is pulled back in place to weighted-
     orthonormal bases, zero past each fiber's own rank.
     """
-    U, s2, dims, weights = _factor(fibered, compute_uv=True)
+    U, s2, dims = _factor(stack, weights, compute_uv=True)
     basis = U[:, :, : dims.max()]
     basis *= (1.0 / np.sqrt(weights))[:, None]
     np.copyto(basis, 0, where=np.arange(dims.max()) >= dims[:, None, None])
     return RangeFunction(basis, dims, weights, s2)
 
 
-def range_from_generators(zak, gens) -> RangeFunction:
+def range_from_fibers(fibered: Sequence[FiberedVector]) -> RangeFunction:
+    """Range function of generator fibers (see :func:`_range`)."""
+    return _range(*stack_generator_fibers(fibered))
+
+
+def range_from_generators(zak: Fibration, gens) -> RangeFunction:
     """Range function of ``gens`` on either fibration (see
     :mod:`zakfiber.zak`); no generators span the zero space, whose fibers
     all have dimension 0."""
     gens = list(gens) or [np.zeros(zak.ambient_weights.size)]
-    return range_from_fibers([zak.forward(g) for g in gens])
+    system = generator_system(zak, gens)
+    return _range(system.stack, system.weights)
 
 
 def _project_fibers(Phi: FiberedVector, J: RangeFunction) -> np.ndarray:
@@ -152,7 +209,7 @@ def membership_fibers(Phi: FiberedVector, J: RangeFunction,
     return member, residual
 
 
-def membership(zak, psi, J: RangeFunction):
+def membership(zak: Fibration, psi, J: RangeFunction):
     """Does psi lie in the invariant space with range function J?  ``zak``
     is either fibration (see :mod:`zakfiber.zak`).
 
@@ -166,7 +223,8 @@ def membership(zak, psi, J: RangeFunction):
     return membership_fibers(Phi, J, norm=norm)
 
 
-def project(zak: ZakTransform, psi, J: RangeFunction) -> np.ndarray:
-    """Orthogonal projection of psi onto the invariant space of J."""
+def project(zak: Fibration, psi, J: RangeFunction) -> np.ndarray:
+    """Orthogonal projection of psi onto the invariant space of J; ``zak``
+    is either fibration (see :mod:`zakfiber.zak`)."""
     proj = _project_fibers(zak.forward(psi), J)
     return zak.inverse(FiberedVector(proj, J.fiber_weights))

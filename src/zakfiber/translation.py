@@ -32,7 +32,7 @@ from .frames import SUPPORT_TOL, FrameReport, frame_check_fibers, \
 from .group import FiniteAbelianGroup, Subgroup, annihilator, character, \
     coset_transversal, dft, subgroup_from_generators
 from .ranges import RangeFunction, range_from_fibers
-from .zak import FiberedVector
+from .zak import FiberedVector, Fibration
 
 __all__ = [
     "TranslationScenario",
@@ -49,7 +49,7 @@ __all__ = [
 
 
 @dataclass(eq=False)
-class TranslationScenario:
+class TranslationScenario(Fibration):
     """A subgroup Gamma of G with its annihilator and both transversals;
     the fibration (see :mod:`zakfiber.zak`) of translation by Gamma."""
 
@@ -79,6 +79,16 @@ class TranslationScenario:
 
     def forward(self, f) -> FiberedVector:
         return zakG_forward(self, f)
+
+    def _vector(self, f) -> np.ndarray:
+        return _check_function(self, f)
+
+    def _forward_vectors(self, vectors: list[np.ndarray]):
+        # one batched K @ v[S], a matrix product per generator, viewed in
+        # stack shape: each generator's fibers stay C-contiguous
+        K, S = self._tables
+        orbits = np.array([v[S] for v in vectors])
+        return (K @ orbits).transpose(1, 2, 0), np.ones(self.n_cosets)
 
     def inverse(self, Phi: FiberedVector) -> np.ndarray:
         return zakG_inverse(self, Phi)
@@ -161,11 +171,9 @@ def _shift_index(s: TranslationScenario) -> np.ndarray:
 
 
 def zakG_forward(s: TranslationScenario, f) -> FiberedVector:
-    """Fibers Z[f](omega)(x) over omega in Omega, x in C (unit weights)."""
-    v = _check_function(s, f)
-    K, S = s._tables
-    fibers = K @ v[S]
-    return FiberedVector(fibers, np.ones(s.n_cosets))
+    """Fibers Z[f](omega)(x) over omega in Omega, x in C (unit weights):
+    ``forward_many`` of the one function f."""
+    return Fibration.forward(s, f)
 
 
 def zakG_inverse(s: TranslationScenario, Phi: FiberedVector) -> np.ndarray:

@@ -17,6 +17,17 @@ lexicographic dual order.
 A fibration has ``forward``, ``inverse``, ``ambient_weights`` and
 ``synthesis_matrix(gens)`` (the oracle's matrix of the orbit system); the
 two are :class:`ZakTransform` and ``translation.TranslationScenario``.
+Both are a :class:`Fibration`, so both also have ``forward_many(gens)``,
+the stack (n_fibers, n_points, k) of all k generators' fibers at once;
+``forward`` is its case k = 1.  Each fibration also keeps one memo entry
+in ``memo``, a ``ranges.GeneratorSystem``: the last generator system, a
+read-only copy of the generators, their read-only fiber stack and, once
+first needed, its spectrum.  ``frame_check``, ``riesz_check``,
+``range_from_generators``, ``parseval_decompose`` and
+``verify_decomposition`` read the entry through
+``ranges.generator_system``, which replaces it when called with
+generators of other bits.  It costs one generator stack and one fiber
+stack of the same size.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ import numpy as np
 from . import oracle
 from .action import AffineAction, QuasiInvariantAction, tiling_transversal
 
-__all__ = ["FiberedVector", "ZakTransform"]
+__all__ = ["FiberedVector", "Fibration", "ZakTransform"]
 
 
 @dataclass
@@ -93,7 +104,32 @@ def stack_generator_fibers(fibered) -> tuple[np.ndarray, np.ndarray]:
     return stack, first.fiber_weights
 
 
-class ZakTransform:
+class Fibration:
+    """What both fibrations share: ``forward`` and ``forward_many``.
+
+    A subclass has ``ambient_weights``, ``_vector(f)`` (f as a checked
+    complex vector) and ``_forward_vectors(vs)`` (the fiber stack and
+    weights of a list of such vectors).
+    """
+
+    # the last generator system, kept by ranges.generator_system
+    memo = None
+
+    def forward(self, psi) -> FiberedVector:
+        stack, weights = self._forward_vectors([self._vector(psi)])
+        return FiberedVector(stack[:, :, 0], weights)
+
+    def forward_many(self, gens) -> tuple[np.ndarray, np.ndarray]:
+        """(stack, weights): the fibers of all k generators at once, shaped
+        (n_fibers, n_points, k); ``forward`` of the j-th generator is
+        column j, so both have the same bits and memory layout."""
+        vectors = [self._vector(g) for g in gens]
+        if not vectors:
+            raise ValueError("at least one fibered generator is required")
+        return self._forward_vectors(vectors)
+
+
+class ZakTransform(Fibration):
     """Forward/inverse fiberization for one validated free action.
 
     Precomputes, per group element gamma and representative x, the point
@@ -107,8 +143,8 @@ class ZakTransform:
         self.group = action.group
         C = self.transversal = tiling_transversal(action)
         mu = action.space.weights
-        # src[gi, ci] = sigma_{-gamma_gi}(C[ci]); in Fortran order, which
-        # the last bits of the forward FFT depend on
+        # src[gi, ci] = sigma_{-gamma_gi}(C[ci]); in Fortran order, the
+        # layout of the forward's stack
         if isinstance(action, AffineAction):  # s_{-gamma} = -s_gamma mod N
             src = ((C[:, None] - action.shifts) % action.space.size).T
         else:
@@ -130,17 +166,30 @@ class ZakTransform:
     def synthesis_matrix(self, gens) -> np.ndarray:
         return oracle.synthesis_matrix(self.action, gens)
 
-    def forward(self, psi) -> FiberedVector:
+    def _vector(self, psi) -> np.ndarray:
         v = np.asarray(psi, dtype=complex)
         if v.shape != (self.action.space.size,):
             raise ValueError(
                 f"expected {self.action.space.size} values, got shape {v.shape}"
             )
-        orbit = self._amp_fwd * v[self._src]          # (|Gamma|, |C|)
-        shaped = orbit.reshape(*self.group.invariant_factors, self.n_points)
+        return v
+
+    def _forward_vectors(self, vectors: list[np.ndarray]):
+        # all forwards at once: the weighted orbits (k, |C|, |Gamma|),
+        # gathered vector by vector, with no stack of the vectors; their
+        # transpose is the stack in Fortran order, the layout of a single
+        # generator's fibers, on which the last bits of the fiber sums
+        # depend; then one FFT over the group axes
+        index, amp = self._src.T, self._amp_fwd.T
+        orbits = np.empty((len(vectors),) + index.shape, dtype=complex)
+        for v, orbit in zip(vectors, orbits):
+            np.multiply(v[index], amp, out=orbit)
+        stack = orbits.T
+        shaped = stack.reshape(*self.group.invariant_factors, self.n_points,
+                               len(vectors))
         fibers = np.fft.fftn(shaped, axes=tuple(range(self.group.rank)))
-        return FiberedVector(fibers.reshape(self.group.order, self.n_points),
-                             self.fiber_weights)
+        return np.asfortranarray(fibers.reshape(stack.shape)), \
+            self.fiber_weights
 
     def inverse(self, Phi: FiberedVector) -> np.ndarray:
         if Phi.fibers.shape != (self.n_fibers, self.n_points):

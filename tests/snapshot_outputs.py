@@ -1,11 +1,18 @@
-"""Snapshot every CLI output on generated benchmark scenarios.
+"""Snapshot every CLI output and session result on generated benchmark
+scenarios.
 
 A tool, not a test (pytest does not collect it).  ``dump`` writes the
-scenarios of the CLI workloads for the given seeds with ``bench/gen.py``
-into a temporary directory (``bench/`` itself is left unchanged), runs
-all 15 commands in both output formats on each, and writes stdout,
-stderr and exit code per case as one JSON document.  ``diff`` compares
-two dumps, so two checkouts can be compared byte for byte:
+scenarios of the benchmark workloads for the given seeds with
+``bench/gen.py`` into a temporary directory (``bench/`` itself is left
+unchanged).  On the scenarios of a CLI workload it runs all 15 commands in
+both output formats; on those of a session workload it runs the 8 library
+calls of ``bench/ops.py``'s session in order.  It writes stdout, stderr
+and exit code per case as one JSON document.  A session case's stdout is
+the JSON form of the call's result (report fields, range dims and basis,
+parts, audit fields but not the basis of its ``parts_range``, which is
+the forward of the parts), with every array stored as its bytes, and an
+exception is exit 1 with its repr on stderr.  ``diff`` compares two dumps,
+so two checkouts can be compared byte for byte:
 
     PYTHONPATH=/path/to/other/src python tests/snapshot_outputs.py dump a.json
     PYTHONPATH=src python tests/snapshot_outputs.py dump b.json
@@ -14,9 +21,10 @@ two dumps, so two checkouts can be compared byte for byte:
 ``diff`` prints every case that differs, with any change of exit code or
 stderr and every changed non-numeric value (booleans, nulls, strings)
 under its JSON path; then, per command and numeric field path with list
-indices collapsed to ``[]``, the largest relative and absolute change.
-It exits 1 if any case differs.  ``tests/golden/cli.json`` has the same
-format, so a re-baseline of the goldens is listed by
+indices collapsed to ``[]``, the largest relative and absolute change
+(over all elements, for an array).  It exits 1 if any case differs.
+``tests/golden/cli.json`` has the same format, so a re-baseline of the
+goldens is listed by
 
     git show HEAD:tests/golden/cli.json > old.json
     python tests/snapshot_outputs.py diff old.json tests/golden/cli.json
@@ -25,6 +33,8 @@ format, so a re-baseline of the goldens is listed by
 from __future__ import annotations
 
 import argparse
+import base64
+import dataclasses
 import io
 import itertools
 import json
@@ -34,17 +44,60 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import gen  # noqa: E402
 
 CLI_WORKLOADS = [w for w, (_, mode, _) in gen.WORKLOADS.items()
                  if mode == "cli"]
+SESSION_WORKLOADS = [w for w, (_, mode, _) in gen.WORKLOADS.items()
+                     if mode == "session"]
+
+
+def _encode(value):
+    """JSON form of a session result; an array keeps its bytes."""
+    if isinstance(value, np.ndarray):
+        a = np.ascontiguousarray(value)
+        return {"dtype": a.dtype.str, "shape": list(a.shape),
+                "b64": base64.b64encode(a.tobytes()).decode()}
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if hasattr(value, "n_points"):  # the fibration the build op returns
+        return {"n_fibers": value.n_fibers, "n_points": value.n_points}
+    return value
+
+
+def _session_cases(d: Path) -> dict:
+    import ops
+
+    cases = {}
+    workload = ops.Workload(d)
+    for i, sc in enumerate(workload.scenarios):
+        state = {}
+        for op in workload.scenario_ops(i):
+            result = op.run(state)
+            failed = isinstance(result, Exception)
+            doc = None if failed else _encode(result)
+            if op.name == "audit" and not failed:  # the parts' forward
+                del doc["parts_range"]["basis"]
+            cases[f"session {d / sc['path']} {op.name}"] = {
+                "exit": int(failed),
+                "stdout": "" if failed else json.dumps(doc, sort_keys=True),
+                "stderr": repr(result) if failed else ""}
+    return cases
 
 
 def dump(workloads, seeds) -> dict:
     """{case: {exit, stdout, stderr}}, where a case is the command line
-    with the scenario path relative to the generated tree."""
+    with the scenario path relative to the generated tree, or ``session``,
+    the scenario's directory and the name of the op."""
     from test_golden import COMMANDS, FORMATS
     from zakfiber.cli import run
 
@@ -55,7 +108,11 @@ def dump(workloads, seeds) -> dict:
         try:
             for workload, seed in itertools.product(workloads, seeds):
                 d = Path(f"{workload}-seed{seed}")
-                for sc in gen.generate(workload, seed, d)["scenarios"]:
+                scenarios = gen.generate(workload, seed, d)["scenarios"]
+                if workload in SESSION_WORKLOADS:
+                    cases.update(_session_cases(d))
+                    continue
+                for sc in scenarios:
                     for command, fmt in itertools.product(COMMANDS, FORMATS):
                         case = (f"{command} --scenario {d / sc['path']} "
                                 f"--format {fmt}")
@@ -78,7 +135,11 @@ def _document(stdout: str):
 
 
 def _leaves(node, path="$"):
-    """{JSON path: scalar} over a parsed document."""
+    """{JSON path: scalar or array} over a parsed document."""
+    if isinstance(node, dict) and "b64" in node:
+        data = base64.b64decode(node["b64"])
+        return {path: np.frombuffer(data, dtype=node["dtype"])
+                .reshape(node["shape"])}
     if isinstance(node, dict):
         items = ((f"{path}.{k}", v) for k, v in node.items())
     elif isinstance(node, list):
@@ -108,20 +169,36 @@ def diff(path_a, path_b) -> int:
         if old["stderr"] != new["stderr"]:
             print(f"  stderr: {old['stderr']!r} -> {new['stderr']!r}")
         la, lb = (_leaves(_document(s["stdout"])) for s in (old, new))
-        command = case.split(" --scenario")[0]
+        command = case.rsplit(" ", 1)[1] if case.startswith("session ") \
+            else case.split(" --scenario")[0]
         missing = "<absent>"
         for path in sorted(la.keys() | lb.keys()):
             va, vb = la.get(path, missing), lb.get(path, missing)
-            if va == vb:
+            arrays = [isinstance(v, np.ndarray) for v in (va, vb)]
+            if all(arrays) and va.shape == vb.shape:
+                if va.tobytes() == vb.tobytes():
+                    continue
+                va, vb = va.astype(complex), vb.astype(complex)
+                change = np.abs(va - vb)
+                peak = np.maximum(np.abs(va), np.abs(vb))
+                rel = float(np.max(change / np.where(peak > 0, peak, 1)))
+                change = float(np.max(change))
+            elif any(arrays):
+                shapes = [v.shape if a else v
+                          for v, a in zip((va, vb), arrays)]
+                print(f"  {path}: shape {shapes[0]} -> {shapes[1]}")
                 continue
-            if _is_number(va) and _is_number(vb):
+            elif va == vb:
+                continue
+            elif _is_number(va) and _is_number(vb):
                 change = abs(va - vb)
                 rel = change / max(abs(va), abs(vb)) if change else 0.0
-                key = (command, re.sub(r"\[\d+\]", "[]", path))
-                prev = largest.get(key, (0.0, 0.0))
-                largest[key] = (max(prev[0], rel), max(prev[1], change))
             else:
                 print(f"  {path}: {json.dumps(va)} -> {json.dumps(vb)}")
+                continue
+            key = (command, re.sub(r"\[\d+\]", "[]", path))
+            prev = largest.get(key, (0.0, 0.0))
+            largest[key] = (max(prev[0], rel), max(prev[1], change))
     if largest:
         print("largest change per numeric field (relative, absolute):")
         for (command, path), (rel, change) in sorted(largest.items()):
@@ -135,8 +212,8 @@ def main(argv=None) -> int:
     sub = p.add_subparsers(dest="action", required=True)
     d = sub.add_parser("dump")
     d.add_argument("out")
-    d.add_argument("--workloads", nargs="+", choices=CLI_WORKLOADS,
-                   default=CLI_WORKLOADS)
+    d.add_argument("--workloads", nargs="+", choices=list(gen.WORKLOADS),
+                   default=list(gen.WORKLOADS))
     d.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
     c = sub.add_parser("diff")
     c.add_argument("a")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from zakfiber import ZakTransform, fixture_path, frame_check, \
-    parse_scenario, parseval_decompose, verify_decomposition
+    parse_scenario, parseval_decompose, range_from_generators, riesz_check, \
+    verify_decomposition
 from zakfiber.decomp import parseval_decompose_fibers, \
     verify_decomposition_fibers
 from zakfiber.zak import FiberedVector
@@ -150,6 +151,91 @@ def test_audit_takes_one_fiber_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     assert verify_decomposition(zk, sc.generators, parts).ok
     assert calls == [3]
+
+
+def test_one_generator_system_is_fiberized_and_factored_once(monkeypatch):
+    # the spectrum-only SVD of frame_check and the thin SVD of the range;
+    # riesz_check and the audit read the memo entry's spectrum, and the
+    # audit fiberizes the parts without replacing the entry
+    sc = parse_scenario(fixture_path("s1"))
+    zk = ZakTransform(sc.action)
+    svd, forward = np.linalg.svd, ZakTransform.forward
+    svds, forwards = [], []
+
+    def counting_svd(a, *args, **kwargs):
+        svds.append(np.ndim(a))
+        return svd(a, *args, **kwargs)
+
+    def counting_forward(self, psi):
+        forwards.append(psi)
+        return forward(self, psi)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(ZakTransform, "forward", counting_forward)
+    frame_check(zk, sc.generators)
+    riesz_check(zk, sc.generators)
+    range_from_generators(zk, sc.generators)
+    parts = parseval_decompose(zk, sc.generators)
+    assert verify_decomposition(zk, sc.generators, parts).ok
+    frame_check(zk, sc.generators)
+    assert svds == [3, 3]
+    assert forwards == []
+
+
+@pytest.mark.parametrize("fixture", ["s1", "s3"])
+def test_no_generators_are_refused_with_the_stack_message(fixture):
+    sc = parse_scenario(fixture_path(fixture))
+    fib = sc.translation or ZakTransform(sc.action)
+    parts = parseval_decompose(fib, sc.generators)
+    calls = [lambda: frame_check(fib, []), lambda: riesz_check(fib, []),
+             lambda: parseval_decompose(fib, []),
+             lambda: verify_decomposition(fib, [], parts),
+             lambda: fib.forward_many([])]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "at least one fibered generator is required"
+
+
+def _arrays(result):
+    """Every array a library result hands out, parts included."""
+    if isinstance(result, list):
+        return result
+    return [v for v in vars(result).values() if isinstance(v, np.ndarray)]
+
+
+def _same(a, b):
+    xs, ys = _arrays(a), _arrays(b)
+    return len(xs) == len(ys) and all(map(np.array_equal, xs, ys))
+
+
+def test_the_memo_entry_never_leaks_into_results():
+    sc = parse_scenario(fixture_path("s1"))
+    gens = [g.copy() for g in sc.generators]
+    zk = ZakTransform(sc.action)
+    calls = [lambda z, g: frame_check(z, g),
+             lambda z, g: riesz_check(z, g),
+             lambda z, g: range_from_generators(z, g),
+             lambda z, g: parseval_decompose(z, g)]
+    for call in calls + calls:
+        result = call(zk, gens)
+        expected = call(ZakTransform(sc.action), gens)
+        assert _same(result, expected)
+        for a in _arrays(result):
+            assert a.flags.writeable
+            a[...] = 7
+    parts = parseval_decompose(ZakTransform(sc.action), gens)
+    check = verify_decomposition(zk, gens, parts)
+    expected = verify_decomposition(ZakTransform(sc.action), gens, parts)
+    assert check.membership_residuals == expected.membership_residuals
+    assert _same(check.parts_range, expected.parts_range)
+    assert all(a.flags.writeable for a in _arrays(check.parts_range))
+    # a generator changed in place is a new generator system
+    before = frame_check(zk, gens)
+    gens[0][:] = sc.generators[1]
+    after = frame_check(zk, gens)
+    assert _same(after, frame_check(ZakTransform(sc.action), gens))
+    assert not _same(after, before)
 
 
 def test_generator_order_is_respected():

@@ -1,6 +1,6 @@
 """Property tests: the array code in group, action and translation against
-the element-by-element references in helpers, and ``verify`` on random
-free actions.
+the element-by-element references in helpers, ``forward_many`` against
+one ``forward`` per generator, and ``verify`` on random free actions.
 
 Hypothesis runs derandomized, so every run checks the same examples.
 Groups have one to three invariant factors, factors of 1 included.
@@ -214,6 +214,71 @@ def test_duality_agrees_with_scalar_reference(G, data):
     assert abs(weil_check(s, f)[1] - coset_sum) <= 1e-12 * scale
 
 
+def _free_table(G, c, rng):
+    """Translation on G x {0..c-1}, the points relabelled at random."""
+    els = G.elements()
+    table = np.array([[G.index(G.add(g, x)) * c + k
+                       for x in els for k in range(c)] for g in els])
+    perm = rng.permutation(table.shape[1])
+    return perm[table[:, np.argsort(perm)]]
+
+
+@st.composite
+def free_actions(draw):
+    """A free action: an affine one of a cyclic group given by coprime
+    factors, or an explicit table of any group, with random weights."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        factors = draw(st.sampled_from([(1,), (6,), (7,), (8,), (12,),
+                                        (2, 3), (4, 3), (5, 2), (9, 2),
+                                        (3, 1, 4), (2, 3, 5)]))
+        G = FiniteAbelianGroup(factors)
+        N = G.order * c
+        # gamma -> sum_j (|G|/n_j) u_j gamma_j is injective on coprime
+        # factors when each u_j is a unit mod n_j
+        units = [draw(st.sampled_from([u for u in range(1, n + 1)
+                                       if math.gcd(u, n) == 1]))
+                 for n in factors]
+        ms = [c * (G.order // n) * u + draw(st.integers(-1, 1)) * N
+              for n, u in zip(factors, units)]
+        weights = 10.0 ** rng.uniform(-3, 3, N)
+        return affine_action(G, WeightedSpace(weights), ms), rng
+    G = draw(groups(max_order=16))
+    table = _free_table(G, c, rng)
+    weights = 10.0 ** rng.uniform(-3, 3, table.shape[1])
+    return QuasiInvariantAction(G, WeightedSpace(weights), table), rng
+
+
+def _assert_forward_many(fib, gens):
+    stack, weights = fib.forward_many(gens)
+    fibered = [fib.forward(g) for g in gens]
+    assert stack.shape[2] == len(gens)
+    for j, fv in enumerate(fibered):
+        # the same bits in the same layout, on which later sums depend
+        assert stack[:, :, j].tobytes() == fv.fibers.tobytes()
+        layout = [(a.flags.c_contiguous, a.flags.f_contiguous)
+                  for a in (stack[:, :, j], fv.fibers)]
+        assert layout[0] == layout[1]
+    assert np.array_equal(weights, fibered[0].fiber_weights)
+
+
+@PROPERTY
+@given(free_actions(), st.integers(1, 6))
+def test_forward_many_is_the_stack_of_forwards(case, k):
+    action, rng = case
+    gens = [random_complex(rng, action.space.size) for _ in range(k)]
+    _assert_forward_many(ZakTransform(action), gens)
+
+
+@PROPERTY
+@given(groups(max_order=24), st.data(), st.integers(1, 6))
+def test_translation_forward_many_is_the_stack_of_forwards(G, data, k):
+    s = build_scenario(G, data.draw(st.lists(elements(G), max_size=3)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    _assert_forward_many(s, [random_complex(rng, G.order) for _ in range(k)])
+
+
 @st.composite
 def verify_scenarios(draw):
     """(scenario document, action, generators): a free action of a random
@@ -222,13 +287,8 @@ def verify_scenarios(draw):
     random candidate and one in the span."""
     G = draw(groups(max_order=8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    els = G.elements()
-    c = draw(st.integers(1, 3))
-    table = np.array([[G.index(G.add(g, x)) * c + k
-                       for x in els for k in range(c)] for g in els])
+    table = _free_table(G, draw(st.integers(1, 3)), rng)
     N = table.shape[1]
-    perm = rng.permutation(N)
-    table = perm[table[:, np.argsort(perm)]]
     weights = 10.0 ** rng.uniform(-3, 3, N)
     gens = []
     for kind in draw(st.lists(st.sampled_from(["near", "dense", "sparse",
