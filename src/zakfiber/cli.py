@@ -268,16 +268,15 @@ def cmd_bracket(sc: Scenario, args) -> tuple[dict, int]:
 
 def cmd_decompose(sc: Scenario, args) -> tuple[dict, int]:
     rep = _base_report(sc, args)
-    fib, fibered = _generator_fibers(sc)
-    part_fibers = decomp.parseval_decompose_fibers(fibered)
-    parts = [fib.inverse(p) for p in part_fibers]
-    audit = decomp.verify_decomposition_fibers(fibered, part_fibers,
-                                               tolerance=args.tolerance)
+    fib = _fibration(sc)
+    parts = decomp.parseval_decompose(fib, sc.generators)
+    audit = decomp.verify_decomposition(fib, sc.generators, parts,
+                                        tolerance=args.tolerance)
     J = audit.parts_range
     union = frames.report_from_spectra(J.s2, J.dims, args.tolerance,
                                        riesz_style=False)
     # the zero space has the empty decomposition, which is trivially Parseval
-    ok = audit.ok and (union.is_parseval or not part_fibers)
+    ok = audit.ok and (union.is_parseval or not parts)
     rep["parts"] = [_cvec(p) for p in parts]
     rep["audit"] = {
         "orthogonality_max": audit.orthogonality_max,

@@ -1,10 +1,15 @@
 """Decomposition of an invariant space into orthogonal Parseval orbits.
 
-Fiberwise Gram-Schmidt (classical, with a second pass) over the generator
-fibers, in generator order with a drop tolerance, yields functions Phi_n
-whose fibers have norm 0 or 1.  Pulling each Phi_n back through the
-inverse transform gives generators psi_n whose orbit systems are Parseval
-frames of mutually orthogonal invariant subspaces summing to the space.
+The thin SVD of the weight-scaled generator fibers, diag(sqrt(mu)) [Z[phi]]
+= U S V^H, gives every fiber a weighted-orthonormal basis U / sqrt(mu) of
+J(alpha) and the generators' coordinates S V^H in it, k columns of length
+r <= k (see :func:`zakfiber.ranges._factor`).  Gram-Schmidt (classical,
+with a second pass) on those coordinates, in generator order with a drop
+tolerance, yields functions Phi_n = basis @ Q whose fibers have norm 0 or
+1, as many per fiber as the range function's dimension.  Pulling each
+Phi_n back through the inverse transform gives generators psi_n whose
+orbit systems are Parseval frames of mutually orthogonal invariant
+subspaces summing to the space.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 # range_from_fibers: unused, but bench/spans.py requires the binding
-from .ranges import ORTHO_TOL, RANK_TOL, RangeFunction, fiber_spectra, \
-    generator_system, membership_fibers, range_from_fibers
+from .ranges import ORTHO_TOL, RANK_TOL, GeneratorSystem, RangeFunction, \
+    fiber_system, generator_system, membership_fibers, range_from_fibers
 from .zak import FiberedVector, Fibration, stack_generator_fibers
 
 __all__ = [
@@ -27,67 +32,57 @@ __all__ = [
     "verify_decomposition_fibers",
 ]
 
-def _orthonormalize(stack: np.ndarray, weights: np.ndarray):
-    """(slots, count): slots[:, n] holds the n-th surviving vector of every
-    fiber of the generator stack, zero where fewer survive, for n below
-    count.  The stack is only read."""
-    n_fibers, n_points, n_gens = stack.shape
-    # squared entries of a tiny stack underflow; a power of two is exact
-    peak = np.max(np.abs(stack))
-    scale = 2.0 ** -np.frexp(peak)[1] if peak > 0 else 1.0
 
-    def column(j: int) -> np.ndarray:
-        # a scaled C-ordered copy: the last bits of the sums below depend
-        # on the layout
-        r = stack[:, :, j].copy()
-        r *= scale
-        return r
+def _parts(system: GeneratorSystem) -> np.ndarray:
+    """The part fibers (n_fibers, n_points, count) of a generator system.
 
-    def wnorm(v: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(np.abs(v) ** 2 * weights, axis=-1))
-
-    ref = np.max([wnorm(column(j)) for j in range(n_gens)])
-    slots = np.zeros((n_fibers, n_gens, n_points), dtype=complex)
+    Per fiber each generator's coordinates are projected out of the
+    vectors accepted before it, all fibers at once; a generator is dropped
+    when its residual falls to RANK_TOL times the largest coordinate norm
+    over all fibers, divided by sqrt(k).  A fiber of rank d then keeps
+    exactly d: were fewer kept, the dropped residuals would bound its d-th
+    singular value by RANK_TOL * sigma_max, which rank_cut does not allow.
+    Column n of Q holds the n-th accepted vector of every fiber, and stays
+    exactly zero on the fibers that accept fewer.
+    """
+    coords = system.factors()[3]
+    n_fibers, r, k = coords.shape
+    # squared coordinates of a tiny stack underflow; a power of two is exact
+    cols = coords * 2.0 ** -np.frexp(np.max(np.abs(coords), initial=0.0))[1]
+    cut = RANK_TOL * np.max(np.linalg.norm(cols, axis=1), initial=0.0) \
+        / np.sqrt(k)
+    Q = np.zeros((n_fibers, r, k), dtype=complex)
     count = np.zeros(n_fibers, dtype=int)
-    for j in range(n_gens):
-        r = column(j)
-        S = slots[:, : count.max()]
+    for j in range(k):
+        v = cols[:, :, j, None]
+        S = Q[:, :, : count.max()]
         for _ in range(2):  # the second pass firms up orthogonality
-            c = np.conj(S @ np.conj(r * weights)[:, :, None])
-            r -= (c.swapaxes(1, 2) @ S)[:, 0]
-        nr = wnorm(r)
-        keep = np.flatnonzero(nr > RANK_TOL * ref)
-        slots[keep, count[keep]] = r[keep] / nr[keep, None]
+            v = v - S @ (S.conj().swapaxes(1, 2) @ v)
+        nv = np.linalg.norm(v[:, :, 0], axis=1)
+        keep = np.flatnonzero(nv > cut)
+        Q[keep, :, count[keep]] = v[keep, :, 0] / nv[keep, None]
         count[keep] += 1
-    return slots, int(count.max())
+    return system.basis() @ Q[:, :, : count.max()]
 
 
 def parseval_decompose_fibers(fibered: Sequence[FiberedVector]
                               ) -> list[FiberedVector]:
-    """Fiberwise orthonormalization of generator fibers, kept in order.
-
-    Per fiber each generator is projected out of the vectors accepted
-    before it by classical Gram-Schmidt with a second pass; it is dropped
-    when its residual weighted norm falls below RANK_TOL times the largest
-    original column norm over all fibers.  The n-th output holds the n-th
-    surviving vector of every fiber, zero where fewer survive.
-
-    All fibers are processed at once: slot n of ``slots`` holds the n-th
-    accepted vector of every fiber that has one and stays exactly zero on
-    the others, where the projection onto it is +0 and subtracts nothing.
-    """
-    stack, weights = stack_generator_fibers(fibered)
-    slots, count = _orthonormalize(stack, weights)
-    return [FiberedVector(slots[:, n], weights) for n in range(count)]
+    """Fiberwise orthonormalization of generator fibers, kept in order: the
+    n-th output holds the n-th surviving vector of every fiber, zero where
+    fewer survive (see :func:`_parts`)."""
+    system = fiber_system(fibered)
+    parts = _parts(system)
+    return [FiberedVector(parts[:, :, n], system.weights)
+            for n in range(parts.shape[2])]
 
 
 def parseval_decompose(zak: Fibration, gens) -> list[np.ndarray]:
     """Generators psi_1..psi_L of orthogonal Parseval orbit systems;
     ``zak`` is either fibration (see :mod:`zakfiber.zak`)."""
     system = generator_system(zak, gens)
-    slots, count = _orthonormalize(system.stack, system.weights)
-    return [zak.inverse(FiberedVector(slots[:, n], system.weights))
-            for n in range(count)]
+    parts = _parts(system)
+    return [zak.inverse(FiberedVector(parts[:, :, n], system.weights))
+            for n in range(parts.shape[2])]
 
 
 @dataclass
@@ -117,7 +112,7 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
     Steps (a) and (b) read the batched Gram matrix of the part stack,
     gram[i, m, n] = <part_m, part_n> on fiber i; (d) projects onto the stack.
     """
-    dims = fiber_spectra(gen_fibers)[1]
+    dims = fiber_system(gen_fibers).factors()[2]
     # no parts: an empty stack on the generators' fibers and weights
     stack, weights = stack_generator_fibers(part_fibers or gen_fibers[:1])
     return _audit(gen_fibers, dims, stack[:, :, : len(part_fibers)], weights,
@@ -157,7 +152,7 @@ def _audit(gen_fibers: Sequence[FiberedVector], dims: np.ndarray,
     # are its basis once (a) and (b) pass, else the residuals overstate
     s2 = np.zeros((dims.size, max(1, gram.shape[1])))
     s2[:, : gram.shape[1]] = np.linalg.eigvalsh(gram)[:, ::-1]
-    parts_range = RangeFunction(stack, summed, weights, s2)
+    parts_range = RangeFunction(stack, summed, weights.copy(), s2)
     checks = [membership_fibers(fv, parts_range) for fv in gen_fibers]
     membership_residuals = [residual for _, residual in checks]
     membership_ok = all(member for member, _ in checks)
@@ -193,5 +188,5 @@ def verify_decomposition(zak: Fibration, gens, parts,
         stack = np.zeros(system.stack.shape[:2] + (0,), dtype=complex)
     gen_fibers = [FiberedVector(system.stack[:, :, j], system.weights)
                   for j in range(system.stack.shape[2])]
-    return _audit(gen_fibers, system.spectra()[1], stack,
+    return _audit(gen_fibers, system.factors()[2], stack,
                   system.weights, tolerance)

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ranges import RIESZ_REL, SUPPORT_TOL, fiber_spectra, generator_system
+from .ranges import RIESZ_REL, SUPPORT_TOL, fiber_system, generator_system
 from .zak import FiberedVector, Fibration
 
 __all__ = [
@@ -100,7 +100,7 @@ def report_from_spectra(s2: np.ndarray, dims: np.ndarray, tolerance: float,
         is_parseval = abs(frame_lower - 1.0) <= tolerance \
             and abs(upper - 1.0) <= tolerance
     return FrameReport(
-        dims=dims,
+        dims=dims.copy(),
         smin2=smin2,
         smax2=smax2,
         gram_min=gram_min,
@@ -117,7 +117,7 @@ def report_from_spectra(s2: np.ndarray, dims: np.ndarray, tolerance: float,
 
 def frame_check_fibers(fibered: Sequence[FiberedVector],
                        tolerance: float = SUPPORT_TOL) -> FrameReport:
-    s2, dims = fiber_spectra(fibered)
+    _, s2, dims, _ = fiber_system(fibered).factors()
     return report_from_spectra(s2, dims, tolerance, riesz_style=False)
 
 
@@ -125,13 +125,13 @@ def frame_check(zak: Fibration, gens,
                 tolerance: float = SUPPORT_TOL) -> FrameReport:
     """Frame bounds of the orbit system of ``gens`` on the space it spans;
     ``zak`` is either fibration (see :mod:`zakfiber.zak`)."""
-    s2, dims = generator_system(zak, gens).spectra()
+    _, s2, dims, _ = generator_system(zak, gens).factors()
     return report_from_spectra(s2, dims, tolerance, riesz_style=False)
 
 
 def riesz_check_fibers(fibered: Sequence[FiberedVector],
                        tolerance: float = SUPPORT_TOL) -> FrameReport:
-    s2, dims = fiber_spectra(fibered)
+    _, s2, dims, _ = fiber_system(fibered).factors()
     return report_from_spectra(s2, dims, tolerance, riesz_style=True)
 
 
@@ -139,5 +139,5 @@ def riesz_check(zak: Fibration, gens,
                 tolerance: float = SUPPORT_TOL) -> FrameReport:
     """Riesz bounds of the orbit system: extremes of the fiber Gram spectra;
     ``zak`` is either fibration (see :mod:`zakfiber.zak`)."""
-    s2, dims = generator_system(zak, gens).spectra()
+    _, s2, dims, _ = generator_system(zak, gens).factors()
     return report_from_spectra(s2, dims, tolerance, riesz_style=True)

@@ -3,8 +3,9 @@
 The invariant subspace generated by a family A of functions is described
 completely by the map alpha -> J(alpha) = span{Z[phi](alpha) : phi in A}
 inside l2(C, mu).  All J(alpha) are stored as one padded stack of bases,
-orthonormal in the weighted inner product, from one batched SVD of the
-weight-scaled fiber matrices, kept with its squared spectrum ``s2``.
+orthonormal in the weighted inner product, from one batched thin SVD of
+the weight-scaled fiber matrices (:func:`_factor`, the only fiber
+factorization), kept with its squared spectrum ``s2``.
 
 Every cut of the fiber route is one of the constants below; ``frames``
 and ``decomp`` import them.  Only ``tolerance`` can be set per call: it
@@ -14,8 +15,9 @@ weight-scaled fiber matrix diag(sqrt(mu)) [Z[phi](alpha)]_phi.
 
   cut          value  passes when                             used by
   RANK_TOL     1e-10  sigma > RANK_TOL * sigma_max of all     rank_cut: range,
-               fibers (relative, sigma); decomp: residual     frame and riesz;
-               > RANK_TOL * largest column norm, all fibers   parseval_decompose
+               fibers (relative, sigma); decomp: coordinate   frame and riesz;
+               residual > RANK_TOL * largest coordinate       parseval_
+               norm, all fibers, / sqrt(k): rank_cut's dims   decompose
   SUPPORT_TOL  1e-10  sigma_max^2 > tol, counted only in      frame and riesz,
                support_size; Parseval: |A - 1| and            ti_analyze
                |B - 1| <= tol (absolute, sigma^2)
@@ -41,8 +43,8 @@ from .zak import FiberedVector, Fibration, stack_generator_fibers
 
 __all__ = [
     "RangeFunction",
-    "fiber_spectra",
     "GeneratorSystem",
+    "fiber_system",
     "generator_system",
     "range_from_generators",
     "range_from_fibers",
@@ -64,41 +66,37 @@ def rank_cut(s: np.ndarray) -> np.ndarray:
     return np.sum(s > RANK_TOL * s.max(), axis=1)
 
 
-def _factor(stack: np.ndarray, weights: np.ndarray, compute_uv: bool):
-    """(U or None, s2, dims) from one batched SVD of the generator stack
-    (n_fibers, n_points, n_gens) scaled by sqrt(mu) along the points axis,
-    into a new array.  s2 is the fiber Gram spectrum, descending and padded
-    with zeros to n_gens; dims counts the values retained by
-    :func:`rank_cut`."""
-    scaled = stack * np.sqrt(weights)[:, None]
-    svd = np.linalg.svd(scaled, full_matrices=False, compute_uv=compute_uv)
-    U, s = svd[:2] if compute_uv else (None, svd)
+def _factor(stack: np.ndarray, weights: np.ndarray):
+    """(U, s2, dims, coords) from one batched thin SVD of the generator stack
+    (n_fibers, n_points, k) scaled by sqrt(mu) along the points axis,
+    diag(sqrt(mu)) stack = U S V^H.  s2 is the fiber Gram spectrum,
+    descending and padded with zeros to k; dims counts the values retained
+    by :func:`rank_cut`.  U keeps its first r = dims.max() columns, and
+    coords = S V^H its first r rows, (n_fibers, r, k), exactly zero past
+    each fiber's own rank: the generators in the columns of U."""
+    U, s, Vh = np.linalg.svd(stack * np.sqrt(weights)[:, None],
+                             full_matrices=False)
     s2 = np.zeros((stack.shape[0], stack.shape[2]))
     s2[:, : s.shape[1]] = s ** 2
-    return U, s2, rank_cut(s)
-
-
-def fiber_spectra(fibered: Sequence[FiberedVector]):
-    """Padded squared spectra s2 and ranks dims of the weight-scaled fiber
-    matrices, from one batched spectrum-only SVD (see :func:`_factor`)."""
-    return _factor(*stack_generator_fibers(fibered), compute_uv=False)[1:]
+    dims = rank_cut(s)
+    r = dims.max()
+    coords = s[:, :r, None] * Vh[:, :r]
+    np.copyto(coords, 0, where=np.arange(r)[:, None] >= dims[:, None, None])
+    return np.ascontiguousarray(U[:, :, :r]), s2, dims, coords
 
 
 class GeneratorSystem:
-    """The memo entry of a fibration: one generator system, fiberized once.
+    """One generator system, fiberized once, and its thin SVD.
 
     ``stack`` holds the fibers (n_fibers, n_points, k) and ``weights`` the
-    fibration's fiber weights.  The stack is read-only, and ``weights`` is
-    the fibration's own array: a result that keeps either holds a copy.
+    fiber weights; :meth:`factors` takes the one SVD on first need.  The
+    factors, and a memo entry's stack and key ``rows``, are read-only;
+    ``weights`` is the fibration's own: a result that keeps one holds a copy.
     """
 
-    def __init__(self, zak: Fibration, vectors: list[np.ndarray]):
-        self.stack, self.weights = zak.forward_many(vectors)
-        self.stack.flags.writeable = False
-        # the key, stacked once the forward's own temporaries are freed
-        self._rows = np.stack(vectors)
-        self._rows.flags.writeable = False
-        self._spectra = None
+    def __init__(self, stack: np.ndarray, weights: np.ndarray, rows=None):
+        self.stack, self.weights, self._rows = stack, weights, rows
+        self._factors = None
 
     def holds(self, vectors: list[np.ndarray]) -> bool:
         """Are these the generators of the entry, bit for bit?"""
@@ -109,13 +107,33 @@ class GeneratorSystem:
                 row.view(np.int64), np.ascontiguousarray(v).view(np.int64))
             for row, v in zip(self._rows, vectors))
 
-    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`fiber_spectra` of the stack: computed on first use, and
-        handed out as copies."""
-        if self._spectra is None:
-            self._spectra = _factor(self.stack, self.weights,
-                                    compute_uv=False)[1:]
-        return tuple(a.copy() for a in self._spectra)
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """(U, s2, dims, coords) of :func:`_factor`, on first use."""
+        if self._factors is None:
+            self._factors = _factor(self.stack, self.weights)
+            for a in self._factors:
+                a.flags.writeable = False
+        return self._factors
+
+    def basis(self) -> np.ndarray:
+        """A new weighted-orthonormal basis U / sqrt(mu) of every fiber,
+        exactly zero past the fiber's own rank."""
+        U, _, dims, _ = self.factors()
+        basis = U * (1.0 / np.sqrt(self.weights))[:, None]
+        past = np.arange(U.shape[2]) >= dims[:, None, None]
+        np.copyto(basis, 0, where=past)
+        return basis
+
+    def range_function(self) -> "RangeFunction":
+        """The range function, in arrays of its own."""
+        _, s2, dims, _ = self.factors()
+        return RangeFunction(self.basis(), dims.copy(), self.weights.copy(),
+                             s2.copy())
+
+
+def fiber_system(fibered: Sequence[FiberedVector]) -> GeneratorSystem:
+    """The generator system of already fibered generators, in no memo."""
+    return GeneratorSystem(*stack_generator_fibers(fibered))
 
 
 def generator_system(zak: Fibration, gens) -> GeneratorSystem:
@@ -124,7 +142,12 @@ def generator_system(zak: Fibration, gens) -> GeneratorSystem:
     bits, else a new one that replaces it."""
     vectors = [np.asarray(g, dtype=complex) for g in gens]
     if zak.memo is None or not zak.memo.holds(vectors):
-        zak.memo = GeneratorSystem(zak, vectors)
+        stack, weights = zak.forward_many(vectors)
+        stack.flags.writeable = False
+        # the key, stacked once the forward's own temporaries are freed
+        rows = np.stack(vectors)
+        rows.flags.writeable = False
+        zak.memo = GeneratorSystem(stack, weights, rows)
     return zak.memo
 
 
@@ -135,7 +158,7 @@ class RangeFunction:
     ``basis`` has shape (n_fibers, n_points, length): in fiber i the first
     ``dims[i]`` columns Q satisfy Q^H diag(mu) Q = I up to 1e-10, and the
     columns past ``dims[i]`` are exactly zero.  ``s2`` is the padded
-    squared spectrum they were cut from, as :func:`fiber_spectra` gives it.
+    squared spectrum they were cut from, as :func:`_factor` gives it.
     Every array is its own.
     """
 
@@ -143,10 +166,6 @@ class RangeFunction:
     dims: np.ndarray
     fiber_weights: np.ndarray
     s2: np.ndarray
-
-    def __post_init__(self):
-        # the weights passed in are a fibration's own array
-        self.fiber_weights = self.fiber_weights.copy()
 
     @property
     def n_fibers(self) -> int:
@@ -157,24 +176,9 @@ class RangeFunction:
         return int(self.basis.shape[2])
 
 
-def _range(stack: np.ndarray, weights: np.ndarray) -> RangeFunction:
-    """Rank-revealing orthonormalization of a generator stack.
-
-    The weight-scaled fiber stack is decomposed by one batched thin SVD
-    (:func:`_factor`).  U, cut to the largest rank that
-    :func:`rank_cut` retains, is pulled back in place to weighted-
-    orthonormal bases, zero past each fiber's own rank.
-    """
-    U, s2, dims = _factor(stack, weights, compute_uv=True)
-    basis = U[:, :, : dims.max()]
-    basis *= (1.0 / np.sqrt(weights))[:, None]
-    np.copyto(basis, 0, where=np.arange(dims.max()) >= dims[:, None, None])
-    return RangeFunction(basis, dims, weights, s2)
-
-
 def range_from_fibers(fibered: Sequence[FiberedVector]) -> RangeFunction:
-    """Range function of generator fibers (see :func:`_range`)."""
-    return _range(*stack_generator_fibers(fibered))
+    """Range function of generator fibers (see :func:`_factor`)."""
+    return fiber_system(fibered).range_function()
 
 
 def range_from_generators(zak: Fibration, gens) -> RangeFunction:
@@ -182,8 +186,7 @@ def range_from_generators(zak: Fibration, gens) -> RangeFunction:
     :mod:`zakfiber.zak`); no generators span the zero space, whose fibers
     all have dimension 0."""
     gens = list(gens) or [np.zeros(zak.ambient_weights.size)]
-    system = generator_system(zak, gens)
-    return _range(system.stack, system.weights)
+    return generator_system(zak, gens).range_function()
 
 
 def _project_fibers(Phi: FiberedVector, J: RangeFunction) -> np.ndarray:

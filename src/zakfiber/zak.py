@@ -22,12 +22,12 @@ the stack (n_fibers, n_points, k) of all k generators' fibers at once;
 ``forward`` is its case k = 1.  Each fibration also keeps one memo entry
 in ``memo``, a ``ranges.GeneratorSystem``: the last generator system, a
 read-only copy of the generators, their read-only fiber stack and, once
-first needed, its spectrum.  ``frame_check``, ``riesz_check``,
+first needed, its thin SVD.  ``frame_check``, ``riesz_check``,
 ``range_from_generators``, ``parseval_decompose`` and
 ``verify_decomposition`` read the entry through
 ``ranges.generator_system``, which replaces it when called with
-generators of other bits.  It costs one generator stack and one fiber
-stack of the same size.
+generators of other bits.  It costs one generator stack, one fiber
+stack of the same size and its U, of at most that size.
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ class ZakTransform(Fibration):
         self._src = np.asfortranarray(src)
         self._amp_fwd = np.sqrt(mu[self._src] / mu[C])
         self._amp_inv = np.sqrt(mu[C] / mu[self._src])
-        self.fiber_weights = mu[C].copy()
+        self.fiber_weights = mu[C]  # read-only: results share it
+        self.fiber_weights.flags.writeable = False
         self.ambient_weights = mu
 
     @property

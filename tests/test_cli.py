@@ -497,15 +497,14 @@ def test_commands_look_kernels_up_at_call_time(monkeypatch):
     for module, name in [(frames, "frame_check_fibers"),
                          (frames, "riesz_check_fibers"),
                          (ranges, "range_from_fibers"),
-                         (decomp, "parseval_decompose_fibers"),
-                         (decomp, "verify_decomposition_fibers")]:
+                         (decomp, "parseval_decompose"),
+                         (decomp, "verify_decomposition")]:
         monkeypatch.setattr(module, name,
                             recording(name, getattr(module, name)))
     expected = {
         ("frame", "s1"): {"frame_check_fibers"},
         ("riesz", "s1"): {"riesz_check_fibers"},
-        ("decompose", "s1"): {"parseval_decompose_fibers",
-                              "verify_decomposition_fibers"},
+        ("decompose", "s1"): {"parseval_decompose", "verify_decomposition"},
         ("verify", "s1"): {"range_from_fibers"},
         ("translation analyze", "s3"): {"frame_check_fibers"},
     }
@@ -717,26 +716,39 @@ def test_verify_near_dependent_generators(tmp_path, eps, code):
     assert code_got == code, out
 
 
-@pytest.mark.parametrize("eps", [
-    9e-11,
-    *[pytest.param(eps, marks=pytest.mark.xfail(
-        strict=True, reason="Gram-Schmidt keeps a vector whose residual "
-        "exceeds RANK_TOL * the largest column norm, a looser cut than "
-        "rank_cut's RANK_TOL * sigma_max")) for eps in (1.2e-10, 1.5e-10)],
-    3e-10,
-])
+NEAR_RANK_CUT = [9e-11, 1.2e-10, 1.5e-10, 3e-10]
+
+
+def _near_rank_cut(tmp_path, gens):
+    """Exit code, part count and range length of decompose on s1 with the
+    given generators."""
+    def edit(doc):
+        doc["generators"] = [_pairs(g) for g in gens]
+    path = _fixture_variant(tmp_path, "s1", edit)
+    length = invoke_json(["range", "--scenario", path])["length"]
+    code, out, err = invoke(["decompose", "--scenario", path])
+    return code, len(json.loads(out)["parts"]), length
+
+
+@pytest.mark.parametrize("eps", NEAR_RANK_CUT)
 def test_decompose_near_rank_cut(tmp_path, eps):
     # generators delta_0 and delta_0 + eps * delta_1 with eps near the
     # rank cut: the decomposition has as many parts as the range's length
     d0, d1 = np.eye(8)[:2]
+    code, parts, length = _near_rank_cut(tmp_path, [d0, d0 + eps * d1])
+    assert code == 0
+    assert parts == length
 
-    def edit(doc):
-        doc["generators"] = [_pairs(d0), _pairs(d0 + eps * d1)]
-    path = _fixture_variant(tmp_path, "s1", edit)
-    length = invoke_json(["range", "--scenario", path])["length"]
-    code, out, err = invoke(["decompose", "--scenario", path])
-    assert code == 0, out
-    assert len(json.loads(out)["parts"]) == length
+
+@pytest.mark.parametrize("eps", NEAR_RANK_CUT)
+def test_decompose_near_rank_cut_three_generators(tmp_path, eps):
+    # delta_0 and delta_0 +- eps * delta_1: the third generator adds no
+    # dimension, and the parts still match the range's length
+    d0, d1 = np.eye(8)[:2]
+    code, parts, length = _near_rank_cut(
+        tmp_path, [d0, d0 + eps * d1, d0 - eps * d1])
+    assert code == 0
+    assert parts == length
 
 
 @pytest.mark.parametrize("c, lower", [(1e-2, 1e-4), (3e-5, 1e12)],

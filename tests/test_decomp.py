@@ -137,7 +137,8 @@ def test_audit_rejects_parts_of_another_geometry():
 
 
 def test_audit_takes_one_fiber_svd(monkeypatch):
-    # the generators' spectrum; the parts are read off their own Gram
+    # the generators' ranks come from the SVD the decomposition took; the
+    # parts are read off their own Gram, so the audit takes none
     sc = parse_scenario(fixture_path("s1"))
     zk = ZakTransform(sc.action)
     parts = parseval_decompose(zk, sc.generators)
@@ -150,12 +151,12 @@ def test_audit_takes_one_fiber_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     assert verify_decomposition(zk, sc.generators, parts).ok
-    assert calls == [3]
+    assert calls == []
 
 
 def test_one_generator_system_is_fiberized_and_factored_once(monkeypatch):
-    # the spectrum-only SVD of frame_check and the thin SVD of the range;
-    # riesz_check and the audit read the memo entry's spectrum, and the
+    # the thin SVD that frame_check takes first; riesz_check, the range,
+    # the decomposition and the audit read it off the memo entry, and the
     # audit fiberizes the parts without replacing the entry
     sc = parse_scenario(fixture_path("s1"))
     zk = ZakTransform(sc.action)
@@ -178,7 +179,7 @@ def test_one_generator_system_is_fiberized_and_factored_once(monkeypatch):
     parts = parseval_decompose(zk, sc.generators)
     assert verify_decomposition(zk, sc.generators, parts).ok
     frame_check(zk, sc.generators)
-    assert svds == [3, 3]
+    assert svds == [3]
     assert forwards == []
 
 

@@ -4,16 +4,17 @@ The kernels in frames, ranges and decomp treat the whole fiber stack at
 once.  Here each fiber keeps its own subset of generators (some repeated,
 some dropped, some fibers entirely zero), so fiber ranks differ, and
 every SVD must equal, bit for bit, a loop that handles one fiber at a
-time with a single-matrix SVD.  The loops apply the rank rule of the
-package: a singular value or a Gram-Schmidt residual counts when it
-exceeds RANK_TOL times the largest over all fibers.  The batched
-products (projection onto a range function, the audit's fiber Gram
-matrix) sum in another order than a loop, so they match it to 1e-12
-relative.  Gram-Schmidt sums in another order too: the batched kernel
-projects onto all accepted vectors at once (classical, with a second
-pass), the reference loop onto one at a time (modified), so the two
-agree on the part count and the exact zeros, and on the values to 1e-13
-absolute.
+time with a single-matrix thin SVD.  The loops apply the rank rule of the
+package: a singular value counts when it exceeds RANK_TOL times the
+largest over all fibers, and a Gram-Schmidt residual of the generators'
+coordinates when it exceeds RANK_TOL times the largest coordinate norm
+over all fibers, divided by sqrt(k).  The batched products (projection
+onto a range function, the audit's fiber Gram matrix) sum in another
+order than a loop, so they match it to 1e-12 relative.  Gram-Schmidt
+sums in another order too: the batched kernel projects onto all accepted
+vectors at once (classical, with a second pass), the reference loop onto
+one at a time (modified), so the two agree on the part count and the
+exact zeros, and on the values to 1e-13 absolute.
 """
 
 import itertools
@@ -71,7 +72,7 @@ def reference_spectra(fibered, w, per_fiber_cut=False):
     n_gens = len(fibered)
     s2_rows = []
     for B in per_fiber_matrices(fibered, w):
-        s = np.linalg.svd(B, compute_uv=False)
+        s = np.linalg.svd(B, full_matrices=False)[1]
         s2 = np.zeros(n_gens)
         s2[: s.size] = s ** 2
         s2_rows.append(s2)
@@ -85,24 +86,28 @@ def reference_spectra(fibered, w, per_fiber_cut=False):
 
 
 def reference_mgs(fibered, w):
-    def wnorm(v):
-        return np.sqrt(np.sum(np.abs(v) ** 2 * w))
-
-    n_fibers, n_points = fibered[0].fibers.shape
-    ref = max(wnorm(fv.fibers[i]) for fv in fibered for i in range(n_fibers))
+    """Parts one fiber at a time: modified Gram-Schmidt, in generator
+    order, on the coordinates S V^H of the generators in the thin SVD's
+    retained U, lifted back by U / sqrt(w)."""
+    svds = [np.linalg.svd(B, full_matrices=False)
+            for B in per_fiber_matrices(fibered, w)]
+    dims = reference_spectra(fibered, w)[1]
+    coords = [(s[:, None] * Vh)[:d] for (_, s, Vh), d in zip(svds, dims)]
+    k = len(fibered)
+    ref = max(np.linalg.norm(c[:, j]) for c in coords for j in range(k))
     survivors = []
-    for i in range(n_fibers):
-        cols = [fv.fibers[i] for fv in fibered]
+    for (U, _, _), c, d in zip(svds, coords, dims):
         accepted = []
-        for v in cols:
+        for v in c.T:
             r = v.copy()
             for _ in range(2):
                 for q in accepted:
-                    r -= np.sum(r * np.conj(q) * w) * q
-            nr = wnorm(r)
-            if nr > RANK_TOL * ref:
+                    r -= np.vdot(q, r) * q
+            nr = np.linalg.norm(r)
+            if nr > RANK_TOL * ref / np.sqrt(k):
                 accepted.append(r / nr)
-        survivors.append(accepted)
+        survivors.append([U[:, :d] @ q / np.sqrt(w) for q in accepted])
+    n_fibers, n_points = fibered[0].fibers.shape
     parts = np.zeros((max(map(len, survivors)), n_fibers, n_points),
                      dtype=complex)
     for i, acc in enumerate(survivors):

@@ -1,6 +1,7 @@
 """Property tests: the array code in group, action and translation against
 the element-by-element references in helpers, ``forward_many`` against
-one ``forward`` per generator, and ``verify`` on random free actions.
+one ``forward`` per generator, ``verify`` on random free actions, and the
+Parseval decomposition against the range function near the rank cut.
 
 Hypothesis runs derandomized, so every run checks the same examples.
 Groups have one to three invariant factors, factors of 1 included.
@@ -27,6 +28,8 @@ from zakfiber import (
     build_scenario,
     coset_transversal,
     duality_check,
+    parseval_decompose,
+    range_from_generators,
     subgroup_from_generators,
     tiling_transversal,
     validate_action,
@@ -344,3 +347,27 @@ def test_verify_agrees_off_the_rank_cut(case):
         out, err = io.StringIO(), io.StringIO()
         code = run(["verify", "--scenario", str(path)], out=out, err=err)
     assert code == 0, out.getvalue() + err.getvalue()
+
+
+@PROPERTY
+@given(free_actions(), st.lists(st.sampled_from(
+    [1e-11, 9e-11, 1.2e-10, 1.5e-10, 2e-10, 3e-10, 1e-9, 1e-6, 0.0]),
+    min_size=1, max_size=3))
+def test_decomposition_has_the_range_dims_near_the_rank_cut(case, eps):
+    # each generator moves the one before it by a relative eps, so the
+    # fiber spectra fall near RANK_TOL * sigma_max; on every fiber the
+    # decomposition keeps exactly as many parts as J(alpha) has dimensions
+    action, rng = case
+    N = action.space.size
+    gens = [random_complex(rng, N)]
+    for e in eps:
+        h = random_complex(rng, N)
+        gens.append(gens[-1] + e * np.linalg.norm(gens[-1])
+                    / np.linalg.norm(h) * h)
+    zk = ZakTransform(action)
+    dims = range_from_generators(zk, gens).dims
+    parts = parseval_decompose(zk, gens)
+    # a part's fiber norms are 0 or 1, up to rounding
+    counts = sum((zk.forward(p).fiber_norms_sq() > 0.5).astype(int)
+                 for p in parts)
+    assert np.array_equal(counts, dims)

@@ -160,6 +160,22 @@ def test_fiber_weight_mismatch():
         membership_fibers(other, J)
 
 
+def test_fiber_weights_of_a_forward_are_read_only():
+    # a fibered vector shares the transform's weights, which every later
+    # result of the transform reads, so a write to them must fail
+    rng = np.random.default_rng(61)
+    zk = ZakTransform(s2_action())
+    gens = [random_complex(rng, 4)]
+    c = random_complex(rng, 4)
+    before = membership(zk, c, range_from_generators(zk, gens))
+    assert not before[0] and before[1] > 0.1
+    with pytest.raises(ValueError):
+        zk.forward(c).fiber_weights[:] = 7
+    with pytest.raises(ValueError):
+        zk.fiber_weights[0] = 7
+    assert membership(zk, c, range_from_generators(zk, gens)) == before
+
+
 def test_range_function_length():
     zk = ZakTransform(s1_action())
     J = range_from_generators(zk, [delta(8, 0), delta(8, 1)])
