@@ -142,9 +142,9 @@ def _fibration(sc: Scenario) -> ZakTransform | TranslationScenario:
 
 
 def _generator_fibers(sc: Scenario):
-    """The scenario's fibration and the fibers of its generators."""
+    """The scenario's fibration and the columns of its memo entry."""
     fib = _fibration(sc)
-    return fib, [fib.forward(g) for g in sc.generators]
+    return fib, ranges.generator_system(fib, sc.generators).fibered()
 
 
 def _transform_deviations(fib, f, fv: FiberedVector):
@@ -202,8 +202,7 @@ def cmd_zak(sc: Scenario, args) -> tuple[dict, int]:
 
 def cmd_range(sc: Scenario, args) -> tuple[dict, int]:
     rep = _base_report(sc, args)
-    _, fibered = _generator_fibers(sc)
-    J = ranges.range_from_fibers(fibered)
+    J = ranges.range_from_generators(_fibration(sc), sc.generators)
     rep["fibers"] = [{"fiber_id": i, "dim": int(d)}
                      for i, d in enumerate(J.dims)]
     rep["length"] = J.length()
@@ -220,8 +219,8 @@ def cmd_member(sc: Scenario, args) -> tuple[dict, int]:
     if not sc.candidates:
         raise Incompatible("member needs a candidates block in the scenario")
     rep = _base_report(sc, args)
-    fib, fibered = _generator_fibers(sc)
-    J = ranges.range_from_fibers(fibered)
+    fib = _fibration(sc)
+    J = ranges.range_from_generators(fib, sc.generators)
     records = []
     for i, cand in enumerate(sc.candidates):
         member, residual = ranges.membership(fib, cand, J)
@@ -234,19 +233,19 @@ def cmd_member(sc: Scenario, args) -> tuple[dict, int]:
 def _spectral(sc: Scenario, args, kernel: str) -> dict:
     """Fiber spectra and summary from the kernel ``frames.<kernel>``."""
     rep = _base_report(sc, args)
-    _, fibered = _generator_fibers(sc)
-    report = getattr(frames, kernel)(fibered, tolerance=args.tolerance)
+    report = getattr(frames, kernel)(_fibration(sc), sc.generators,
+                                     tolerance=args.tolerance)
     rep["fibers"] = _fiber_records(report)
     rep["summary"] = _summary(report)
     return rep
 
 
 def cmd_frame(sc: Scenario, args) -> tuple[dict, int]:
-    return _spectral(sc, args, "frame_check_fibers"), EXIT_OK
+    return _spectral(sc, args, "frame_check"), EXIT_OK
 
 
 def cmd_riesz(sc: Scenario, args) -> tuple[dict, int]:
-    return _spectral(sc, args, "riesz_check_fibers"), EXIT_OK
+    return _spectral(sc, args, "riesz_check"), EXIT_OK
 
 
 def cmd_bracket(sc: Scenario, args) -> tuple[dict, int]:
@@ -342,7 +341,7 @@ def cmd_translation_duality(sc: Scenario, args) -> tuple[dict, int]:
 
 
 def cmd_translation_analyze(sc: Scenario, args) -> tuple[dict, int]:
-    rep = _spectral(sc, args, "frame_check_fibers")
+    rep = _spectral(sc, args, "frame_check")
     rep["length"] = rep["summary"]["length"]
     return rep, EXIT_OK
 
@@ -383,7 +382,7 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
 
     # one fiber factorization and one dense one; every check below reads them
     F = oracle.factor(fib.synthesis_matrix(gens))
-    J = ranges.range_from_fibers(fibered)
+    J = ranges.range_from_generators(fib, gens)
     frame_fiber = frames.report_from_spectra(J.s2, J.dims, args.tolerance,
                                              riesz_style=False)
     A_dense, B_dense = oracle.frame_bounds_of_matrix(F)

@@ -22,7 +22,7 @@ import numpy as np
 # range_from_fibers: unused, but bench/spans.py requires the binding
 from .ranges import ORTHO_TOL, RANK_TOL, GeneratorSystem, RangeFunction, \
     fiber_system, generator_system, membership_fibers, range_from_fibers
-from .zak import FiberedVector, Fibration, stack_generator_fibers
+from .zak import FiberedVector, Fibration
 
 __all__ = [
     "parseval_decompose",
@@ -114,9 +114,9 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
     """
     dims = fiber_system(gen_fibers).factors()[2]
     # no parts: an empty stack on the generators' fibers and weights
-    stack, weights = stack_generator_fibers(part_fibers or gen_fibers[:1])
-    return _audit(gen_fibers, dims, stack[:, :, : len(part_fibers)], weights,
-                  tolerance)
+    parts = fiber_system(part_fibers or gen_fibers[:1])
+    return _audit(gen_fibers, dims, parts.stack[:, :, : len(part_fibers)],
+                  parts.weights, tolerance)
 
 
 def _audit(gen_fibers: Sequence[FiberedVector], dims: np.ndarray,
@@ -181,12 +181,10 @@ def verify_decomposition(zak: Fibration, gens, parts,
     system = generator_system(zak, gens)
     parts = list(parts)
     if parts:
-        # C-ordered, as stack_generator_fibers lays it out: the last bits
+        # C-ordered, as ranges.fiber_system lays it out: the last bits
         # of the membership residuals depend on the layout
         stack = np.ascontiguousarray(zak.forward_many(parts)[0])
     else:
         stack = np.zeros(system.stack.shape[:2] + (0,), dtype=complex)
-    gen_fibers = [FiberedVector(system.stack[:, :, j], system.weights)
-                  for j in range(system.stack.shape[2])]
-    return _audit(gen_fibers, system.factors()[2], stack,
+    return _audit(system.fibered(), system.factors()[2], stack,
                   system.weights, tolerance)

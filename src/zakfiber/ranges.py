@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .zak import FiberedVector, Fibration, stack_generator_fibers
+from .zak import FiberedVector, Fibration
 
 __all__ = [
     "RangeFunction",
@@ -115,6 +115,12 @@ class GeneratorSystem:
                 a.flags.writeable = False
         return self._factors
 
+    def fibered(self) -> list[FiberedVector]:
+        """Each generator's fibers, column j of the stack: in a memo entry
+        the bits and memory layout of ``forward`` of generator j."""
+        return [FiberedVector(self.stack[:, :, j], self.weights)
+                for j in range(self.stack.shape[2])]
+
     def basis(self) -> np.ndarray:
         """A new weighted-orthonormal basis U / sqrt(mu) of every fiber,
         exactly zero past the fiber's own rank."""
@@ -132,8 +138,17 @@ class GeneratorSystem:
 
 
 def fiber_system(fibered: Sequence[FiberedVector]) -> GeneratorSystem:
-    """The generator system of already fibered generators, in no memo."""
-    return GeneratorSystem(*stack_generator_fibers(fibered))
+    """The generator system of fibered generators, C-ordered, in no memo."""
+    if not fibered:
+        raise ValueError("at least one fibered generator is required")
+    first = fibered[0]
+    for fv in fibered[1:]:
+        if fv.fibers.shape != first.fibers.shape:
+            raise ValueError("generator fiber shapes do not match")
+        if not np.array_equal(fv.fiber_weights, first.fiber_weights):
+            raise ValueError("generator fiber weights do not match")
+    return GeneratorSystem(np.stack([fv.fibers for fv in fibered], axis=2),
+                           first.fiber_weights)
 
 
 def generator_system(zak: Fibration, gens) -> GeneratorSystem:

@@ -28,10 +28,10 @@ import numpy as np
 
 from . import oracle
 from .frames import SUPPORT_TOL, FrameReport, frame_check_fibers, \
-    report_from_spectra  # frame_check_fibers: unused, bench/spans.py binds it
+    report_from_spectra  # the *_fibers: unused, bench/spans.py binds them
 from .group import FiniteAbelianGroup, Subgroup, annihilator, character, \
     coset_transversal, dft, subgroup_from_generators
-from .ranges import RangeFunction, range_from_fibers
+from .ranges import RangeFunction, range_from_fibers, range_from_generators
 from .zak import FiberedVector, Fibration
 
 __all__ = [
@@ -241,12 +241,12 @@ def ti_analyze(s: TranslationScenario, gens,
                ) -> tuple[RangeFunction, FrameReport]:
     """Range function and frame report of a translation system over Omega.
 
-    The fibers of the generators over Omega feed the same rank-revealing
-    and spectral machinery as the action pipeline; bounds and verdicts
-    mean the same thing.
+    The generators' memo entry (see :mod:`zakfiber.zak`), their fibers
+    over Omega, feeds the same rank-revealing and spectral machinery as
+    the action pipeline; bounds and verdicts mean the same thing.
     """
     gens = list(gens)
     if len(gens) == 0:
         raise ValueError("at least one generator is required")
-    J = range_from_fibers([zakG_forward(s, g) for g in gens])
+    J = range_from_generators(s, gens)
     return J, report_from_spectra(J.s2, J.dims, tolerance, riesz_style=False)

@@ -23,8 +23,9 @@ the stack (n_fibers, n_points, k) of all k generators' fibers at once;
 in ``memo``, a ``ranges.GeneratorSystem``: the last generator system, a
 read-only copy of the generators, their read-only fiber stack and, once
 first needed, its thin SVD.  ``frame_check``, ``riesz_check``,
-``range_from_generators``, ``parseval_decompose`` and
-``verify_decomposition`` read the entry through
+``range_from_generators``, ``parseval_decompose``,
+``verify_decomposition``, ``translation.ti_analyze`` and every CLI
+command that fiberizes generators read the entry through
 ``ranges.generator_system``, which replaces it when called with
 generators of other bits.  It costs one generator stack, one fiber
 stack of the same size and its U, of at most that size.
@@ -84,24 +85,6 @@ class FiberedVector:
 
     def inner(self, other: "FiberedVector") -> complex:
         return complex(np.sum(self.fiber_inner(other)) / self.n_fibers)
-
-
-def stack_generator_fibers(fibered) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a non-empty list of FiberedVectors on one fibration.
-
-    Returns (stack, weights) with stack shape (n_fibers, n_points, n_gens);
-    the stack is a fresh array that callers may scale in place.
-    """
-    if not fibered:
-        raise ValueError("at least one fibered generator is required")
-    first = fibered[0]
-    for fv in fibered[1:]:
-        if fv.fibers.shape != first.fibers.shape:
-            raise ValueError("generator fiber shapes do not match")
-        if not np.array_equal(fv.fiber_weights, first.fiber_weights):
-            raise ValueError("generator fiber weights do not match")
-    stack = np.stack([fv.fibers for fv in fibered], axis=2)
-    return stack, first.fiber_weights
 
 
 class Fibration:

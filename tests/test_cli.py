@@ -454,21 +454,27 @@ def test_verify_detects_dimension_disagreement(monkeypatch, tmp_path, name,
     assert bad[0]["dense"] == bad[0]["fiber"] + 1
 
 
-@pytest.mark.parametrize("command, name, dense, fiber", [
-    ("verify", "s1", 1, 1),
-    ("verify", "s3", 1, 1),
-    ("decompose", "s1", 0, 1),
-    ("frame", "s1", 0, 1),
-    ("riesz", "s1", 0, 1),
-    ("range", "s1", 0, 1),
-    ("translation analyze", "s3", 0, 1),
+@pytest.mark.parametrize("command, name, dense, fiber, many, single", [
+    ("verify", "s1", 1, 1, 1, 1),
+    ("verify", "s3", 1, 1, 1, 2),
+    ("decompose", "s1", 0, 1, 2, 0),
+    ("frame", "s1", 0, 1, 1, 0),
+    ("riesz", "s1", 0, 1, 1, 0),
+    ("range", "s1", 0, 1, 1, 0),
+    ("translation analyze", "s3", 0, 1, 1, 0),
+    ("zak", "s1", 0, 0, 1, 0),
+    ("bracket", "s1", 0, 0, 1, 0),
+    ("member", "s1", 0, 1, 1, 1),
 ], ids=["s1", "s3", "decompose-s1", "frame-s1", "riesz-s1", "range-s1",
-        "translation-analyze-s3"])
+        "translation-analyze-s3", "zak-s1", "bracket-s1", "member-s1"])
 def test_verify_factors_the_dense_matrix_once(monkeypatch, command, name,
-                                              dense, fiber):
+                                              dense, fiber, many, single):
     # the fiber route's SVDs take 3-d stacks; the dense route's take M.
     # verify factors each route once, and decompose its generators once:
-    # the audit reads the parts off their own Gram matrix
+    # the audit reads the parts off their own Gram matrix.  Every command
+    # fiberizes its generators with one forward_many, decompose its parts
+    # with a second; a single forward is a candidate's (s1 has 1, s3 2)
+    from zakfiber.zak import Fibration
     svd = np.linalg.svd
     calls = []
 
@@ -476,10 +482,21 @@ def test_verify_factors_the_dense_matrix_once(monkeypatch, command, name,
         calls.append(np.ndim(a))
         return svd(a, *args, **kwargs)
 
+    def recording(label, method):
+        def wrapper(*args, **kwargs):
+            calls.append(label)
+            return method(*args, **kwargs)
+        return wrapper
+
     monkeypatch.setattr(np.linalg, "svd", counting)
+    for method in ["forward", "forward_many"]:
+        monkeypatch.setattr(Fibration, method,
+                            recording(method, getattr(Fibration, method)))
     code, out, err = invoke([*command.split(), "--scenario", name])
     assert code == 0, err
     assert (calls.count(2), calls.count(3)) == (dense, fiber)
+    assert (calls.count("forward_many"), calls.count("forward")) == \
+        (many, single)
 
 
 def test_commands_look_kernels_up_at_call_time(monkeypatch):
@@ -494,19 +511,21 @@ def test_commands_look_kernels_up_at_call_time(monkeypatch):
             return kernel(*args, **kwargs)
         return wrapper
 
-    for module, name in [(frames, "frame_check_fibers"),
-                         (frames, "riesz_check_fibers"),
-                         (ranges, "range_from_fibers"),
+    for module, name in [(frames, "frame_check"),
+                         (frames, "riesz_check"),
+                         (ranges, "range_from_generators"),
                          (decomp, "parseval_decompose"),
                          (decomp, "verify_decomposition")]:
         monkeypatch.setattr(module, name,
                             recording(name, getattr(module, name)))
     expected = {
-        ("frame", "s1"): {"frame_check_fibers"},
-        ("riesz", "s1"): {"riesz_check_fibers"},
+        ("frame", "s1"): {"frame_check"},
+        ("riesz", "s1"): {"riesz_check"},
         ("decompose", "s1"): {"parseval_decompose", "verify_decomposition"},
-        ("verify", "s1"): {"range_from_fibers"},
-        ("translation analyze", "s3"): {"frame_check_fibers"},
+        ("verify", "s1"): {"range_from_generators"},
+        ("translation analyze", "s3"): {"frame_check"},
+        ("range", "s1"): {"range_from_generators"},
+        ("member", "s1"): {"range_from_generators"},
     }
     for (command, scenario), kernels in expected.items():
         calls.clear()
@@ -520,16 +539,15 @@ NONDYADIC = str(Path(__file__).parent / "golden" / "nondyadic.json")
 @pytest.mark.parametrize("name", ["s1", "s1-parseval", "s2", "s3", "star",
                                   NONDYADIC], ids=lambda n: Path(n).stem)
 def test_verify_fiber_side_matches_the_single_commands(name):
-    # verify reads its bounds off the range function's thin SVD, while
-    # frame and riesz take a spectrum-only SVD: another LAPACK driver
+    # verify, frame and riesz all read their bounds off the one thin SVD
+    # of the generator system, so they agree to the last bit
     checks = {c["name"]: c for c in
               invoke_json(["verify", "--scenario", name])["checks"]}
     for command, check in [("frame", "frame_bounds_vs_dense"),
                            ("riesz", "riesz_bounds_vs_dense")]:
         summary = invoke_json([command, "--scenario", name])["summary"]
         expected = [summary["lower"], summary["upper"]]
-        assert checks[check]["fiber"] == pytest.approx(expected, rel=1e-12,
-                                                       abs=0.0), command
+        assert checks[check]["fiber"] == expected, command
     dims = [f["dim"] for f in
             invoke_json(["range", "--scenario", name])["fibers"]]
     assert checks["dimension_vs_dense"]["fiber"] == sum(dims)
