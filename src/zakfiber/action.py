@@ -53,9 +53,11 @@ class WeightedSpace:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d sequence")
-        if not np.all(w > 0):
-            bad = int(np.flatnonzero(~(w > 0))[0])
-            raise ValueError(f"weights[{bad}] must be > 0, got {w[bad]}")
+        bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+        if bad.size:
+            need = "> 0" if np.isfinite(w[bad[0]]) else "finite"
+            raise ValueError(f"weights[{bad[0]}] must be {need}, got "
+                             f"{w[bad[0]]}")
         self.weights = w
         self.size = int(w.size)
 
@@ -91,12 +93,13 @@ class QuasiInvariantAction:
         space: WeightedSpace,
         table: Sequence[Sequence[int]],
     ):
-        t = np.asarray(table, dtype=np.intp)
+        t = np.asarray(table)
         if t.shape != (group.order, space.size):
             raise ValueError(
                 f"table shape {t.shape} does not match "
                 f"(group order, space size) = ({group.order}, {space.size})"
             )
+        # checked before the cast, so a non-integer entry fails its row too
         sorted_rows = np.sort(t, axis=1)
         bad = np.flatnonzero(np.any(sorted_rows != np.arange(space.size),
                                     axis=1))
@@ -107,7 +110,7 @@ class QuasiInvariantAction:
             )
         self.group = group
         self.space = space
-        self.table = t
+        self.table = t.astype(np.intp, copy=False)
 
     def __repr__(self) -> str:
         return (f"QuasiInvariantAction(group={self.group!r}, "

@@ -155,6 +155,12 @@ def _transform_deviations(fib, f, fv: FiberedVector):
             float(np.max(np.abs(back - f))))
 
 
+def _gated(name: str, dev: float, scale: float) -> dict:
+    """An identity check of `verify`, gated relative to ``scale``."""
+    return {"name": name, "deviation": float(dev),
+            "ok": bool(dev <= VERIFY_TRANSFORM_TOL * scale)}
+
+
 # ---------------------------------------------------------------------------
 # command implementations
 
@@ -320,23 +326,15 @@ def cmd_translation_fiberize(sc: Scenario, args) -> tuple[dict, int]:
 
 
 def cmd_translation_duality(sc: Scenario, args) -> tuple[dict, int]:
-    ts = sc.translation
     rep = _base_report(sc, args)
-    records = []
-    for i, g in enumerate(sc.generators):
-        res = translation.duality_check(ts, g, g)
-        records.append({"generator": i,
-                        "transform_deviation": res.transform_deviation,
-                        "gramian_deviation": res.gramian_deviation})
-    pairs = []
-    for i in range(len(sc.generators)):
-        for j in range(i + 1, len(sc.generators)):
-            res = translation.duality_check(ts, sc.generators[i],
-                                            sc.generators[j])
-            pairs.append({"i": i, "j": j,
-                          "gramian_deviation": res.gramian_deviation})
-    rep["generators"] = records
-    rep["pairs"] = pairs
+    res = translation.duality_check(sc.translation, sc.generators)
+    dev = res.gramian_deviation
+    rep["generators"] = [
+        {"generator": i, "transform_deviation": float(td),
+         "gramian_deviation": float(dev[i, i])}
+        for i, td in enumerate(res.transform_deviation)]
+    rep["pairs"] = [{"i": i, "j": j, "gramian_deviation": float(dev[i, j])}
+                    for i in range(len(dev)) for j in range(i + 1, len(dev))]
     return rep, EXIT_OK
 
 
@@ -354,31 +352,23 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
     gens = sc.generators
     checks = []
 
+    l1 = [max(1.0, float(np.sum(np.abs(g)))) for g in gens]
     if ts is not None:
-        for i, g in enumerate(gens):
-            _, _, dev = translation.weil_check(ts, g)
-            scale = max(1.0, float(np.sum(np.abs(g))))
-            checks.append({"name": f"weil_gen{i}", "deviation": float(dev),
-                           "ok": bool(dev <= VERIFY_TRANSFORM_TOL * scale)})
+        checks += [_gated(f"weil_gen{i}", translation.weil_check(ts, g)[2],
+                          l1[i]) for i, g in enumerate(gens)]
 
     norms_sq = []
     for i, (g, fv) in enumerate(zip(gens, fibered)):
         norm_sq, iso, rt = _transform_deviations(fib, g, fv)
         norms_sq.append(norm_sq)
-        checks.append({
-            "name": f"zak_roundtrip_gen{i}",
-            "deviation": max(iso, rt),
-            "ok": bool(max(iso, rt) <= VERIFY_TRANSFORM_TOL
-                       * max(1.0, norm_sq)),
-        })
+        checks.append(_gated(f"zak_roundtrip_gen{i}", max(iso, rt),
+                             max(1.0, norm_sq)))
 
     if ts is not None:
-        for i, g in enumerate(gens):
-            res = translation.duality_check(ts, g, g)
-            dev = max(res.transform_deviation, res.gramian_deviation or 0.0)
-            scale = max(1.0, float(np.sum(np.abs(g))))
-            checks.append({"name": f"duality_gen{i}", "deviation": float(dev),
-                           "ok": bool(dev <= VERIFY_TRANSFORM_TOL * scale)})
+        res = translation.duality_check(ts, gens)
+        checks += [_gated(f"duality_gen{i}",
+                          max(td, res.gramian_deviation[i, i]), l1[i])
+                   for i, td in enumerate(res.transform_deviation)]
 
     # one fiber factorization and one dense one; every check below reads them
     F = oracle.factor(fib.synthesis_matrix(gens))

@@ -200,40 +200,45 @@ def fiberize(s: TranslationScenario, f) -> np.ndarray:
 
 @dataclass
 class DualityReport:
-    transform_deviation: float
-    gramian_deviation: float | None
+    """Largest deviations of :func:`duality_check`: of each function's
+    transform, shape (k,), and of each pair's Gramian, shape (k, k)."""
+
+    transform_deviation: np.ndarray
+    gramian_deviation: np.ndarray
 
 
-def duality_check(s: TranslationScenario, f, g=None) -> DualityReport:
-    """Compare the two fiberization routes point by point.
+def duality_check(s: TranslationScenario, gens) -> DualityReport:
+    """Compare the two fiberization routes of every function and pair.
 
     The left side runs through the Fourier transform on G and the
     Gamma*-Fourier synthesis F_{Gamma*}(a)(x) = (|Gamma|/|G|) sum_delta
     a_delta conj((x, delta)); the right side evaluates the defining Zak
-    sums directly.  When a second function is given, the Gramians
-    <T f(omega), T g(omega)> (with mass 1/|Gamma*| per point) and
-    <Z[f](-omega), Z[g](-omega)> on C are compared as well.
+    sums directly.  For every pair (f, g), the diagonal included, the
+    Gramians <T f(omega), T g(omega)> (with mass 1/|Gamma*| per point) and
+    <Z[f](-omega), Z[g](-omega)> on C are compared as well.  Each function
+    is fiberized and summed once; every pair is read off the two stacks.
     """
-    v = _check_function(s, f)
+    vs = [_check_function(s, f) for f in gens]
+    if not vs:
+        raise ValueError("at least one function is required")
     G, C, omega = s.G, s.coset_reps, s.dual_reps
     coords = G.coordinates
     neg_omega = coords[G.flat(-omega)][:, None, :]   # (|Omega|, 1, rank)
-    Tf = fiberize(s, v)
     synth = np.conj(character(G, C[:, None], s.gamma_star.members))
-    lhs = np.sum(Tf[:, None, :] * synth, axis=-1) * s.gamma.order / G.order
-    rhs = character(G, C, omega[:, None, :]) \
-        * _zak_sums(s, v, neg_omega, coords[G.flat(-C)])
-    dev = float(np.max(np.abs(lhs - rhs)))
-
-    gram_dev = None
-    if g is not None:
-        w = _check_function(s, g)
-        Tg = fiberize(s, w)
-        lhs = np.sum(Tf * np.conj(Tg), axis=1) / s.gamma_star.order
-        rhs = np.sum(_zak_sums(s, v, neg_omega, C)
-                     * np.conj(_zak_sums(s, w, neg_omega, C)), axis=1)
-        gram_dev = float(np.max(np.abs(lhs - rhs)))
-    return DualityReport(transform_deviation=dev, gramian_deviation=gram_dev)
+    phase, minus_C = character(G, C, omega[:, None, :]), coords[G.flat(-C)]
+    T = np.array([fiberize(s, v) for v in vs])   # (k, Omega, Gamma*)
+    transform = np.array([np.max(np.abs(
+        np.sum(t[:, None, :] * synth, axis=-1) * s.gamma.order / G.order
+        - phase * _zak_sums(s, v, neg_omega, minus_C)))
+        for t, v in zip(T, vs)])
+    Z = np.array([_zak_sums(s, v, neg_omega, C) for v in vs])  # (k, Omega, C)
+    gram = np.empty((len(vs), len(vs)))
+    for i in range(len(vs)):
+        # the pairs (i, j >= i), each summed over the contiguous last axis
+        lhs = np.sum(T[i] * np.conj(T[i:]), axis=-1) / s.gamma_star.order
+        rhs = np.sum(Z[i] * np.conj(Z[i:]), axis=-1)
+        gram[i, i:] = gram[i:, i] = np.max(np.abs(lhs - rhs), axis=-1)
+    return DualityReport(transform, gram)
 
 
 def ti_analyze(s: TranslationScenario, gens,

@@ -6,13 +6,17 @@ scenarios of the benchmark workloads for the given seeds with
 ``bench/gen.py`` into a temporary directory (``bench/`` itself is left
 unchanged).  On the scenarios of a CLI workload it runs all 15 commands in
 both output formats; on those of a session workload it runs the 8 library
-calls of ``bench/ops.py``'s session in order.  It writes stdout, stderr
-and exit code per case as one JSON document.  A session case's stdout is
-the JSON form of the call's result (report fields, range dims and basis,
-parts, audit fields but not the basis of its ``parts_range``, which is
-the forward of the parts), with every array stored as its bytes, and an
-exception is exit 1 with its repr on stderr.  ``diff`` compares two dumps,
-so two checkouts can be compared byte for byte:
+calls of ``bench/ops.py``'s session in order.  Each translation scenario
+also gets a variant with 4 seeded complex Gaussian generators, written
+next to it as ``<name>-k4.json``, on which ``translation duality``,
+``translation weil`` and ``verify`` run, so that the duality pairs are
+covered at scale.  It writes stdout, stderr and exit code per case as one
+JSON document.  A session case's stdout is the JSON form of the call's
+result (report fields, range dims and basis, parts, audit fields but not
+the basis of its ``parts_range``, which is the forward of the parts), with
+every array stored as its bytes, and an exception is exit 1 with its repr
+on stderr.  ``diff`` compares two dumps, so two checkouts can be compared
+byte for byte:
 
     PYTHONPATH=/path/to/other/src python tests/snapshot_outputs.py dump a.json
     PYTHONPATH=src python tests/snapshot_outputs.py dump b.json
@@ -54,6 +58,10 @@ CLI_WORKLOADS = [w for w, (_, mode, _) in gen.WORKLOADS.items()
                  if mode == "cli"]
 SESSION_WORKLOADS = [w for w, (_, mode, _) in gen.WORKLOADS.items()
                      if mode == "session"]
+# generators of the variant of each translation scenario, and its cases
+VARIANT_GENS = 4
+VARIANT_CASES = [(c, "structured") for c in
+                 ("translation duality", "translation weil", "verify")]
 
 
 def _encode(value):
@@ -94,6 +102,19 @@ def _session_cases(d: Path) -> dict:
     return cases
 
 
+def _variant(path: Path, seed: int, index: int) -> Path:
+    """A copy of the translation scenario at ``path`` with VARIANT_GENS
+    complex Gaussian generators drawn from ``default_rng([seed, index])``."""
+    doc = json.loads(path.read_text())
+    t = doc["translation"]
+    rng = np.random.default_rng([seed, index])
+    shape = (VARIANT_GENS, len(t["generators"][0]))
+    t["generators"] = gen._pairs(gen._cnormal(rng, shape))
+    out = path.with_name(f"{path.stem}-k{VARIANT_GENS}.json")
+    out.write_text(json.dumps(doc))
+    return out
+
+
 def dump(workloads, seeds) -> dict:
     """{case: {exit, stdout, stderr}}, where a case is the command line
     with the scenario path relative to the generated tree, or ``session``,
@@ -112,10 +133,14 @@ def dump(workloads, seeds) -> dict:
                 if workload in SESSION_WORKLOADS:
                     cases.update(_session_cases(d))
                     continue
-                for sc in scenarios:
-                    for command, fmt in itertools.product(COMMANDS, FORMATS):
-                        case = (f"{command} --scenario {d / sc['path']} "
-                                f"--format {fmt}")
+                every = list(itertools.product(COMMANDS, FORMATS))
+                runs = [(d / sc["path"], every) for sc in scenarios]
+                if gen.WORKLOADS[workload][0] == "translation":
+                    runs += [(_variant(path, seed, i), VARIANT_CASES)
+                             for i, (path, _) in enumerate(list(runs))]
+                for path, pairs in runs:
+                    for command, fmt in pairs:
+                        case = f"{command} --scenario {path} --format {fmt}"
                         out, err = io.StringIO(), io.StringIO()
                         code = run(case.split(), out=out, err=err)
                         cases[case] = {"exit": code, "stdout": out.getvalue(),

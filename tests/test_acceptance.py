@@ -236,13 +236,13 @@ def test_criterion_10_duality():
         s = s3_scenario()
         for _ in range(100):
             f = random_complex(rng, 12)
-            rep = duality_check(s, f)
-            assert rep.transform_deviation <= 1e-12
+            rep = duality_check(s, [f])
+            assert rep.transform_deviation[0] <= 1e-12
         for _ in range(50):
             f = random_complex(rng, 12)
             g = random_complex(rng, 12)
-            rep = duality_check(s, f, g)
-            assert rep.gramian_deviation <= 1e-12
+            rep = duality_check(s, [f, g])
+            assert rep.gramian_deviation[0, 1] <= 1e-12
 
 
 def test_criterion_11_translation_equals_action_pipeline():

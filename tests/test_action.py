@@ -21,6 +21,13 @@ def test_weighted_space_positivity():
         WeightedSpace([1.0, -3.0])
     with pytest.raises(ValueError):
         WeightedSpace([])
+    # a non-finite weight is named, not passed on to fail an SVD later
+    with pytest.raises(ValueError, match=r"weights\[2\] must be finite, "
+                       r"got inf"):
+        WeightedSpace([1, 1, np.inf, 1])
+    with pytest.raises(ValueError, match=r"weights\[1\] must be finite, "
+                       r"got nan"):
+        WeightedSpace([1, np.nan])
 
 
 def test_weighted_norm_and_inner():
@@ -40,6 +47,10 @@ def test_table_structure_errors():
     with pytest.raises(ValueError):
         # wrong number of rows
         QuasiInvariantAction(G, sp, [[0, 1, 2]])
+    with pytest.raises(ValueError, match="table row 1 "):
+        # truncated, row 1 would be the swap
+        QuasiInvariantAction(G, WeightedSpace([1, 1]),
+                             [[0.0, 1.0], [1.9, 0.2]])
 
 
 def test_validate_ok_on_fixtures():

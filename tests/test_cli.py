@@ -499,6 +499,30 @@ def test_verify_factors_the_dense_matrix_once(monkeypatch, command, name,
         (many, single)
 
 
+@pytest.mark.parametrize("command", ["translation duality", "verify"])
+def test_duality_fiberizes_and_sums_each_generator_once(monkeypatch,
+                                                        command):
+    # 3 generators: one duality check covers them and their 3 pairs, with
+    # one fiberization and two Zak-sum arrays (at -C and at C) per generator
+    from zakfiber import translation
+    calls = []
+
+    def recording(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in ["duality_check", "fiberize", "_zak_sums"]:
+        monkeypatch.setattr(translation, name,
+                            recording(name, getattr(translation, name)))
+    scenario = Path(__file__).parent / "golden" / "nondyadic-translation.json"
+    code, _, err = invoke([*command.split(), "--scenario", str(scenario)])
+    assert code == 0, err
+    assert [calls.count(name) for name in
+            ["duality_check", "fiberize", "_zak_sums"]] == [1, 3, 6]
+
+
 def test_commands_look_kernels_up_at_call_time(monkeypatch):
     # a kernel bound into a table or closure at import would escape this
     # patch, and the benchmark's span tracer, which replaces it the same way

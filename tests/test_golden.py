@@ -1,9 +1,9 @@
 """Golden snapshot of the CLI: stdout, stderr and exit code, byte for byte.
 
-Every command runs on every shipped fixture, and on ``nondyadic`` kept
-next to the goldens, in both output formats.  The expected outputs live
-in ``tests/golden/cli.json``; any change in a report, down to the last
-bit of a float, fails here.
+Every command runs on every shipped fixture, and on ``nondyadic`` and
+``nondyadic-translation`` kept next to the goldens, in both output
+formats.  The expected outputs live in ``tests/golden/cli.json``; any
+change in a report, down to the last bit of a float, fails here.
 
 The shipped fixtures have dyadic weights and 0/1 generators, so most
 floating-point reorderings leave their reports unchanged.
@@ -11,8 +11,14 @@ floating-point reorderings leave their reports unchanged.
 points by x -> x + 4 gamma, with weights drawn uniformly from [0.5, 3)
 and two complex Gaussian generators, all from
 ``numpy.random.default_rng(6)`` and rounded to 6 decimals; the third
-generator is 0.5 g0 - 1.25 g1, and there is one random candidate.  After an intended output
-change, rewrite the snapshot with
+generator is 0.5 g0 - 1.25 g1, and there is one random candidate.
+``tests/golden/nondyadic-translation.json`` does the same for translation
+by the subgroup <(3, 0), (0, 2)> of Z_6 x Z_4: two complex Gaussian
+generators and one candidate from ``numpy.random.default_rng(24)``,
+rounded to 6 decimals, and the third generator 0.5 g0 - 1.25 g1.  It is
+the only fixture with more than one translation generator, so the only
+one that reaches the ``pairs`` block of ``translation duality``.  After an
+intended output change, rewrite the snapshot with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -26,9 +32,11 @@ import pytest
 from zakfiber.cli import _DISPATCH, run
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
-FIXTURES = ["s1", "s1-parseval", "s2", "s3", "star", "nondyadic"]
+FIXTURES = ["s1", "s1-parseval", "s2", "s3", "star", "nondyadic",
+            "nondyadic-translation"]
 # fixture names that resolve to a scenario file next to the goldens
-LOCAL = {"nondyadic": GOLDEN.parent / "nondyadic.json"}
+LOCAL = {name: GOLDEN.parent / f"{name}.json"
+         for name in ("nondyadic", "nondyadic-translation")}
 FORMATS = ["structured", "csv-fibers"]
 COMMANDS = list(_DISPATCH)
 CASES = [f"{c} --scenario {f} --format {fmt}"
@@ -49,7 +57,7 @@ def golden():
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
-    assert len(CASES) == 180
+    assert len(CASES) == 210
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -206,12 +206,17 @@ def test_duality_agrees_with_scalar_reference(G, data):
     gens = data.draw(st.lists(elements(G), max_size=2))
     s = build_scenario(G, gens)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    f, g = random_complex(rng, G.order), random_complex(rng, G.order)
-    rep = duality_check(s, f, g)
-    dev, gram = reference_duality(s, f, g)
-    scale = float(np.sum(np.abs(f)) * max(1.0, np.sum(np.abs(g))))
-    assert abs(rep.transform_deviation - dev) <= 1e-12 * scale
-    assert abs(rep.gramian_deviation - gram) <= 1e-12 * scale
+    fs = [random_complex(rng, G.order)
+          for _ in range(data.draw(st.integers(1, 4)))]
+    rep = duality_check(s, fs)
+    for i, f in enumerate(fs):
+        for j, g in enumerate(fs):
+            dev, gram = reference_duality(s, f, g)
+            scale = float(np.sum(np.abs(f)) * max(1.0, np.sum(np.abs(g))))
+            assert abs(rep.transform_deviation[i] - dev) <= 1e-12 * scale
+            assert abs(rep.gramian_deviation[i, j] - gram) <= 1e-12 * scale
+    f = fs[0]
+    scale = float(np.sum(np.abs(f)) * max(1.0, np.sum(np.abs(f))))
     coset_sum = sum(f[G.index(G.add(x, c))]
                     for x in s.coset_reps for c in s.gamma.members)
     assert abs(weil_check(s, f)[1] - coset_sum) <= 1e-12 * scale

@@ -165,9 +165,10 @@ def test_duality_identity():
     s = s3_scenario()
     for _ in range(100):
         f = random_complex(rng, 12)
-        rep = duality_check(s, f)
-        assert rep.transform_deviation <= 1e-12
-        assert rep.gramian_deviation is None
+        rep = duality_check(s, [f])
+        assert rep.transform_deviation.shape == (1,)
+        assert rep.gramian_deviation.shape == (1, 1)
+        assert rep.transform_deviation[0] <= 1e-12
 
 
 def test_duality_gramians():
@@ -176,9 +177,31 @@ def test_duality_gramians():
     for _ in range(50):
         f = random_complex(rng, 12)
         g = random_complex(rng, 12)
-        rep = duality_check(s, f, g)
-        assert rep.transform_deviation <= 1e-12
-        assert rep.gramian_deviation <= 1e-12
+        rep = duality_check(s, [f, g])
+        assert np.all(rep.transform_deviation <= 1e-12)
+        assert np.all(rep.gramian_deviation <= 1e-12)
+        assert rep.gramian_deviation[0, 1] == rep.gramian_deviation[1, 0]
+
+
+def test_duality_pairs_match_the_pair_by_pair_check():
+    # each entry (i, j >= i) of one call on k functions is the call on that
+    # pair alone, bit for bit, and (j, i) mirrors it
+    rng = np.random.default_rng(151)
+    s = s3_scenario()
+    fs = [random_complex(rng, 12) for _ in range(5)]
+    rep = duality_check(s, fs)
+    dev = rep.gramian_deviation
+    assert np.array_equal(dev, dev.T)
+    for i in range(5):
+        for j in range(i, 5):
+            pair = duality_check(s, [fs[i], fs[j]])
+            assert rep.transform_deviation[i] == pair.transform_deviation[0]
+            assert dev[i, j] == pair.gramian_deviation[0, 1]
+
+
+def test_duality_needs_a_function():
+    with pytest.raises(ValueError, match="at least one function"):
+        duality_check(s3_scenario(), [])
 
 
 def test_ti_analyze_single_delta():
