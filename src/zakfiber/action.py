@@ -94,6 +94,8 @@ class QuasiInvariantAction:
         table: Sequence[Sequence[int]],
     ):
         t = np.asarray(table)
+        if t.dtype.kind not in "iuf":
+            raise ValueError(f"table dtype {t.dtype} is not integer or real")
         if t.shape != (group.order, space.size):
             raise ValueError(
                 f"table shape {t.shape} does not match "

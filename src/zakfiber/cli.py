@@ -278,8 +278,7 @@ def cmd_decompose(sc: Scenario, args) -> tuple[dict, int]:
     audit = decomp.verify_decomposition(fib, sc.generators, parts,
                                         tolerance=args.tolerance)
     J = audit.parts_range
-    union = frames.report_from_spectra(J.s2, J.dims, args.tolerance,
-                                       riesz_style=False)
+    union = frames.report_from_spectra(J, args.tolerance, riesz_style=False)
     # the zero space has the empty decomposition, which is trivially Parseval
     ok = audit.ok and (union.is_parseval or not parts)
     rep["parts"] = [_cvec(p) for p in parts]
@@ -365,15 +364,17 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
                              max(1.0, norm_sq)))
 
     if ts is not None:
+        # a Zak sum is bounded by l1, a Gramian entry by l1**2
         res = translation.duality_check(ts, gens)
-        checks += [_gated(f"duality_gen{i}",
-                          max(td, res.gramian_deviation[i, i]), l1[i])
-                   for i, td in enumerate(res.transform_deviation)]
+        checks += [{**_gated(f"duality_gen{i}", max(td, gd / l1[i]), l1[i]),
+                    "deviation": float(max(td, gd))} for i, (td, gd) in
+                   enumerate(zip(res.transform_deviation,
+                                 res.gramian_deviation.diagonal()))]
 
     # one fiber factorization and one dense one; every check below reads them
     F = oracle.factor(fib.synthesis_matrix(gens))
     J = ranges.range_from_generators(fib, gens)
-    frame_fiber = frames.report_from_spectra(J.s2, J.dims, args.tolerance,
+    frame_fiber = frames.report_from_spectra(J, args.tolerance,
                                              riesz_style=False)
     A_dense, B_dense = oracle.frame_bounds_of_matrix(F)
     dev = max(_rel_dev(frame_fiber.lower, A_dense),
@@ -386,7 +387,7 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
         "ok": bool(dev <= VERIFY_BOUND_REL),
     })
 
-    riesz_fiber = frames.report_from_spectra(J.s2, J.dims, args.tolerance,
+    riesz_fiber = frames.report_from_spectra(J, args.tolerance,
                                              riesz_style=True)
     Ar, Br, independent = oracle.riesz_bounds_of_matrix(F)
     upper_scale = max(riesz_fiber.upper or 0.0, Br or 0.0)

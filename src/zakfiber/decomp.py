@@ -1,9 +1,10 @@
 """Decomposition of an invariant space into orthogonal Parseval orbits.
 
 The thin SVD of the weight-scaled generator fibers, diag(sqrt(mu)) [Z[phi]]
-= U S V^H, gives every fiber a weighted-orthonormal basis U / sqrt(mu) of
-J(alpha) and the generators' coordinates S V^H in it, k columns of length
-r <= k (see :func:`zakfiber.ranges._factor`).  Gram-Schmidt (classical,
+= U S V^H, gives the range function, whose basis U / sqrt(mu) is
+weighted-orthonormal in every fiber J(alpha), and the generators'
+coordinates S V^H in it, k columns of length r <= k (see
+:func:`zakfiber.ranges._factor`).  Gram-Schmidt (classical,
 with a second pass) on those coordinates, in generator order with a drop
 tolerance, yields functions Phi_n = basis @ Q whose fibers have norm 0 or
 1, as many per fiber as the range function's dimension.  Pulling each
@@ -45,7 +46,7 @@ def _parts(system: GeneratorSystem) -> np.ndarray:
     Column n of Q holds the n-th accepted vector of every fiber, and stays
     exactly zero on the fibers that accept fewer.
     """
-    coords = system.factors()[3]
+    J, coords = system.factors()
     n_fibers, r, k = coords.shape
     # squared coordinates of a tiny stack underflow; a power of two is exact
     cols = coords * 2.0 ** -np.frexp(np.max(np.abs(coords), initial=0.0))[1]
@@ -62,7 +63,7 @@ def _parts(system: GeneratorSystem) -> np.ndarray:
         keep = np.flatnonzero(nv > cut)
         Q[keep, :, count[keep]] = v[keep, :, 0] / nv[keep, None]
         count[keep] += 1
-    return system.basis() @ Q[:, :, : count.max()]
+    return J.basis @ Q[:, :, : count.max()]
 
 
 def parseval_decompose_fibers(fibered: Sequence[FiberedVector]
@@ -112,7 +113,7 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
     Steps (a) and (b) read the batched Gram matrix of the part stack,
     gram[i, m, n] = <part_m, part_n> on fiber i; (d) projects onto the stack.
     """
-    dims = fiber_system(gen_fibers).factors()[2]
+    dims = fiber_system(gen_fibers).factors()[0].dims
     # no parts: an empty stack on the generators' fibers and weights
     parts = fiber_system(part_fibers or gen_fibers[:1])
     return _audit(gen_fibers, dims, parts.stack[:, :, : len(part_fibers)],
@@ -186,5 +187,5 @@ def verify_decomposition(zak: Fibration, gens, parts,
         stack = np.ascontiguousarray(zak.forward_many(parts)[0])
     else:
         stack = np.zeros(system.stack.shape[:2] + (0,), dtype=complex)
-    return _audit(system.fibered(), system.factors()[2], stack,
+    return _audit(system.fibered(), system.factors()[0].dims, stack,
                   system.weights, tolerance)

@@ -33,7 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ranges import RIESZ_REL, SUPPORT_TOL, fiber_system, generator_system
+from .ranges import RIESZ_REL, SUPPORT_TOL, RangeFunction, fiber_system, \
+    generator_system
 from .zak import FiberedVector, Fibration
 
 __all__ = [
@@ -76,9 +77,11 @@ class FrameReport:
         return int(self.dims.size)
 
 
-def report_from_spectra(s2: np.ndarray, dims: np.ndarray, tolerance: float,
+def report_from_spectra(J: RangeFunction, tolerance: float,
                         riesz_style: bool) -> FrameReport:
-    """Report from the spectra (s2, dims); Riesz lower bound if riesz_style."""
+    """Report from the spectra of the range function J; Riesz lower bound
+    if riesz_style."""
+    s2, dims = J.s2, J.dims
     n_fibers, n_gens = s2.shape
     smax2 = s2[:, 0].copy()
     gram_min = np.where(dims < n_gens, 0.0, s2[:, -1])
@@ -117,27 +120,27 @@ def report_from_spectra(s2: np.ndarray, dims: np.ndarray, tolerance: float,
 
 def frame_check_fibers(fibered: Sequence[FiberedVector],
                        tolerance: float = SUPPORT_TOL) -> FrameReport:
-    _, s2, dims, _ = fiber_system(fibered).factors()
-    return report_from_spectra(s2, dims, tolerance, riesz_style=False)
+    return report_from_spectra(fiber_system(fibered).factors()[0], tolerance,
+                               riesz_style=False)
 
 
 def frame_check(zak: Fibration, gens,
                 tolerance: float = SUPPORT_TOL) -> FrameReport:
     """Frame bounds of the orbit system of ``gens`` on the space it spans;
     ``zak`` is either fibration (see :mod:`zakfiber.zak`)."""
-    _, s2, dims, _ = generator_system(zak, gens).factors()
-    return report_from_spectra(s2, dims, tolerance, riesz_style=False)
+    return report_from_spectra(generator_system(zak, gens).factors()[0],
+                               tolerance, riesz_style=False)
 
 
 def riesz_check_fibers(fibered: Sequence[FiberedVector],
                        tolerance: float = SUPPORT_TOL) -> FrameReport:
-    _, s2, dims, _ = fiber_system(fibered).factors()
-    return report_from_spectra(s2, dims, tolerance, riesz_style=True)
+    return report_from_spectra(fiber_system(fibered).factors()[0], tolerance,
+                               riesz_style=True)
 
 
 def riesz_check(zak: Fibration, gens,
                 tolerance: float = SUPPORT_TOL) -> FrameReport:
     """Riesz bounds of the orbit system: extremes of the fiber Gram spectra;
     ``zak`` is either fibration (see :mod:`zakfiber.zak`)."""
-    _, s2, dims, _ = generator_system(zak, gens).factors()
-    return report_from_spectra(s2, dims, tolerance, riesz_style=True)
+    return report_from_spectra(generator_system(zak, gens).factors()[0],
+                               tolerance, riesz_style=True)

@@ -3,9 +3,10 @@
 The invariant subspace generated by a family A of functions is described
 completely by the map alpha -> J(alpha) = span{Z[phi](alpha) : phi in A}
 inside l2(C, mu).  All J(alpha) are stored as one padded stack of bases,
-orthonormal in the weighted inner product, from one batched thin SVD of
-the weight-scaled fiber matrices (:func:`_factor`, the only fiber
-factorization), kept with its squared spectrum ``s2``.
+orthonormal in the weighted inner product, with the squared spectrum
+``s2``: a :class:`RangeFunction`, which :func:`_factor`, the only fiber
+factorization, yields from one batched thin SVD of the weight-scaled
+fiber matrices, and which every reader takes whole.
 
 Every cut of the fiber route is one of the constants below; ``frames``
 and ``decomp`` import them.  Only ``tolerance`` can be set per call: it
@@ -67,26 +68,31 @@ def rank_cut(s: np.ndarray) -> np.ndarray:
 
 
 def _factor(stack: np.ndarray, weights: np.ndarray):
-    """(U, s2, dims, coords) from one batched thin SVD of the generator stack
+    """(J, coords) from one batched thin SVD of the generator stack
     (n_fibers, n_points, k) scaled by sqrt(mu) along the points axis,
-    diag(sqrt(mu)) stack = U S V^H.  s2 is the fiber Gram spectrum,
-    descending and padded with zeros to k; dims counts the values retained
-    by :func:`rank_cut`.  U keeps its first r = dims.max() columns, and
-    coords = S V^H its first r rows, (n_fibers, r, k), exactly zero past
-    each fiber's own rank: the generators in the columns of U."""
+    diag(sqrt(mu)) stack = U S V^H.  J is the range function: basis
+    U / sqrt(mu) cut to r = dims.max() columns, dims retained by
+    :func:`rank_cut`, weights ``weights``, and s2 the fiber Gram spectrum,
+    descending and padded with zeros to k.  coords = S V^H keeps its first
+    r rows, (n_fibers, r, k): the generators in the columns of the basis.
+    Both are exactly zero past each fiber's own rank."""
     U, s, Vh = np.linalg.svd(stack * np.sqrt(weights)[:, None],
                              full_matrices=False)
     s2 = np.zeros((stack.shape[0], stack.shape[2]))
     s2[:, : s.shape[1]] = s ** 2
     dims = rank_cut(s)
     r = dims.max()
+    past = np.arange(r) >= dims[:, None, None]
+    basis = np.ascontiguousarray(U[:, :, :r]) \
+        * (1.0 / np.sqrt(weights))[:, None]
+    np.copyto(basis, 0, where=past)
     coords = s[:, :r, None] * Vh[:, :r]
-    np.copyto(coords, 0, where=np.arange(r)[:, None] >= dims[:, None, None])
-    return np.ascontiguousarray(U[:, :, :r]), s2, dims, coords
+    np.copyto(coords, 0, where=past.swapaxes(1, 2))
+    return RangeFunction(basis, dims, weights, s2), coords
 
 
 class GeneratorSystem:
-    """One generator system, fiberized once, and its thin SVD.
+    """One generator system, fiberized once, and its range function.
 
     ``stack`` holds the fibers (n_fibers, n_points, k) and ``weights`` the
     fiber weights; :meth:`factors` takes the one SVD on first need.  The
@@ -107,12 +113,14 @@ class GeneratorSystem:
                 row.view(np.int64), np.ascontiguousarray(v).view(np.int64))
             for row, v in zip(self._rows, vectors))
 
-    def factors(self) -> tuple[np.ndarray, ...]:
-        """(U, s2, dims, coords) of :func:`_factor`, on first use."""
+    def factors(self) -> tuple["RangeFunction", np.ndarray]:
+        """(J, coords) of :func:`_factor`, on first use, read-only; J's
+        weights are a read-only view of ``weights``."""
         if self._factors is None:
-            self._factors = _factor(self.stack, self.weights)
-            for a in self._factors:
+            J, coords = _factor(self.stack, self.weights.view())
+            for a in (*vars(J).values(), coords):
                 a.flags.writeable = False
+            self._factors = J, coords
         return self._factors
 
     def fibered(self) -> list[FiberedVector]:
@@ -121,20 +129,10 @@ class GeneratorSystem:
         return [FiberedVector(self.stack[:, :, j], self.weights)
                 for j in range(self.stack.shape[2])]
 
-    def basis(self) -> np.ndarray:
-        """A new weighted-orthonormal basis U / sqrt(mu) of every fiber,
-        exactly zero past the fiber's own rank."""
-        U, _, dims, _ = self.factors()
-        basis = U * (1.0 / np.sqrt(self.weights))[:, None]
-        past = np.arange(U.shape[2]) >= dims[:, None, None]
-        np.copyto(basis, 0, where=past)
-        return basis
-
     def range_function(self) -> "RangeFunction":
-        """The range function, in arrays of its own."""
-        _, s2, dims, _ = self.factors()
-        return RangeFunction(self.basis(), dims.copy(), self.weights.copy(),
-                             s2.copy())
+        """The range function J of :meth:`factors`, in arrays of its own."""
+        J = self.factors()[0]
+        return RangeFunction(*(a.copy() for a in vars(J).values()))
 
 
 def fiber_system(fibered: Sequence[FiberedVector]) -> GeneratorSystem:
@@ -174,7 +172,8 @@ class RangeFunction:
     ``dims[i]`` columns Q satisfy Q^H diag(mu) Q = I up to 1e-10, and the
     columns past ``dims[i]`` are exactly zero.  ``s2`` is the padded
     squared spectrum they were cut from, as :func:`_factor` gives it.
-    Every array is its own.
+    The one :meth:`GeneratorSystem.factors` keeps is read-only, its
+    weights a view of the system's; every other holds arrays of its own.
     """
 
     basis: np.ndarray

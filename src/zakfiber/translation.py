@@ -60,35 +60,37 @@ class TranslationScenario(Fibration):
     dual_reps: np.ndarray    # Omega, transversal of G^ / Gamma*
     normalization: dict[str, float]
 
-    @property
-    def n_cosets(self) -> int:
-        return len(self.coset_reps)
+    def __post_init__(self):
+        # unit weights, built once and read-only: results share them
+        self.ambient_weights = np.ones(self.G.order)
+        self.fiber_weights = np.ones(self.n_points)
+        for w in (self.ambient_weights, self.fiber_weights):
+            w.flags.writeable = False
 
     @property
-    def n_dual(self) -> int:
+    def n_fibers(self) -> int:
         return len(self.dual_reps)
+
+    @property
+    def n_points(self) -> int:
+        return len(self.coset_reps)
+
+    n_dual, n_cosets = n_fibers, n_points  # the CLI's names
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(_char_matrix, _shift_index), built on first use."""
         return _char_matrix(self), _shift_index(self)
 
-    @property
-    def ambient_weights(self) -> np.ndarray:
-        return np.ones(self.G.order)
-
     def forward(self, f) -> FiberedVector:
         return zakG_forward(self, f)
-
-    def _vector(self, f) -> np.ndarray:
-        return _check_function(self, f)
 
     def _forward_vectors(self, vectors: list[np.ndarray]):
         # one batched K @ v[S], a matrix product per generator, viewed in
         # stack shape: each generator's fibers stay C-contiguous
         K, S = self._tables
         orbits = np.array([v[S] for v in vectors])
-        return (K @ orbits).transpose(1, 2, 0), np.ones(self.n_cosets)
+        return (K @ orbits).transpose(1, 2, 0), self.fiber_weights
 
     def inverse(self, Phi: FiberedVector) -> np.ndarray:
         return zakG_inverse(self, Phi)
@@ -124,17 +126,9 @@ def build_scenario(G: FiniteAbelianGroup,
                                normalization=normalization)
 
 
-def _check_function(s: TranslationScenario, f) -> np.ndarray:
-    v = np.asarray(f, dtype=complex)
-    if v.shape != (s.G.order,):
-        raise ValueError(f"expected {s.G.order} values on G, got shape "
-                         f"{v.shape}")
-    return v
-
-
 def weil_check(s: TranslationScenario, f):
     """Total sum over G versus the iterated coset sum over C x Gamma."""
-    v = _check_function(s, f)
+    v = s._vector(f)
     lhs = complex(np.sum(v))
     rhs = complex(np.sum(v[s.G.flat(s.coset_reps[:, None] + s.gamma.members)]))
     return lhs, rhs, abs(lhs - rhs)
@@ -155,7 +149,7 @@ def _zak_sums(s: TranslationScenario, v: np.ndarray, omega: np.ndarray,
 def zak_point(s: TranslationScenario, f, omega: Iterable[int],
               x: Iterable[int]) -> complex:
     """Defining sum of Z[f](omega)(x) at arbitrary x in G, omega in G^."""
-    v = _check_function(s, f)
+    v = s._vector(f)
     om, xx = (np.asarray(s.G.check(el), dtype=np.intp) for el in (omega, x))
     return complex(_zak_sums(s, v, om, xx))
 
@@ -179,13 +173,8 @@ def zakG_forward(s: TranslationScenario, f) -> FiberedVector:
 def zakG_inverse(s: TranslationScenario, Phi: FiberedVector) -> np.ndarray:
     """Reconstruct f from its fibers: per representative x the orbit data
     gamma -> f(x - gamma) is recovered by Fourier inversion on Gamma."""
-    if Phi.fibers.shape != (s.n_dual, s.n_cosets):
-        raise ValueError(
-            f"fiber shape {Phi.fibers.shape} does not match "
-            f"({s.n_dual}, {s.n_cosets})"
-        )
     K, S = s._tables
-    orbit = (K.conj().T @ Phi.fibers) / s.gamma.order  # (|Gamma|, |C|)
+    orbit = (K.conj().T @ s._fibers(Phi)) / s.gamma.order  # (|Gamma|, |C|)
     f = np.empty(s.G.order, dtype=complex)
     f[S] = orbit
     return f
@@ -193,7 +182,7 @@ def zakG_inverse(s: TranslationScenario, Phi: FiberedVector) -> np.ndarray:
 
 def fiberize(s: TranslationScenario, f) -> np.ndarray:
     """T f[omega_i, delta_j] = fhat(omega_i + delta_j), fhat over G^."""
-    v = _check_function(s, f)
+    v = s._vector(f)
     fhat = dft(s.G, v)
     return fhat[s.G.flat(s.dual_reps[:, None] + s.gamma_star.members)]
 
@@ -218,7 +207,7 @@ def duality_check(s: TranslationScenario, gens) -> DualityReport:
     <Z[f](-omega), Z[g](-omega)> on C are compared as well.  Each function
     is fiberized and summed once; every pair is read off the two stacks.
     """
-    vs = [_check_function(s, f) for f in gens]
+    vs = [s._vector(f) for f in gens]
     if not vs:
         raise ValueError("at least one function is required")
     G, C, omega = s.G, s.coset_reps, s.dual_reps
@@ -254,4 +243,4 @@ def ti_analyze(s: TranslationScenario, gens,
     if len(gens) == 0:
         raise ValueError("at least one generator is required")
     J = range_from_generators(s, gens)
-    return J, report_from_spectra(J.s2, J.dims, tolerance, riesz_style=False)
+    return J, report_from_spectra(J, tolerance, riesz_style=False)

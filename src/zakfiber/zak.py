@@ -14,21 +14,23 @@ Per representative x, the orbit sequence gamma -> (Pi(gamma) psi)(x) is
 transformed with the FFT over the factor axes, so fibers are enumerated in
 lexicographic dual order.
 
-A fibration has ``forward``, ``inverse``, ``ambient_weights`` and
+A fibration has ``forward``, ``inverse``, ``n_fibers``, ``n_points``,
+``ambient_weights``, read-only ``fiber_weights`` that results share, and
 ``synthesis_matrix(gens)`` (the oracle's matrix of the orbit system); the
 two are :class:`ZakTransform` and ``translation.TranslationScenario``.
-Both are a :class:`Fibration`, so both also have ``forward_many(gens)``,
-the stack (n_fibers, n_points, k) of all k generators' fibers at once;
-``forward`` is its case k = 1.  Each fibration also keeps one memo entry
-in ``memo``, a ``ranges.GeneratorSystem``: the last generator system, a
-read-only copy of the generators, their read-only fiber stack and, once
-first needed, its thin SVD.  ``frame_check``, ``riesz_check``,
-``range_from_generators``, ``parseval_decompose``,
+Both are a :class:`Fibration`, which checks their vectors and fibers and
+gives both ``forward_many(gens)``, the stack (n_fibers, n_points, k) of all
+k generators' fibers at once; ``forward`` is its case k = 1.  Each
+fibration also keeps one memo entry in ``memo``, a
+``ranges.GeneratorSystem``: the last generator system, a read-only copy of
+the generators, their read-only fiber stack and, once first needed, the
+range function and coordinates of its thin SVD.  ``frame_check``,
+``riesz_check``, ``range_from_generators``, ``parseval_decompose``,
 ``verify_decomposition``, ``translation.ti_analyze`` and every CLI
 command that fiberizes generators read the entry through
 ``ranges.generator_system``, which replaces it when called with
 generators of other bits.  It costs one generator stack, one fiber
-stack of the same size and its U, of at most that size.
+stack of the same size and a range basis of at most that size.
 """
 
 from __future__ import annotations
@@ -88,15 +90,32 @@ class FiberedVector:
 
 
 class Fibration:
-    """What both fibrations share: ``forward`` and ``forward_many``.
+    """What both fibrations share: ``forward``, ``forward_many`` and the
+    checks of vectors and fibers.
 
-    A subclass has ``ambient_weights``, ``_vector(f)`` (f as a checked
-    complex vector) and ``_forward_vectors(vs)`` (the fiber stack and
-    weights of a list of such vectors).
+    A subclass has ``n_fibers``, ``n_points``, ``ambient_weights``,
+    ``fiber_weights`` and ``_forward_vectors(vs)`` (the fiber stack and
+    weights of a list of checked vectors).
     """
 
     # the last generator system, kept by ranges.generator_system
     memo = None
+
+    def _vector(self, f) -> np.ndarray:
+        """f as a complex vector on the points of the ambient space."""
+        v = np.asarray(f, dtype=complex)
+        if v.shape != self.ambient_weights.shape:
+            raise ValueError(f"expected {self.ambient_weights.size} values, "
+                             f"got shape {v.shape}")
+        return v
+
+    def _fibers(self, Phi: FiberedVector) -> np.ndarray:
+        """The fibers of Phi, checked against this fibration's shape."""
+        shape = (self.n_fibers, self.n_points)
+        if Phi.fibers.shape != shape:
+            raise ValueError(f"fiber shape {Phi.fibers.shape} does not match "
+                             f"{shape}")
+        return Phi.fibers
 
     def forward(self, psi) -> FiberedVector:
         stack, weights = self._forward_vectors([self._vector(psi)])
@@ -150,14 +169,6 @@ class ZakTransform(Fibration):
     def synthesis_matrix(self, gens) -> np.ndarray:
         return oracle.synthesis_matrix(self.action, gens)
 
-    def _vector(self, psi) -> np.ndarray:
-        v = np.asarray(psi, dtype=complex)
-        if v.shape != (self.action.space.size,):
-            raise ValueError(
-                f"expected {self.action.space.size} values, got shape {v.shape}"
-            )
-        return v
-
     def _forward_vectors(self, vectors: list[np.ndarray]):
         # all forwards at once: the weighted orbits (k, |C|, |Gamma|),
         # gathered vector by vector, with no stack of the vectors; their
@@ -176,13 +187,8 @@ class ZakTransform(Fibration):
             self.fiber_weights
 
     def inverse(self, Phi: FiberedVector) -> np.ndarray:
-        if Phi.fibers.shape != (self.n_fibers, self.n_points):
-            raise ValueError(
-                f"fiber shape {Phi.fibers.shape} does not match "
-                f"({self.n_fibers}, {self.n_points})"
-            )
-        shaped = Phi.fibers.reshape(*self.group.invariant_factors,
-                                    self.n_points)
+        shaped = self._fibers(Phi).reshape(*self.group.invariant_factors,
+                                           self.n_points)
         u = np.fft.ifftn(shaped, axes=tuple(range(self.group.rank)))
         u = u.reshape(self.group.order, self.n_points)
         # u[gi] = (1/|Gamma|) sum_alpha Phi(alpha) (gamma, alpha) is the

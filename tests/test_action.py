@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,16 @@ def test_table_structure_errors():
         # truncated, row 1 would be the swap
         QuasiInvariantAction(G, WeightedSpace([1, 1]),
                              [[0.0, 1.0], [1.9, 0.2]])
+    # bool and complex entries are no point indices, even when their
+    # values are; integral floats are
+    for table, dtype in (([[False, True], [True, False]], "bool"),
+                         ([[0j, 1], [1, 0]], "complex128")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"table dtype {dtype} "):
+                QuasiInvariantAction(G, WeightedSpace([1, 1]), table)
+    swap = QuasiInvariantAction(G, WeightedSpace([1, 1]), [[0.0, 1], [1, 0]])
+    assert swap.table.dtype == np.intp and validate_action(swap).ok
 
 
 def test_validate_ok_on_fixtures():

@@ -523,6 +523,50 @@ def test_duality_fiberizes_and_sums_each_generator_once(monkeypatch,
             ["duality_check", "fiberize", "_zak_sums"]] == [1, 3, 6]
 
 
+def _scaled_translation(tmp_path, scale):
+    """The golden nondyadic translation scenario with its generators scaled,
+    and each generator's L = max(1, ||g||_1)."""
+    doc = json.loads((Path(__file__).parent / "golden"
+                      / "nondyadic-translation.json").read_text())
+    gens = [[[scale * x for x in pair] for pair in g]
+            for g in doc["translation"]["generators"]]
+    doc["translation"]["generators"] = gens
+    path = tmp_path / f"scaled-{scale:g}.json"
+    path.write_text(json.dumps(doc))
+    return str(path), [max(1.0, float(np.sum(np.abs(np.array(g) @ [1, 1j]))))
+                       for g in gens]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e5, 1e8])
+def test_verify_gates_the_gramian_in_units_of_l1(tmp_path, monkeypatch,
+                                                 scale):
+    # a Gramian entry is bounded by L**2, not L: at scale 1e5 the routes
+    # agree to 3.5e-16 of the largest entry, yet the gate 1e-10 * L failed
+    path, l1 = _scaled_translation(tmp_path, scale)
+    rep = invoke_json(["verify", "--scenario", path])
+    assert rep["ok"] and all(c["ok"] for c in rep["checks"])
+
+    # a Gramian error 10x over the gate 1e-10 * L**2 still fails, and is
+    # printed as it is
+    from zakfiber import translation
+    check = translation.duality_check
+
+    def planted(s, gens):
+        res = check(s, gens)
+        res.gramian_deviation[np.diag_indices(len(l1))] += \
+            10 * 1e-10 * np.square(l1)
+        return res
+
+    monkeypatch.setattr(translation, "duality_check", planted)
+    code, text, _ = invoke(["verify", "--scenario", path])
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    assert code == 3
+    for i, L in enumerate(l1):
+        duality = checks[f"duality_gen{i}"]
+        assert not duality["ok"]
+        assert duality["deviation"] >= 10 * 1e-10 * L ** 2
+
+
 def test_commands_look_kernels_up_at_call_time(monkeypatch):
     # a kernel bound into a table or closure at import would escape this
     # patch, and the benchmark's span tracer, which replaces it the same way

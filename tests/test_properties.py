@@ -28,8 +28,10 @@ from zakfiber import (
     build_scenario,
     coset_transversal,
     duality_check,
+    frame_check,
     parseval_decompose,
     range_from_generators,
+    riesz_check,
     subgroup_from_generators,
     tiling_transversal,
     validate_action,
@@ -285,6 +287,30 @@ def test_translation_forward_many_is_the_stack_of_forwards(G, data, k):
     s = build_scenario(G, data.draw(st.lists(elements(G), max_size=3)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     _assert_forward_many(s, [random_complex(rng, G.order) for _ in range(k)])
+
+
+@PROPERTY
+@given(groups(max_order=24), st.data(), st.integers(1, 3))
+def test_translation_is_the_action_of_the_subgroup(G, data, k):
+    # translation by <d_i e_i> on prod Z_{n_i} is the action of
+    # H = prod Z_{n_i / gcd(d_i, n_i)} by x -> x + sum k_i d_i e_i, and
+    # both routes give it the same bounds and fiber dimensions
+    ds = [data.draw(st.integers(0, n - 1)) for n in G.invariant_factors]
+    s = build_scenario(G, np.diag(ds))
+    H = FiniteAbelianGroup([n // math.gcd(d, n)
+                            for d, n in zip(ds, G.invariant_factors)])
+    table = G.flat(G.coordinates + (H.coordinates * ds)[:, None, :])
+    action = QuasiInvariantAction(H, WeightedSpace(np.ones(G.order)), table)
+    assert validate_action(action).ok
+    assert np.array_equal(tiling_transversal(action), G.flat(s.coset_reps))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    gens = [random_complex(rng, G.order) for _ in range(k)]
+    zk = ZakTransform(action)
+    for check in (frame_check, riesz_check):
+        ours, theirs = check(zk, gens), check(s, gens)
+        assert sorted(ours.dims) == sorted(theirs.dims)
+        for a, b in ((ours.lower, theirs.lower), (ours.upper, theirs.upper)):
+            assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
 
 
 @st.composite

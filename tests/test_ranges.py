@@ -3,7 +3,8 @@ import pytest
 
 from zakfiber import ZakTransform, membership, project, range_from_generators
 from zakfiber.oracle import brute_membership
-from zakfiber.ranges import membership_fibers
+from zakfiber.ranges import RangeFunction, generator_system, \
+    membership_fibers
 
 from helpers import delta, random_complex, s1_action, s2_action, \
     s3_scenario
@@ -174,6 +175,47 @@ def test_fiber_weights_of_a_forward_are_read_only():
     with pytest.raises(ValueError):
         zk.fiber_weights[0] = 7
     assert membership(zk, c, range_from_generators(zk, gens)) == before
+
+
+def test_memo_factors_are_the_read_only_range_function():
+    # the generator system's one SVD yields J; range_from_generators hands
+    # out its basis bit for bit, in arrays of its own
+    rng = np.random.default_rng(67)
+    for fib, n in ((ZakTransform(s1_action()), 8), (s3_scenario(), 12)):
+        gens = [random_complex(rng, n) for _ in range(2)]
+        J_out = range_from_generators(fib, gens)
+        J, coords = generator_system(fib, gens).factors()
+        assert isinstance(J, RangeFunction)
+        for a in (*vars(J).values(), coords):
+            assert not a.flags.writeable
+        assert np.array_equal(J.basis.view(np.int64),
+                              J_out.basis.view(np.int64))
+        for a, b in zip(vars(J).values(), vars(J_out).values()):
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)
+
+
+def test_translation_results_share_its_read_only_weights():
+    ts = s3_scenario()
+    fv = ts.forward(random_complex(np.random.default_rng(71), 12))
+    assert fv.fiber_weights is ts.fiber_weights
+    assert np.array_equal(ts.fiber_weights, np.ones(ts.n_points))
+    assert np.array_equal(ts.ambient_weights, np.ones(ts.G.order))
+    assert (ts.n_fibers, ts.n_points) == (ts.n_dual, ts.n_cosets) == (4, 3)
+    for w in (ts.fiber_weights, ts.ambient_weights):
+        with pytest.raises(ValueError):
+            w[0] = 7
+
+
+@pytest.mark.parametrize("fib", [ZakTransform(s1_action()), s3_scenario()],
+                         ids=["action", "translation"])
+def test_both_fibrations_check_vectors_alike(fib):
+    n = fib.ambient_weights.size
+    calls = [fib.forward, lambda f: fib.forward_many([f]),
+             lambda f: range_from_generators(fib, [f])]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call(np.ones(n + 1))
+        assert str(info.value) == f"expected {n} values, got shape ({n + 1},)"
 
 
 def test_range_function_length():

@@ -312,7 +312,7 @@ def test_translation_scenario_is_a_fibration(monkeypatch):
     # spectrum-only SVD of frame_check may differ in the last bits
     J = range_from_fibers([s.forward(g) for g in gens])
     _, rep_ti = ti_analyze(s, gens)
-    rep_j = report_from_spectra(J.s2, J.dims, SUPPORT_TOL, riesz_style=False)
+    rep_j = report_from_spectra(J, SUPPORT_TOL, riesz_style=False)
     rep = frame_check(s, gens)
     for key, value in vars(rep_j).items():
         assert np.array_equal(value, getattr(rep_ti, key)), key
