@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-# range_from_fibers: unused, but bench/spans.py requires the binding
+# range_from_fibers, membership_fibers: unused; bench/spans.py binds them
 from .ranges import ORTHO_TOL, RANK_TOL, GeneratorSystem, RangeFunction, \
     fiber_system, generator_system, membership_fibers, range_from_fibers
 from .zak import FiberedVector, Fibration
@@ -111,20 +111,21 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
     original generator in the union of the part orbits.
 
     Steps (a) and (b) read the batched Gram matrix of the part stack,
-    gram[i, m, n] = <part_m, part_n> on fiber i; (d) projects onto the stack.
+    gram[i, m, n] = <part_m, part_n> on fiber i; (d) projects the
+    generators onto the stack in blocks (:meth:`GeneratorSystem.membership`).
     """
-    dims = fiber_system(gen_fibers).factors()[0].dims
+    system = fiber_system(gen_fibers)
     # no parts: an empty stack on the generators' fibers and weights
     parts = fiber_system(part_fibers or gen_fibers[:1])
-    return _audit(gen_fibers, dims, parts.stack[:, :, : len(part_fibers)],
+    return _audit(system, parts.stack[:, :, : len(part_fibers)],
                   parts.weights, tolerance)
 
 
-def _audit(gen_fibers: Sequence[FiberedVector], dims: np.ndarray,
-           stack: np.ndarray, weights: np.ndarray, tolerance: float
-           ) -> DecompositionCheck:
-    """:func:`verify_decomposition_fibers` given the generators' fiber
-    ranks ``dims`` and the parts' stack."""
+def _audit(system: GeneratorSystem, stack: np.ndarray, weights: np.ndarray,
+           tolerance: float) -> DecompositionCheck:
+    """:func:`verify_decomposition_fibers` given the generator system and
+    the parts' stack."""
+    dims = system.factors()[0].dims
     nonzero = np.any(stack != 0, axis=1)
     weighted = np.conj(stack)
     weighted *= weights[:, None]
@@ -154,9 +155,8 @@ def _audit(gen_fibers: Sequence[FiberedVector], dims: np.ndarray,
     s2 = np.zeros((dims.size, max(1, gram.shape[1])))
     s2[:, : gram.shape[1]] = np.linalg.eigvalsh(gram)[:, ::-1]
     parts_range = RangeFunction(stack, summed, weights.copy(), s2)
-    checks = [membership_fibers(fv, parts_range) for fv in gen_fibers]
-    membership_residuals = [residual for _, residual in checks]
-    membership_ok = all(member for member, _ in checks)
+    members, residuals = system.membership(parts_range, weighted)
+    membership_ok = bool(members.all())
 
     return DecompositionCheck(
         orthogonality_max=ortho_max,
@@ -165,7 +165,7 @@ def _audit(gen_fibers: Sequence[FiberedVector], dims: np.ndarray,
         parseval_ok=parseval_ok,
         dims_match=dims_match,
         dim_rows=dim_rows,
-        membership_residuals=membership_residuals,
+        membership_residuals=residuals.tolist(),
         membership_ok=membership_ok,
         ok=orthogonality_ok and parseval_ok and dims_match and membership_ok,
         parts_range=parts_range,
@@ -187,5 +187,4 @@ def verify_decomposition(zak: Fibration, gens, parts,
         stack = np.ascontiguousarray(zak.forward_many(parts)[0])
     else:
         stack = np.zeros(system.stack.shape[:2] + (0,), dtype=complex)
-    return _audit(system.fibered(), system.factors()[0].dims, stack,
-                  system.weights, tolerance)
+    return _audit(system, stack, system.weights, tolerance)

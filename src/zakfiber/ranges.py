@@ -129,6 +129,26 @@ class GeneratorSystem:
         return [FiberedVector(self.stack[:, :, j], self.weights)
                 for j in range(self.stack.shape[2])]
 
+    def membership(self, J: "RangeFunction", weighted: np.ndarray):
+        """(members, residuals) of the k generators against J, judged as by
+        :func:`membership_fibers`, given ``weighted`` = conj(J.basis) * mu."""
+        if J.n_fibers != self.stack.shape[0] or \
+                not np.array_equal(J.fiber_weights, self.weights):
+            raise ValueError("generators do not match the range function")
+
+        def weighted_sq(g):  # per column, the sum of |g|^2 mu over the fibers
+            return (self.weights @ np.square(g.view(float))).reshape(
+                -1, g.shape[2], 2).sum(axis=(0, 2))
+
+        sq = np.empty((2, self.stack.shape[2]))  # norms^2, residuals^2
+        for j in range(0, sq.shape[1], 8):  # no temporary spans all k
+            g = self.stack[:, :, j: j + 8].copy()
+            sq[0, j: j + 8] = weighted_sq(g)
+            g -= J.basis @ (weighted.swapaxes(1, 2) @ g)
+            sq[1, j: j + 8] = weighted_sq(g)
+        norms, residuals = np.sqrt(sq / J.n_fibers)
+        return residuals <= MEMBER_TOL * np.maximum(1.0, norms), residuals
+
     def range_function(self) -> "RangeFunction":
         """The range function J of :meth:`factors`, in arrays of its own."""
         J = self.factors()[0]

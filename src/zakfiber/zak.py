@@ -11,8 +11,8 @@ carrying the normalized counting measure on the dual group:
     ||psi||^2 = (1/|Gamma|) sum_alpha ||Z[psi](alpha)||^2_mu.
 
 Per representative x, the orbit sequence gamma -> (Pi(gamma) psi)(x) is
-transformed with the FFT over the factor axes, so fibers are enumerated in
-lexicographic dual order.
+transformed with the FFT over the factor axes, of a C-ordered copy on a
+group of rank > 1, so fibers are enumerated in lexicographic dual order.
 
 A fibration has ``forward``, ``inverse``, ``n_fibers``, ``n_points``,
 ``ambient_weights``, read-only ``fiber_weights`` that results share, and
@@ -20,8 +20,8 @@ A fibration has ``forward``, ``inverse``, ``n_fibers``, ``n_points``,
 two are :class:`ZakTransform` and ``translation.TranslationScenario``.
 Both are a :class:`Fibration`, which checks their vectors and fibers and
 gives both ``forward_many(gens)``, the stack (n_fibers, n_points, k) of all
-k generators' fibers at once; ``forward`` is its case k = 1.  Each
-fibration also keeps one memo entry in ``memo``, a
+k generators' fibers at once, in Fortran order for an action; ``forward``
+is its case k = 1.  Each fibration also keeps one memo entry in ``memo``, a
 ``ranges.GeneratorSystem``: the last generator system, a read-only copy of
 the generators, their read-only fiber stack and, once first needed, the
 range function and coordinates of its thin SVD.  ``frame_check``,
@@ -169,6 +169,12 @@ class ZakTransform(Fibration):
     def synthesis_matrix(self, gens) -> np.ndarray:
         return oracle.synthesis_matrix(self.action, gens)
 
+    def _on_group_axes(self, a: np.ndarray) -> np.ndarray:
+        """a with its first axis split into the group's factor axes; on rank
+        > 1 a C-ordered copy, whose FFT lines are fast and keep their bits."""
+        a = a.reshape(*self.group.invariant_factors, *a.shape[1:])
+        return np.ascontiguousarray(a) if self.group.rank > 1 else a
+
     def _forward_vectors(self, vectors: list[np.ndarray]):
         # all forwards at once: the weighted orbits (k, |C|, |Gamma|),
         # gathered vector by vector, with no stack of the vectors; their
@@ -180,16 +186,14 @@ class ZakTransform(Fibration):
         for v, orbit in zip(vectors, orbits):
             np.multiply(v[index], amp, out=orbit)
         stack = orbits.T
-        shaped = stack.reshape(*self.group.invariant_factors, self.n_points,
-                               len(vectors))
-        fibers = np.fft.fftn(shaped, axes=tuple(range(self.group.rank)))
+        fibers = np.fft.fftn(self._on_group_axes(stack),
+                             axes=tuple(range(self.group.rank)))
         return np.asfortranarray(fibers.reshape(stack.shape)), \
             self.fiber_weights
 
     def inverse(self, Phi: FiberedVector) -> np.ndarray:
-        shaped = self._fibers(Phi).reshape(*self.group.invariant_factors,
-                                           self.n_points)
-        u = np.fft.ifftn(shaped, axes=tuple(range(self.group.rank)))
+        u = np.fft.ifftn(self._on_group_axes(self._fibers(Phi)),
+                         axes=tuple(range(self.group.rank)))
         u = u.reshape(self.group.order, self.n_points)
         # u[gi] = (1/|Gamma|) sum_alpha Phi(alpha) (gamma, alpha) is the
         # orbit value the forward transform read at src[gi]

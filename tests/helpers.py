@@ -96,6 +96,29 @@ def naive_zak(a: QuasiInvariantAction, zk: ZakTransform, psi) -> np.ndarray:
     return out
 
 
+def strided_forward_many(zk: ZakTransform, gens) -> np.ndarray:
+    """The fiber stack of ``zk.forward_many(gens)`` from ``np.fft.fftn`` on
+    the Fortran-ordered layout of the weighted orbits, whose FFT lines
+    along the group axes are strided on a group of rank > 1."""
+    index, amp = zk._src.T, zk._amp_fwd.T
+    stack = np.stack([np.asarray(g, dtype=complex)[index] * amp
+                      for g in gens]).T
+    shaped = stack.reshape(*zk.group.invariant_factors, zk.n_points,
+                           len(gens))
+    fibers = np.fft.fftn(shaped, axes=tuple(range(zk.group.rank)))
+    return fibers.reshape(stack.shape)
+
+
+def strided_inverse(zk: ZakTransform, fibers: np.ndarray) -> np.ndarray:
+    """``zk.inverse`` of a fiber array from ``np.fft.ifftn`` on the fibers'
+    own layout, reshaped to the group axes as a view."""
+    shaped = fibers.reshape(*zk.group.invariant_factors, zk.n_points)
+    u = np.fft.ifftn(shaped, axes=tuple(range(zk.group.rank)))
+    psi = np.empty(zk.action.space.size, dtype=complex)
+    psi[zk._src] = zk._amp_inv * u.reshape(zk.group.order, zk.n_points)
+    return psi
+
+
 def naive_zakG(s: TranslationScenario, f) -> np.ndarray:
     """Defining sum of the subgroup-translation Zak transform."""
     G = s.G

@@ -65,6 +65,18 @@ def test_table_structure_errors():
     assert swap.table.dtype == np.intp and validate_action(swap).ok
 
 
+@pytest.mark.parametrize("entry, dtype", [(2 ** 32 + 3, np.int64),
+                                          (3 - 2 ** 32, np.int64),
+                                          (2 ** 32 + 3, np.uint64)])
+def test_table_entry_that_wraps_in_32_bits_is_rejected(entry, dtype):
+    # row 1 would read as the double swap [1, 0, 3, 2] in 32 bits
+    table = np.array([[0, 1, 2, 3], [1, 0, entry, 2]], dtype=dtype)
+    assert np.array_equal(table.astype(np.int32)[1], [1, 0, 3, 2])
+    with pytest.raises(ValueError, match="table row 1 is not a permutation"):
+        QuasiInvariantAction(FiniteAbelianGroup([2]),
+                             WeightedSpace(np.ones(4)), table)
+
+
 def test_validate_ok_on_fixtures():
     assert validate_action(s1_action()).ok
     assert validate_action(s2_action()).ok

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from zakfiber import ZakTransform, fixture_path, frame_check, \
+from zakfiber import FiniteAbelianGroup, QuasiInvariantAction, \
+    WeightedSpace, ZakTransform, fixture_path, frame_check, \
     parse_scenario, parseval_decompose, range_from_generators, riesz_check, \
     verify_decomposition
 from zakfiber.decomp import parseval_decompose_fibers, \
     verify_decomposition_fibers
+from zakfiber.ranges import generator_system
 from zakfiber.zak import FiberedVector
 
 from helpers import delta, random_complex, s1_action, s2_action, \
@@ -134,6 +138,33 @@ def test_audit_rejects_parts_of_another_geometry():
                                        for f in fibers])
     with pytest.raises(ValueError):
         verify_decomposition_fibers(gens, parts)
+
+
+def test_audit_membership_takes_less_memory_than_the_generator_stack():
+    # Z_2 x Z_2 translates 1024 points per orbit, with 24 generators: the
+    # generators are projected onto the parts in blocks of columns, so no
+    # temporary spans all 24
+    G = FiniteAbelianGroup([2, 2])
+    c = 1024
+    add = G.flat(G.coordinates[:, None, :] + G.coordinates[None, :, :])
+    table = (add[:, :, None] * c + np.arange(c)).reshape(G.order, -1)
+    rng = np.random.default_rng(24)
+    weights = rng.uniform(0.5, 2.0, table.shape[1])
+    zk = ZakTransform(QuasiInvariantAction(G, WeightedSpace(weights), table))
+    gens = [random_complex(rng, table.shape[1]) for _ in range(24)]
+    parts = parseval_decompose(zk, gens)
+    check = verify_decomposition(zk, gens, parts)
+    system = generator_system(zk, gens)
+    J = check.parts_range
+    weighted = np.conj(J.basis) * J.fiber_weights[:, None]
+    tracemalloc.start()
+    try:
+        members, residuals = system.membership(J, weighted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert members.all() and residuals.tolist() == check.membership_residuals
+    assert peak < system.stack.nbytes
 
 
 def test_audit_takes_one_fiber_svd(monkeypatch):

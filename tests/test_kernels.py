@@ -26,7 +26,7 @@ from zakfiber.decomp import parseval_decompose_fibers, \
     verify_decomposition_fibers
 from zakfiber.frames import frame_check_fibers, riesz_check_fibers
 from zakfiber.ranges import MEMBER_TOL, ORTHO_TOL, RANK_TOL, \
-    _project_fibers, membership_fibers, range_from_fibers
+    _project_fibers, fiber_system, membership_fibers, range_from_fibers
 from zakfiber.zak import FiberedVector
 
 SHAPES = [(9, 5, 3), (7, 3, 5), (6, 4, 4), (1, 6, 2), (5, 2, 1)]
@@ -236,7 +236,10 @@ def check_parts_range(fibered, w):
     """The audit's reads of the part stack: its Gram spectrum against one
     SVD per fiber of the weight-scaled parts, and, on claims that are not
     orthonormal, each membership residual against the distance from the
-    span of the claim, which projecting onto the claim never understates."""
+    span of the claim, which projecting onto the claim never understates.
+    The residuals are those of the stacked membership of the generator
+    system, which sums in another order than one vector at a time, so
+    they match ``membership_fibers`` to 1e-12 of the vector's norm."""
     parts = parseval_decompose_fibers(fibered)
     J = verify_decomposition_fibers(fibered, parts).parts_range
     n_fibers = fibered[0].n_fibers
@@ -255,12 +258,19 @@ def check_parts_range(fibered, w):
         if not claim:
             continue
         check = verify_decomposition_fibers(fibered, claim)
-        for fv, residual in zip(fibered, check.membership_residuals):
+        J = check.parts_range
+        members, residuals = fiber_system(fibered).membership(
+            J, np.conj(J.basis) * w[:, None])
+        assert check.membership_ok == members.all()
+        for fv, residual, got, member in zip(
+                fibered, check.membership_residuals, residuals, members):
             distance = lstsq_distance(claim, fv, w)
-            member, got = membership_fibers(fv, check.parts_range)
+            norm = np.sqrt(fv.norm_sq())
             assert got == residual >= distance
+            assert abs(got - membership_fibers(fv, J)[1]) \
+                <= 1e-12 * max(1.0, norm)
             if member:
-                assert distance <= MEMBER_TOL * max(1.0, np.sqrt(fv.norm_sq()))
+                assert distance <= MEMBER_TOL * max(1.0, norm)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zakfiber import (
+    FiberedVector,
     FiniteAbelianGroup,
     NotFreeError,
     QuasiInvariantAction,
@@ -42,16 +43,17 @@ from zakfiber.cli import run
 
 from helpers import random_complex, reference_annihilator, \
     reference_closure, reference_cosets, reference_duality, \
-    reference_tiling, reference_validate
+    reference_tiling, reference_validate, strided_forward_many, \
+    strided_inverse
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
 
 
 @st.composite
-def groups(draw, max_order):
+def groups(draw, max_order, min_rank=1):
     factors = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(min_rank, 3))):
         budget = max_order // math.prod(factors)
         factors.append(draw(st.integers(1, max(1, min(budget, 12)))))
     return FiniteAbelianGroup(factors)
@@ -279,6 +281,52 @@ def test_forward_many_is_the_stack_of_forwards(case, k):
     action, rng = case
     gens = [random_complex(rng, action.space.size) for _ in range(k)]
     _assert_forward_many(ZakTransform(action), gens)
+
+
+@PROPERTY
+@given(groups(max_order=36, min_rank=2), st.integers(1, 3),
+       st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_forward_and_inverse_keep_the_bits_of_strided_fft_lines(G, c, seed,
+                                                                k):
+    # on a group of rank >= 2 both FFTs run on a C-ordered copy; each FFT
+    # line keeps the bits it has in the Fortran-ordered layout
+    rng = np.random.default_rng(seed)
+    table = _free_table(G, c, rng)
+    weights = 10.0 ** rng.uniform(-3, 3, table.shape[1])
+    zk = ZakTransform(QuasiInvariantAction(G, WeightedSpace(weights), table))
+    gens = [random_complex(rng, table.shape[1]) for _ in range(k)]
+    stack = zk.forward_many(gens)[0]
+    assert stack.tobytes() == strided_forward_many(zk, gens).tobytes()
+    for fibers in (stack[:, :, 0], np.ascontiguousarray(stack[:, :, -1])):
+        psi = zk.inverse(FiberedVector(fibers, zk.fiber_weights))
+        assert psi.tobytes() == strided_inverse(zk, fibers).tobytes()
+
+
+@PROPERTY
+@given(groups(max_order=16), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.integers(1, 4), st.booleans())
+def test_relabelling_keeps_each_fibers_dims_and_spectrum(G, c, seed, k,
+                                                         dependent):
+    # relabelling the points by pi may pick other orbit representatives,
+    # which moves each fiber by a unitary map: its Gram spectrum stays
+    rng = np.random.default_rng(seed)
+    table = _free_table(G, c, rng)
+    N = table.shape[1]
+    weights = 10.0 ** rng.uniform(-3, 3, N)
+    gens = [random_complex(rng, N) for _ in range(k)]
+    if dependent:
+        gens.append(sum(complex(*rng.normal(size=2)) * g for g in gens))
+    pi = rng.permutation(N)
+    moved_weights, moved = np.empty(N), [np.empty(N, complex) for _ in gens]
+    moved_weights[pi] = weights
+    for h, g in zip(moved, gens):
+        h[pi] = g
+    J, K = (range_from_generators(ZakTransform(QuasiInvariantAction(
+        G, WeightedSpace(w), t)), gs)
+        for w, t, gs in ((weights, table, gens),
+                         (moved_weights, pi[table[:, np.argsort(pi)]], moved)))
+    assert np.array_equal(J.dims, K.dims)
+    assert np.all(np.abs(J.s2 - K.s2) <= 1e-13 * J.s2[:, :1])
 
 
 @PROPERTY
