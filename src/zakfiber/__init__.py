@@ -20,16 +20,12 @@ from .action import (
 from .decomp import (
     DecompositionCheck,
     parseval_decompose,
-    parseval_decompose_fibers,
     verify_decomposition,
-    verify_decomposition_fibers,
 )
 from .frames import (
     FrameReport,
     frame_check,
-    frame_check_fibers,
     riesz_check,
-    riesz_check_fibers,
 )
 from .group import (
     FiniteAbelianGroup,
@@ -47,7 +43,6 @@ from .ranges import (
     membership,
     membership_fibers,
     project,
-    range_from_fibers,
     range_from_generators,
 )
 from .scenario import Scenario, ScenarioError, fixture_path, parse_scenario
@@ -57,10 +52,7 @@ from .translation import (
     build_scenario,
     duality_check,
     fiberize,
-    ti_analyze,
     weil_check,
-    zakG_forward,
-    zakG_inverse,
     zak_point,
 )
 from .zak import FiberedVector, ZakTransform

@@ -174,8 +174,8 @@ def cmd_validate(sc: Scenario, args) -> tuple[dict, int]:
         rep["group_order"] = ts.G.order
         rep["subgroup_order"] = ts.gamma.order
         rep["annihilator_order"] = ts.gamma_star.order
-        rep["coset_count"] = ts.n_cosets
-        rep["dual_rep_count"] = ts.n_dual
+        rep["coset_count"] = ts.n_points
+        rep["dual_rep_count"] = ts.n_fibers
         return rep, EXIT_OK
     result = validate_action(sc.action)
     violations = list(result.violations)

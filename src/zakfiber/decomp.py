@@ -27,10 +27,8 @@ from .zak import FiberedVector, Fibration
 
 __all__ = [
     "parseval_decompose",
-    "parseval_decompose_fibers",
     "DecompositionCheck",
     "verify_decomposition",
-    "verify_decomposition_fibers",
 ]
 
 
@@ -68,9 +66,7 @@ def _parts(system: GeneratorSystem) -> np.ndarray:
 
 def parseval_decompose_fibers(fibered: Sequence[FiberedVector]
                               ) -> list[FiberedVector]:
-    """Fiberwise orthonormalization of generator fibers, kept in order: the
-    n-th output holds the n-th surviving vector of every fiber, zero where
-    fewer survive (see :func:`_parts`)."""
+    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
     system = fiber_system(fibered)
     parts = _parts(system)
     return [FiberedVector(parts[:, :, n], system.weights)
@@ -106,14 +102,7 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
                                 part_fibers: Sequence[FiberedVector],
                                 tolerance: float = ORTHO_TOL
                                 ) -> DecompositionCheck:
-    """Audit: fiber orthogonality of the parts, Parseval fiber norms per
-    part, exact per-fiber dimension bookkeeping, and membership of every
-    original generator in the union of the part orbits.
-
-    Steps (a) and (b) read the batched Gram matrix of the part stack,
-    gram[i, m, n] = <part_m, part_n> on fiber i; (d) projects the
-    generators onto the stack in blocks (:meth:`GeneratorSystem.membership`).
-    """
+    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
     system = fiber_system(gen_fibers)
     # no parts: an empty stack on the generators' fibers and weights
     parts = fiber_system(part_fibers or gen_fibers[:1])
@@ -123,10 +112,9 @@ def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
 
 def _audit(system: GeneratorSystem, stack: np.ndarray, weights: np.ndarray,
            tolerance: float) -> DecompositionCheck:
-    """:func:`verify_decomposition_fibers` given the generator system and
-    the parts' stack."""
+    """:func:`verify_decomposition` given the generator system and the
+    parts' stack (n_fibers, n_points, count) with their fiber weights."""
     dims = system.factors()[0].dims
-    nonzero = np.any(stack != 0, axis=1)
     weighted = np.conj(stack)
     weighted *= weights[:, None]
     gram = stack.swapaxes(1, 2) @ weighted
@@ -145,8 +133,8 @@ def _audit(system: GeneratorSystem, stack: np.ndarray, weights: np.ndarray,
     parseval_ok = all(parts_parseval)
 
     # (c) dimensions add up fiber by fiber, as integers; a single part
-    # spans dimension 1 exactly on the fibers where it is nonzero
-    summed = nonzero.sum(axis=1)
+    # spans dimension 1 exactly on the fibers where (b) counts it
+    summed = on.sum(axis=1)
     dim_rows = [(int(s), int(d)) for s, d in zip(summed, dims)]
     dims_match = bool(np.array_equal(summed, dims))
 
@@ -175,15 +163,22 @@ def _audit(system: GeneratorSystem, stack: np.ndarray, weights: np.ndarray,
 def verify_decomposition(zak: Fibration, gens, parts,
                          tolerance: float = ORTHO_TOL
                          ) -> DecompositionCheck:
-    """:func:`verify_decomposition_fibers` on either fibration (see
-    :mod:`zakfiber.zak`): the generators come from its memo entry, whose
-    rank it reads, and the parts are fiberized at once without replacing
-    that entry."""
+    """Audit the claimed ``parts`` of ``gens`` on either fibration (see
+    :mod:`zakfiber.zak`): fiber orthogonality of the parts, Parseval fiber
+    norms per part, exact per-fiber dimension bookkeeping, and membership
+    of every original generator in the union of the part orbits.
+
+    The generators come from the memo entry, whose rank (c) reads, and the
+    parts are fiberized at once without replacing that entry.  Steps (a)
+    and (b) read the batched Gram matrix of the part stack, gram[i, m, n]
+    = <part_m, part_n> on fiber i; (d) projects the generators onto the
+    stack in blocks (:meth:`GeneratorSystem.membership`).
+    """
     system = generator_system(zak, gens)
     parts = list(parts)
     if parts:
-        # C-ordered, as ranges.fiber_system lays it out: the last bits
-        # of the membership residuals depend on the layout
+        # C-ordered: the last bits of the membership residuals depend on
+        # the layout
         stack = np.ascontiguousarray(zak.forward_many(parts)[0])
     else:
         stack = np.zeros(system.stack.shape[:2] + (0,), dtype=complex)

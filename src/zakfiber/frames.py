@@ -40,10 +40,8 @@ from .zak import FiberedVector, Fibration
 __all__ = [
     "FrameReport",
     "frame_check",
-    "frame_check_fibers",
     "report_from_spectra",
     "riesz_check",
-    "riesz_check_fibers",
 ]
 
 
@@ -120,6 +118,7 @@ def report_from_spectra(J: RangeFunction, tolerance: float,
 
 def frame_check_fibers(fibered: Sequence[FiberedVector],
                        tolerance: float = SUPPORT_TOL) -> FrameReport:
+    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
     return report_from_spectra(fiber_system(fibered).factors()[0], tolerance,
                                riesz_style=False)
 
@@ -134,6 +133,7 @@ def frame_check(zak: Fibration, gens,
 
 def riesz_check_fibers(fibered: Sequence[FiberedVector],
                        tolerance: float = SUPPORT_TOL) -> FrameReport:
+    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
     return report_from_spectra(fiber_system(fibered).factors()[0], tolerance,
                                riesz_style=True)
 

@@ -21,9 +21,6 @@ from .action import QuasiInvariantAction
 __all__ = [
     "synthesis_matrix",
     "translation_synthesis_matrix",
-    "dense_frame_bounds",
-    "dense_riesz_bounds",
-    "brute_membership",
     "Factorization",
     "factor",
     "frame_bounds_of_matrix",
@@ -110,18 +107,17 @@ def membership_of_matrix(F: Factorization, b: np.ndarray):
 
 
 def dense_frame_bounds(a: QuasiInvariantAction, gens):
-    """Frame bounds of the orbit system on its span, computed densely."""
+    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
     return frame_bounds_of_matrix(factor(synthesis_matrix(a, gens)))
 
 
 def dense_riesz_bounds(a: QuasiInvariantAction, gens):
-    """Riesz bounds and linear independence of the orbit system."""
+    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
     return riesz_bounds_of_matrix(factor(synthesis_matrix(a, gens)))
 
 
 def brute_membership(a: QuasiInvariantAction, f, gens):
-    """Membership of f in the span of the orbit system: sqrt(mu) f is
-    projected onto the retained U_r of M; no least-squares solve."""
+    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
     v = np.asarray(f, dtype=complex)
     if v.shape != (a.space.size,):
         raise ValueError(f"expected {a.space.size} values, got shape {v.shape}")

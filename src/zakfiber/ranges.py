@@ -19,15 +19,16 @@ weight-scaled fiber matrix diag(sqrt(mu)) [Z[phi](alpha)]_phi.
                fibers (relative, sigma); decomp: coordinate   frame and riesz;
                residual > RANK_TOL * largest coordinate       parseval_
                norm, all fibers, / sqrt(k): rank_cut's dims   decompose
-  SUPPORT_TOL  1e-10  sigma_max^2 > tol, counted only in      frame and riesz,
-               support_size; Parseval: |A - 1| and            ti_analyze
+  SUPPORT_TOL  1e-10  sigma_max^2 > tol, counted only in      frame and riesz
+               support_size; Parseval: |A - 1| and
                |B - 1| <= tol (absolute, sigma^2)
   RIESZ_REL    1e-9   min sigma^2 > RIESZ_REL * max sigma^2   frame and riesz
                over all fibers (relative, sigma^2)            (is_riesz)
   MEMBER_TOL   1e-9   residual <= MEMBER_TOL * max(1, norm)   membership,
                (absolute below norm 1, then relative)         decomp audit
   ORTHO_TOL    1e-10  |<part_m, part_n>| and |norm^2 - 1|     decomp audit
-               <= tol per fiber (absolute, sigma^2)           (its default)
+               <= tol per fiber; norm^2 > tol counts one      (its default)
+               dimension (absolute, sigma^2)
 
 :mod:`zakfiber.oracle` keeps its own constants, so that the dense route
 stays independent of this one.
@@ -45,10 +46,8 @@ from .zak import FiberedVector, Fibration
 __all__ = [
     "RangeFunction",
     "GeneratorSystem",
-    "fiber_system",
     "generator_system",
     "range_from_generators",
-    "range_from_fibers",
     "membership",
     "membership_fibers",
     "project",
@@ -211,7 +210,7 @@ class RangeFunction:
 
 
 def range_from_fibers(fibered: Sequence[FiberedVector]) -> RangeFunction:
-    """Range function of generator fibers (see :func:`_factor`)."""
+    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
     return fiber_system(fibered).range_function()
 
 

@@ -39,12 +39,9 @@ __all__ = [
     "build_scenario",
     "weil_check",
     "zak_point",
-    "zakG_forward",
-    "zakG_inverse",
     "fiberize",
     "DualityReport",
     "duality_check",
-    "ti_analyze",
 ]
 
 
@@ -74,8 +71,6 @@ class TranslationScenario(Fibration):
     @property
     def n_points(self) -> int:
         return len(self.coset_reps)
-
-    n_dual, n_cosets = n_fibers, n_points  # the CLI's names
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -108,11 +103,11 @@ def build_scenario(G: FiniteAbelianGroup,
     C = coset_transversal(G, gamma)
     Omega = coset_transversal(G, gamma_star)
     if gamma.order * gamma_star.order != G.order:
-        raise AssertionError(
+        raise ValueError(
             "annihilator size violates |Gamma| * |Gamma*| = |G|"
         )
     if len(Omega) != gamma.order:
-        raise AssertionError("|Omega| must equal |Gamma|")
+        raise ValueError("|Omega| must equal |Gamma|")
     normalization = {
         "m_G": 1.0,
         "m_G_dual": 1.0 / G.order,
@@ -165,14 +160,14 @@ def _shift_index(s: TranslationScenario) -> np.ndarray:
 
 
 def zakG_forward(s: TranslationScenario, f) -> FiberedVector:
-    """Fibers Z[f](omega)(x) over omega in Omega, x in C (unit weights):
-    ``forward_many`` of the one function f."""
+    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
     return Fibration.forward(s, f)
 
 
 def zakG_inverse(s: TranslationScenario, Phi: FiberedVector) -> np.ndarray:
-    """Reconstruct f from its fibers: per representative x the orbit data
-    gamma -> f(x - gamma) is recovered by Fourier inversion on Gamma."""
+    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
+    # per representative x the orbit data gamma -> f(x - gamma) is
+    # recovered by Fourier inversion on Gamma
     K, S = s._tables
     orbit = (K.conj().T @ s._fibers(Phi)) / s.gamma.order  # (|Gamma|, |C|)
     f = np.empty(s.G.order, dtype=complex)
@@ -233,12 +228,7 @@ def duality_check(s: TranslationScenario, gens) -> DualityReport:
 def ti_analyze(s: TranslationScenario, gens,
                tolerance: float = SUPPORT_TOL
                ) -> tuple[RangeFunction, FrameReport]:
-    """Range function and frame report of a translation system over Omega.
-
-    The generators' memo entry (see :mod:`zakfiber.zak`), their fibers
-    over Omega, feeds the same rank-revealing and spectral machinery as
-    the action pipeline; bounds and verdicts mean the same thing.
-    """
+    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
     gens = list(gens)
     if len(gens) == 0:
         raise ValueError("at least one generator is required")

@@ -26,11 +26,11 @@ is its case k = 1.  Each fibration also keeps one memo entry in ``memo``, a
 the generators, their read-only fiber stack and, once first needed, the
 range function and coordinates of its thin SVD.  ``frame_check``,
 ``riesz_check``, ``range_from_generators``, ``parseval_decompose``,
-``verify_decomposition``, ``translation.ti_analyze`` and every CLI
-command that fiberizes generators read the entry through
-``ranges.generator_system``, which replaces it when called with
-generators of other bits.  It costs one generator stack, one fiber
-stack of the same size and a range basis of at most that size.
+``verify_decomposition`` and every CLI command that fiberizes generators
+read the entry through ``ranges.generator_system``, which replaces it
+when called with generators of other bits.  It costs one generator
+stack, one fiber stack of the same size and a range basis of at most that
+size.
 """
 
 from __future__ import annotations

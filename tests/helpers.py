@@ -20,6 +20,11 @@ from zakfiber import (
     build_scenario,
     character,
 )
+from zakfiber.decomp import _audit, _parts
+from zakfiber.oracle import Factorization, factor, membership_of_matrix, \
+    synthesis_matrix
+from zakfiber.ranges import ORTHO_TOL, GeneratorSystem
+from zakfiber.zak import FiberedVector
 
 
 def s1_action() -> QuasiInvariantAction:
@@ -122,7 +127,7 @@ def strided_inverse(zk: ZakTransform, fibers: np.ndarray) -> np.ndarray:
 def naive_zakG(s: TranslationScenario, f) -> np.ndarray:
     """Defining sum of the subgroup-translation Zak transform."""
     G = s.G
-    out = np.zeros((s.n_dual, s.n_cosets), dtype=complex)
+    out = np.zeros((s.n_fibers, s.n_points), dtype=complex)
     for wi, om in enumerate(s.dual_reps):
         for ci, x in enumerate(s.coset_reps):
             total = 0.0 + 0.0j
@@ -131,6 +136,47 @@ def naive_zakG(s: TranslationScenario, f) -> np.ndarray:
                     np.conj(character(G, g, om))
             out[wi, ci] = total
     return out
+
+
+def dense(a: QuasiInvariantAction, gens) -> Factorization:
+    """The oracle's one factorization of the orbit system of ``gens``."""
+    return factor(synthesis_matrix(a, gens))
+
+
+def dense_membership(a: QuasiInvariantAction, f, gens):
+    """(member, residual) of f by the oracle: sqrt(mu) f against the
+    retained left singular vectors of ``dense(a, gens)``."""
+    b = np.sqrt(a.space.weights) * np.asarray(f, dtype=complex)
+    return membership_of_matrix(dense(a, gens), b)
+
+
+# ---------------------------------------------------------------------------
+# fibered vectors given as lists, through the generator system of their
+# stack
+
+
+def stacked(fibered) -> GeneratorSystem:
+    """The generator system of fibered vectors of one shape and weights,
+    stacked C-ordered along a last axis."""
+    return GeneratorSystem(np.stack([fv.fibers for fv in fibered], axis=2),
+                           fibered[0].fiber_weights)
+
+
+def parts_of(fibered) -> list[FiberedVector]:
+    """``decomp._parts`` of the stacked generators, one fibered vector per
+    part."""
+    system = stacked(fibered)
+    parts = _parts(system)
+    return [FiberedVector(parts[:, :, n], system.weights)
+            for n in range(parts.shape[2])]
+
+
+def audit_of(fibered, claim, tolerance: float = ORTHO_TOL):
+    """``decomp._audit`` of the claimed part fibers against the stacked
+    generators; no claim is an empty stack on the generators' fibers."""
+    parts = stacked(claim or fibered[:1])
+    return _audit(stacked(fibered), parts.stack[:, :, : len(claim)],
+                  parts.weights, tolerance)
 
 
 # ---------------------------------------------------------------------------

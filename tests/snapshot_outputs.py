@@ -15,8 +15,12 @@ JSON document.  A session case's stdout is the JSON form of the call's
 result (report fields, range dims and basis, parts, audit fields but not
 the basis of its ``parts_range``, which is the forward of the parts), with
 every array stored as its bytes, and an exception is exit 1 with its repr
-on stderr.  ``diff`` compares two dumps, so two checkouts can be compared
-byte for byte:
+on stderr.  The tool sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` to 1 before NumPy loads, as ``bench/run.py`` does
+for its workers: a multithreaded BLAS may split its sums differently when
+other work competes for the cores, which moves last bits, so only dumps
+made at one thread compare.  ``diff`` compares two dumps, so two
+checkouts can be compared byte for byte:
 
     PYTHONPATH=/path/to/other/src python tests/snapshot_outputs.py dump a.json
     PYTHONPATH=src python tests/snapshot_outputs.py dump b.json
@@ -48,7 +52,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 

@@ -13,17 +13,13 @@ import numpy as np
 
 from zakfiber import FiniteAbelianGroup, WeightedSpace, ZakTransform, \
     affine_action, build_scenario, character, duality_check, frame_check, \
-    parseval_decompose, range_from_generators, riesz_check, ti_analyze, \
+    parseval_decompose, range_from_generators, riesz_check, \
     verify_decomposition, weil_check
 from zakfiber.cli import run
-from zakfiber.decomp import parseval_decompose_fibers, \
-    verify_decomposition_fibers
-from zakfiber.frames import frame_check_fibers
-from zakfiber.oracle import dense_frame_bounds, dense_riesz_bounds
-from zakfiber.translation import zakG_forward
+from zakfiber.oracle import frame_bounds_of_matrix, riesz_bounds_of_matrix
 
-from helpers import delta, naive_zak, random_complex, s1_action, s2_action, \
-    s3_scenario, star_generator
+from helpers import delta, dense, naive_zak, random_complex, s1_action, \
+    s2_action, s3_scenario, star_generator
 
 
 @contextmanager
@@ -96,7 +92,7 @@ def test_criterion_04_frame_bounds_match_dense():
             rep = frame_check(zk, gens)
             assert abs(rep.lower - A_want) <= 1e-8 * A_want
             assert abs(rep.upper - B_want) <= 1e-8 * B_want
-            A, B = dense_frame_bounds(a, gens)
+            A, B = frame_bounds_of_matrix(dense(a, gens))
             assert abs(rep.lower - A) <= 1e-8 * max(abs(A), 1e-300)
             assert abs(rep.upper - B) <= 1e-8 * max(abs(B), 1e-300)
         rng = np.random.default_rng(2024_04)
@@ -106,7 +102,7 @@ def test_criterion_04_frame_bounds_match_dense():
             gens = [random_complex(rng, a.space.size)
                     for _ in range(int(rng.integers(1, 4)))]
             rep = frame_check(zk, gens)
-            A, B = dense_frame_bounds(a, gens)
+            A, B = frame_bounds_of_matrix(dense(a, gens))
             assert abs(rep.lower - A) <= 1e-8 * abs(A)
             assert abs(rep.upper - B) <= 1e-8 * abs(B)
 
@@ -127,7 +123,7 @@ def test_criterion_05_riesz_verdicts_match_dense():
         for (a, gens, A_want, B_want), want in zip(instances, expected):
             zk = ZakTransform(a)
             rep = riesz_check(zk, gens)
-            A, B, independent = dense_riesz_bounds(a, gens)
+            A, B, independent = riesz_bounds_of_matrix(dense(a, gens))
             assert rep.is_riesz == independent == want
             assert abs(rep.upper - B) <= 1e-8 * abs(B)
             assert _riesz_lower_agrees(rep.lower, A, max(rep.upper, B))
@@ -142,7 +138,7 @@ def test_criterion_05_riesz_verdicts_match_dense():
             gens = [random_complex(rng, a.space.size)
                     for _ in range(int(rng.integers(1, 4)))]
             rep = riesz_check(zk, gens)
-            A, B, independent = dense_riesz_bounds(a, gens)
+            A, B, independent = riesz_bounds_of_matrix(dense(a, gens))
             assert rep.is_riesz == independent
             assert abs(rep.upper - B) <= 1e-8 * abs(B)
             assert _riesz_lower_agrees(rep.lower, A, max(rep.upper, B))
@@ -157,7 +153,7 @@ def test_criterion_06_parseval_not_riesz_generator():
         assert list(rep.support.astype(int)) == [1, 0, 0, 0]
         assert rep.is_frame and rep.is_parseval
         assert not rep.is_riesz
-        _, _, independent = dense_riesz_bounds(a, [psi])
+        _, _, independent = riesz_bounds_of_matrix(dense(a, [psi]))
         assert not independent
         rng = np.random.default_rng(2024_06)
         for _ in range(50):
@@ -191,11 +187,11 @@ def test_criterion_07_decomposition_audit():
             assert abs(union.upper - 1.0) <= 1e-10
         # the translation fixture goes through the same fiber machinery
         s = s3_scenario()
-        fibered = [zakG_forward(s, delta(12, 0) + delta(12, 1))]
-        parts = parseval_decompose_fibers(fibered)
-        check = verify_decomposition_fibers(fibered, parts)
+        gens = [delta(12, 0) + delta(12, 1)]
+        parts = parseval_decompose(s, gens)
+        check = verify_decomposition(s, gens, parts)
         assert check.ok
-        union = frame_check_fibers(parts)
+        union = frame_check(s, parts)
         assert abs(union.lower - 1.0) <= 1e-10
         assert abs(union.upper - 1.0) <= 1e-10
 
@@ -252,7 +248,7 @@ def test_criterion_11_translation_equals_action_pipeline():
                             WeightedSpace(np.ones(12)), [3])
         zk = ZakTransform(act)
         for gens in ([delta(12, 0)], [delta(12, 0) + delta(12, 1)]):
-            J_t, rep_t = ti_analyze(s, gens)
+            J_t, rep_t = range_from_generators(s, gens), frame_check(s, gens)
             J_a = range_from_generators(zk, gens)
             rep_a = frame_check(zk, gens)
             assert list(J_t.dims) == list(J_a.dims)

@@ -248,6 +248,58 @@ def test_decompose_command():
     assert len(rep["parts"]) == 1
 
 
+def _pairs(v):
+    return [[float(z.real), float(z.imag)] for z in v]
+
+
+def _translation_doc(factors, subgroup, gen):
+    return {"schema_version": 1, "name": "vanishing",
+            "translation": {"group_factors": factors,
+                            "subgroup_generators": subgroup,
+                            "generators": [_pairs(gen)]}}
+
+
+VANISHING = {
+    "s3-constant": _translation_doc([12], [[3]], np.ones(12)),
+    "s3-character": _translation_doc(
+        [12], [[3]], np.exp(2j * np.pi * np.arange(12) / 12)),
+    "z16-constant": _translation_doc([16], [[4]], np.ones(16)),
+    "z6-affine-character": {
+        "schema_version": 1, "name": "vanishing",
+        "group": {"invariant_factors": [6]},
+        "space": {"size": 12, "weights": [1.0] * 12},
+        "action": {"affine": {"multipliers": [2]}},
+        "generators": [_pairs(np.exp(2j * np.pi * np.arange(12) / 6))]},
+}
+
+
+@pytest.mark.parametrize("name", VANISHING)
+def test_decompose_passes_where_the_generator_vanishes(tmp_path, name):
+    # the transform vanishes on all but one fiber; the parts carry rounding
+    # dust there after the round trip, which the audit must not count
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(VANISHING[name]))
+    dims = [f["dim"] for f in
+            invoke_json(["range", "--scenario", str(p)])["fibers"]]
+    assert sum(dims) == 1
+    rep = invoke_json(["decompose", "--scenario", str(p)])
+    assert rep["ok"] is True
+    assert rep["audit"]["dims_match"] is True
+    assert len(rep["parts"]) == 1
+
+
+def test_ledger_fault_is_io_error(monkeypatch):
+    # a wrong annihilator breaks |Gamma| * |Gamma*| = |G|: one error line
+    import zakfiber.translation as translation
+    monkeypatch.setattr(translation, "annihilator",
+                        lambda G, gamma: translation.subgroup_from_generators(
+                            G, []))
+    code, out, err = invoke(["validate", "--scenario", "s3"])
+    assert (code, out) == (4, "")
+    assert _one_error_line(err)
+    assert "|Gamma| * |Gamma*| = |G|" in err
+
+
 def test_verify_all_fixtures():
     for name in ("s1", "s1-parseval", "s2", "s3", "star"):
         code, out, err = invoke(["verify", "--scenario", name])

@@ -7,13 +7,11 @@ from zakfiber import FiniteAbelianGroup, QuasiInvariantAction, \
     WeightedSpace, ZakTransform, fixture_path, frame_check, \
     parse_scenario, parseval_decompose, range_from_generators, riesz_check, \
     verify_decomposition
-from zakfiber.decomp import parseval_decompose_fibers, \
-    verify_decomposition_fibers
 from zakfiber.ranges import generator_system
 from zakfiber.zak import FiberedVector
 
-from helpers import delta, random_complex, s1_action, s2_action, \
-    star_generator
+from helpers import audit_of, delta, parts_of, random_complex, s1_action, \
+    s2_action, star_generator
 
 
 def test_orthonormal_deltas_pass_through():
@@ -116,13 +114,13 @@ def test_fiber_level_entry_points():
     zk = ZakTransform(s2_action())
     gens = [random_complex(rng, 4) for _ in range(2)]
     gen_fibers = [zk.forward(g) for g in gens]
-    parts = parseval_decompose_fibers(gen_fibers)
+    parts = parts_of(gen_fibers)
     for p in parts:
         assert isinstance(p, FiberedVector)
         norms = p.fiber_norms_sq()
         on = norms > 1e-10
         assert np.all(np.abs(norms[on] - 1.0) < 1e-10)
-    check = verify_decomposition_fibers(gen_fibers, parts)
+    check = audit_of(gen_fibers, parts)
     assert check.ok
 
 
@@ -134,10 +132,9 @@ def test_audit_rejects_parts_of_another_geometry():
     fibers = [rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
               for _ in range(2)]
     gens = [FiberedVector(f, w) for f in fibers]
-    parts = parseval_decompose_fibers([FiberedVector(f, other)
-                                       for f in fibers])
+    parts = parts_of([FiberedVector(f, other) for f in fibers])
     with pytest.raises(ValueError):
-        verify_decomposition_fibers(gens, parts)
+        audit_of(gens, parts)
 
 
 def test_audit_membership_takes_less_memory_than_the_generator_stack():

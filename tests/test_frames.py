@@ -3,9 +3,9 @@ import pytest
 
 from zakfiber import ZakTransform, fixture_path, frame_check, \
     parse_scenario, riesz_check
-from zakfiber.oracle import dense_frame_bounds, dense_riesz_bounds
+from zakfiber.oracle import frame_bounds_of_matrix, riesz_bounds_of_matrix
 
-from helpers import delta, random_complex, s1_action, s2_action, \
+from helpers import delta, dense, random_complex, s1_action, s2_action, \
     star_generator
 
 
@@ -96,7 +96,7 @@ def test_single_generator_riesz_agrees_with_dense():
     a = s1_action()
     psi = 100 * star_generator() + 1e-4 * delta(8, 1)
     rep = frame_check(ZakTransform(a), [psi])
-    _, _, independent = dense_riesz_bounds(a, [psi])
+    _, _, independent = riesz_bounds_of_matrix(dense(a, [psi]))
     assert not independent
     assert rep.is_riesz == independent
     assert rep.is_frame and rep.support.all()
@@ -124,11 +124,11 @@ def test_bounds_match_dense_oracle():
             n_gens = int(rng.integers(1, 4))
             gens = [random_complex(rng, a.space.size) for _ in range(n_gens)]
             rep = frame_check(zk, gens)
-            A, B = dense_frame_bounds(a, gens)
+            A, B = frame_bounds_of_matrix(dense(a, gens))
             assert rep.lower == pytest.approx(A, rel=1e-8)
             assert rep.upper == pytest.approx(B, rel=1e-8)
             rep = riesz_check(zk, gens)
-            Ar, Br, ok = dense_riesz_bounds(a, gens)
+            Ar, Br, ok = riesz_bounds_of_matrix(dense(a, gens))
             assert rep.lower == pytest.approx(Ar, rel=1e-8, abs=1e-10)
             assert rep.upper == pytest.approx(Br, rel=1e-8)
             assert rep.is_riesz == ok

@@ -1,10 +1,12 @@
 """Batched fiber kernels against plain per-fiber loops.
 
 The kernels in frames, ranges and decomp treat the whole fiber stack at
-once.  Here each fiber keeps its own subset of generators (some repeated,
-some dropped, some fibers entirely zero), so fiber ranks differ, and
-every SVD must equal, bit for bit, a loop that handles one fiber at a
-time with a single-matrix thin SVD.  The loops apply the rank rule of the
+once; each stack here goes through the ``ranges.GeneratorSystem`` built
+on it (``helpers.stacked``), the object every command reads.  Here
+each fiber keeps its own subset of generators (some repeated, some
+dropped, some fibers entirely zero), so fiber ranks differ, and every
+SVD must equal, bit for bit, a loop that handles one fiber at a time
+with a single-matrix thin SVD.  The loops apply the rank rule of the
 package: a singular value counts when it exceeds RANK_TOL times the
 largest over all fibers, and a Gram-Schmidt residual of the generators'
 coordinates when it exceeds RANK_TOL times the largest coordinate norm
@@ -22,12 +24,12 @@ import itertools
 import numpy as np
 import pytest
 
-from zakfiber.decomp import parseval_decompose_fibers, \
-    verify_decomposition_fibers
-from zakfiber.frames import frame_check_fibers, riesz_check_fibers
-from zakfiber.ranges import MEMBER_TOL, ORTHO_TOL, RANK_TOL, \
-    _project_fibers, fiber_system, membership_fibers, range_from_fibers
+from zakfiber.frames import report_from_spectra
+from zakfiber.ranges import MEMBER_TOL, ORTHO_TOL, RANK_TOL, SUPPORT_TOL, \
+    _project_fibers, membership_fibers
 from zakfiber.zak import FiberedVector
+
+from helpers import audit_of, parts_of, stacked
 
 SHAPES = [(9, 5, 3), (7, 3, 5), (6, 4, 4), (1, 6, 2), (5, 2, 1)]
 
@@ -122,8 +124,9 @@ def check_spectra(fibered, w):
     # a fiber of rank below the generator count has Gram eigenvalue 0
     gram_min = np.array([s2[i, -1] if d == len(fibered) else 0.0
                          for i, d in enumerate(dims)])
-    frame = frame_check_fibers(fibered)
-    riesz = riesz_check_fibers(fibered)
+    J = stacked(fibered).factors()[0]
+    frame = report_from_spectra(J, SUPPORT_TOL, riesz_style=False)
+    riesz = report_from_spectra(J, SUPPORT_TOL, riesz_style=True)
     for rep in (frame, riesz):
         assert np.array_equal(rep.dims, dims)
         assert np.array_equal(rep.smax2, s2[:, 0])
@@ -139,7 +142,7 @@ def check_spectra(fibered, w):
 
 
 def check_range(fibered, w):
-    J = range_from_fibers(fibered)
+    J = stacked(fibered).range_function()
     inv_sqrtw = 1.0 / np.sqrt(w)
     svds = [np.linalg.svd(B, full_matrices=False)
             for B in per_fiber_matrices(fibered, w)]
@@ -160,7 +163,7 @@ def check_project(fibered, w):
     """Projection and membership against one projection per fiber onto
     the first dims[i] basis columns, for a vector inside the span and a
     random one."""
-    J = range_from_fibers(fibered)
+    J = stacked(fibered).range_function()
     rng = np.random.default_rng(len(w))
     inside = fibered[0].fibers - 2j * fibered[-1].fibers
     noise = rng.normal(size=inside.shape) + 1j * rng.normal(size=inside.shape)
@@ -200,20 +203,20 @@ def check_audit(fibered, w):
     """The audit's batched Gram matrix against the pairwise reference, on
     the Gram-Schmidt parts, a rescaled part, a repeated part and the raw
     generators."""
-    parts = parseval_decompose_fibers(fibered)
+    parts = parts_of(fibered)
     doubled = [FiberedVector(2.0 * p.fibers, w) for p in parts[:1]] \
         + parts[1:]
     for claim in (parts, doubled, parts + parts[:1], list(fibered), []):
-        check = verify_decomposition_fibers(fibered, claim)
+        check = audit_of(fibered, claim)
         ortho, parseval = reference_audit(claim)
         assert check.orthogonality_max == pytest.approx(ortho, rel=1e-12,
                                                         abs=1e-14)
         assert check.parts_parseval == parseval
-    return verify_decomposition_fibers(fibered, parts).ok
+    return audit_of(fibered, parts).ok
 
 
 def check_decompose(fibered, w):
-    parts = parseval_decompose_fibers(fibered)
+    parts = parts_of(fibered)
     expected = reference_mgs(fibered, w)
     assert len(parts) == len(expected)
     for p, e in zip(parts, expected):
@@ -240,8 +243,8 @@ def check_parts_range(fibered, w):
     The residuals are those of the stacked membership of the generator
     system, which sums in another order than one vector at a time, so
     they match ``membership_fibers`` to 1e-12 of the vector's norm."""
-    parts = parseval_decompose_fibers(fibered)
-    J = verify_decomposition_fibers(fibered, parts).parts_range
+    parts = parts_of(fibered)
+    J = audit_of(fibered, parts).parts_range
     n_fibers = fibered[0].n_fibers
     s2 = np.zeros((n_fibers, max(1, len(parts))))
     dims = np.zeros(n_fibers, dtype=int)
@@ -257,9 +260,9 @@ def check_parts_range(fibered, w):
     for claim in (doubled, parts + parts[:1], list(fibered)):
         if not claim:
             continue
-        check = verify_decomposition_fibers(fibered, claim)
+        check = audit_of(fibered, claim)
         J = check.parts_range
-        members, residuals = fiber_system(fibered).membership(
+        members, residuals = stacked(fibered).membership(
             J, np.conj(J.basis) * w[:, None])
         assert check.membership_ok == members.all()
         for fv, residual, got, member in zip(

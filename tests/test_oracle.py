@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from zakfiber.oracle import brute_membership, dense_frame_bounds, \
-    dense_riesz_bounds, factor, frame_bounds_of_matrix, \
+from zakfiber.oracle import factor, frame_bounds_of_matrix, \
     membership_of_matrix, riesz_bounds_of_matrix, synthesis_matrix
 
-from helpers import delta, random_complex, s1_action, s2_action
+from helpers import delta, dense, dense_membership, random_complex, \
+    s1_action, s2_action
 
 
 def test_synthesis_matrix_shape_and_norms():
@@ -21,35 +21,39 @@ def test_synthesis_matrix_shape_and_norms():
 
 def test_frame_bounds_known_values():
     a1 = s1_action()
-    A, B = dense_frame_bounds(a1, [delta(8, 0), delta(8, 1)])
+    A, B = frame_bounds_of_matrix(dense(a1, [delta(8, 0), delta(8, 1)]))
     assert A == pytest.approx(1.0, abs=1e-12)
     assert B == pytest.approx(1.0, abs=1e-12)
-    A, B = dense_frame_bounds(a1, [delta(8, 0), delta(8, 0) + delta(8, 2)])
+    A, B = frame_bounds_of_matrix(
+        dense(a1, [delta(8, 0), delta(8, 0) + delta(8, 2)]))
     assert A == pytest.approx(1.0, abs=1e-12)
     assert B == pytest.approx(5.0, abs=1e-12)
 
 
 def test_frame_bounds_weighted_space():
-    A, B = dense_frame_bounds(s2_action(), [delta(4, 0) + delta(4, 3)])
+    A, B = frame_bounds_of_matrix(
+        dense(s2_action(), [delta(4, 0) + delta(4, 3)]))
     assert A == pytest.approx(1.0, abs=1e-12)
     assert B == pytest.approx(9.0, abs=1e-12)
 
 
 def test_riesz_bounds_known_values():
     a1 = s1_action()
-    A, B, ok = dense_riesz_bounds(a1, [delta(8, 0), delta(8, 1)])
+    A, B, ok = riesz_bounds_of_matrix(dense(a1, [delta(8, 0), delta(8, 1)]))
     assert ok
     assert A == pytest.approx(1.0, abs=1e-12)
     assert B == pytest.approx(1.0, abs=1e-12)
     # two generators supported on the same orbit coordinate are dependent
-    A, B, ok = dense_riesz_bounds(a1, [delta(8, 0), delta(8, 0) + delta(8, 2)])
+    A, B, ok = riesz_bounds_of_matrix(
+        dense(a1, [delta(8, 0), delta(8, 0) + delta(8, 2)]))
     assert not ok
     assert A == pytest.approx(0.0, abs=1e-12)
     assert B == pytest.approx(5.0, abs=1e-12)
 
 
 def test_riesz_bounds_weighted_space():
-    A, B, ok = dense_riesz_bounds(s2_action(), [delta(4, 0) + delta(4, 3)])
+    A, B, ok = riesz_bounds_of_matrix(
+        dense(s2_action(), [delta(4, 0) + delta(4, 3)]))
     assert ok
     assert A == pytest.approx(1.0, abs=1e-12)
     assert B == pytest.approx(9.0, abs=1e-12)
@@ -57,9 +61,9 @@ def test_riesz_bounds_weighted_space():
 
 def test_zero_generator_degenerate():
     a = s1_action()
-    A, B = dense_frame_bounds(a, [np.zeros(8)])
+    A, B = frame_bounds_of_matrix(dense(a, [np.zeros(8)]))
     assert A is None and B is None
-    A, B, ok = dense_riesz_bounds(a, [np.zeros(8)])
+    A, B, ok = riesz_bounds_of_matrix(dense(a, [np.zeros(8)]))
     assert not ok
     assert A == pytest.approx(0.0, abs=1e-15)
 
@@ -67,10 +71,10 @@ def test_zero_generator_degenerate():
 def test_membership_known_cases():
     a = s1_action()
     gens = [delta(8, 0)]
-    member, res = brute_membership(a, delta(8, 4), gens)
+    member, res = dense_membership(a, delta(8, 4), gens)
     assert member
     assert res < 1e-12
-    member, res = brute_membership(a, delta(8, 1), gens)
+    member, res = dense_membership(a, delta(8, 1), gens)
     assert not member
     # the candidate is orthogonal to the span, so the residual is its norm
     assert res == pytest.approx(1.0, abs=1e-12)
@@ -84,7 +88,7 @@ def test_membership_random_combination():
     for g in a.group.elements():
         psi += (rng.standard_normal() + 1j * rng.standard_normal()) \
             * a.apply(g, gens[0])
-    member, res = brute_membership(a, psi, gens)
+    member, res = dense_membership(a, psi, gens)
     assert member
     assert res < 1e-9
 

@@ -36,6 +36,7 @@ from zakfiber import (
     subgroup_from_generators,
     tiling_transversal,
     validate_action,
+    verify_decomposition,
     weil_check,
 )
 
@@ -450,3 +451,22 @@ def test_decomposition_has_the_range_dims_near_the_rank_cut(case, eps):
     counts = sum((zk.forward(p).fiber_norms_sq() > 0.5).astype(int)
                  for p in parts)
     assert np.array_equal(counts, dims)
+
+
+@PROPERTY
+@given(free_actions(), st.integers(1, 4))
+def test_audit_passes_where_generators_vanish_on_fibers(case, k):
+    # generators whose transform is zero on a random subset of fibers: the
+    # parts carry rounding dust there after the round trip, which the
+    # audit's dimension count must cut as its Parseval check does
+    action, rng = case
+    zk = ZakTransform(action)
+    gens = []
+    for _ in range(k):
+        fv = zk.forward(random_complex(rng, action.space.size))
+        fv.fibers[rng.random(zk.n_fibers) < 0.5] = 0.0
+        gens.append(zk.inverse(fv))
+    dims = range_from_generators(zk, gens).dims
+    check = verify_decomposition(zk, gens, parseval_decompose(zk, gens))
+    assert check.ok
+    assert check.dim_rows == [(int(d), int(d)) for d in dims]

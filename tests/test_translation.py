@@ -3,8 +3,7 @@ import pytest
 
 from zakfiber import FiniteAbelianGroup, WeightedSpace, ZakTransform, \
     affine_action, build_scenario, character, duality_check, fiberize, \
-    frame_check, range_from_generators, ti_analyze, weil_check, zakG_forward, \
-    zakG_inverse, zak_point
+    frame_check, range_from_generators, riesz_check, weil_check, zak_point
 from zakfiber.frames import report_from_spectra
 from zakfiber.oracle import factor, riesz_bounds_of_matrix, \
     translation_synthesis_matrix
@@ -21,7 +20,7 @@ def test_s3_structure():
     assert s.gamma_star.members.tolist() == [[0], [4], [8]]
     assert s.coset_reps.tolist() == [[0], [1], [2]]
     assert s.dual_reps.tolist() == [[0], [1], [2], [3]]
-    assert s.n_cosets == 3 and s.n_dual == 4
+    assert s.n_points == 3 and s.n_fibers == 4
     assert s.normalization == {
         "m_G": 1.0,
         "m_G_dual": 1.0 / 12.0,
@@ -38,19 +37,19 @@ def test_scenario_sets_are_coordinate_rows():
     for rows in (s.gamma.members, s.gamma_star.members, s.coset_reps,
                  s.dual_reps):
         assert_coordinate_rows(G, rows)
-    assert s.coset_reps.shape == (s.n_cosets, 2)
-    assert s.dual_reps.shape == (s.n_dual, 2) == (s.gamma.order, 2)
+    assert s.coset_reps.shape == (s.n_points, 2)
+    assert s.dual_reps.shape == (s.n_fibers, 2) == (s.gamma.order, 2)
 
 
 def test_extreme_subgroups():
     G = FiniteAbelianGroup([12])
     full = build_scenario(G, [[1]])
     assert full.gamma.order == 12 and full.gamma_star.order == 1
-    assert full.n_cosets == 1 and full.n_dual == 12
+    assert full.n_points == 1 and full.n_fibers == 12
     trivial = build_scenario(G, [])
     assert trivial.gamma.members.tolist() == [[0]]
     assert trivial.gamma_star.order == 12
-    assert trivial.n_cosets == 12 and trivial.n_dual == 1
+    assert trivial.n_points == 12 and trivial.n_fibers == 1
 
 
 def test_weil_formula():
@@ -65,7 +64,7 @@ def test_weil_formula():
 
 def test_zak_known_fiber():
     s = s3_scenario()
-    Z = zakG_forward(s, delta(12, 3))
+    Z = s.forward(delta(12, 3))
     # delta_3 sits on the gamma = 3 translate of the origin coset
     expected = np.array([
         [1, 0, 0],
@@ -81,7 +80,7 @@ def test_zak_matches_naive_and_point_sums():
     s = s3_scenario()
     for _ in range(5):
         f = random_complex(rng, 12)
-        Z = zakG_forward(s, f)
+        Z = s.forward(f)
         assert np.max(np.abs(Z.fibers - naive_zakG(s, f))) < 1e-12
         for wi, om in enumerate(s.dual_reps):
             for ci, x in enumerate(s.coset_reps):
@@ -113,10 +112,10 @@ def test_zak_roundtrip():
     s = s3_scenario()
     for _ in range(100):
         f = random_complex(rng, 12)
-        Z = zakG_forward(s, f)
-        assert np.max(np.abs(zakG_inverse(s, Z) - f)) < 1e-12
+        Z = s.forward(f)
+        assert np.max(np.abs(s.inverse(Z) - f)) < 1e-12
     Phi = FiberedVector(random_complex(rng, 12).reshape(4, 3), np.ones(3))
-    back = zakG_forward(s, zakG_inverse(s, Phi))
+    back = s.forward(s.inverse(Phi))
     assert np.max(np.abs(back.fibers - Phi.fibers)) < 1e-12
 
 
@@ -125,12 +124,12 @@ def test_zak_intertwines_translation():
     s = s3_scenario()
     G = s.G
     f = random_complex(rng, 12)
-    base = zakG_forward(s, f).fibers
+    base = s.forward(f).fibers
     for g in s.gamma.members:
         shifted = np.empty(12, dtype=complex)
         for xi, x in enumerate(G.elements()):
             shifted[xi] = f[G.index(G.sub(x, g))]
-        lhs = zakG_forward(s, shifted).fibers
+        lhs = s.forward(shifted).fibers
         chars = np.array([character(G, g, om) for om in s.dual_reps])
         assert np.max(np.abs(lhs - chars[:, None] * base)) < 1e-12
 
@@ -141,7 +140,7 @@ def test_zak_isometry_with_nu():
     s = s3_scenario()
     for _ in range(20):
         f = random_complex(rng, 12)
-        Z = zakG_forward(s, f)
+        Z = s.forward(f)
         total = float(np.sum(np.abs(Z.fibers) ** 2)) / s.gamma.order
         assert total == pytest.approx(float(np.sum(np.abs(f) ** 2)),
                                       rel=1e-12)
@@ -206,7 +205,8 @@ def test_duality_needs_a_function():
 
 def test_ti_analyze_single_delta():
     s = s3_scenario()
-    J, rep = ti_analyze(s, [delta(12, 0)])
+    J, rep = range_from_generators(s, [delta(12, 0)]), \
+        frame_check(s, [delta(12, 0)])
     assert list(J.dims) == [1, 1, 1, 1]
     assert rep.lower == pytest.approx(1.0, abs=1e-12)
     assert rep.upper == pytest.approx(1.0, abs=1e-12)
@@ -225,13 +225,15 @@ def test_ti_analyze_takes_one_fiber_svd(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    ti_analyze(s3_scenario(), gens)
+    s = s3_scenario()
+    range_from_generators(s, gens)
+    frame_check(s, gens)
     assert calls == [3]
 
 
 def test_ti_analyze_rejects_empty():
     with pytest.raises(ValueError):
-        ti_analyze(s3_scenario(), [])
+        frame_check(s3_scenario(), [])
 
 
 def test_ti_analyze_matches_dense_gram():
@@ -240,13 +242,12 @@ def test_ti_analyze_matches_dense_gram():
     for _ in range(10):
         gens = [random_complex(rng, 12)
                 for _ in range(int(rng.integers(1, 3)))]
-        _, rep = ti_analyze(s, gens)
+        rep = frame_check(s, gens)
         M = translation_synthesis_matrix(s, gens)
         A, B, ok = riesz_bounds_of_matrix(factor(M))
         assert rep.upper == pytest.approx(B, rel=1e-8)
         # dense Gram spectrum equals the union of fiber Gram spectra
-        from zakfiber import riesz_check_fibers
-        rg = riesz_check_fibers([zakG_forward(s, g) for g in gens])
+        rg = riesz_check(s, gens)
         assert rg.lower == pytest.approx(A, rel=1e-8, abs=1e-10)
         assert rg.is_riesz == ok
 
@@ -261,7 +262,7 @@ def test_translation_agrees_with_action_pipeline():
     zk = ZakTransform(act)
     assert list(zk.transversal) == [0, 1, 2]
     for gens12 in ([delta(12, 0)], [delta(12, 0) + delta(12, 1)]):
-        J_t, rep_t = ti_analyze(s, gens12)
+        J_t, rep_t = range_from_generators(s, gens12), frame_check(s, gens12)
         J_a = range_from_generators(zk, gens12)
         rep_a = frame_check(zk, gens12)
         assert list(J_t.dims) == list(J_a.dims)
@@ -278,7 +279,7 @@ def test_full_group_translation_recovers_fourier():
     s = build_scenario(G, [[1]])
     rng = np.random.default_rng(157)
     f = random_complex(rng, 12)
-    Z = zakG_forward(s, f)
+    Z = s.forward(f)
     assert Z.fibers.shape == (12, 1)
     from zakfiber import dft
     fhat = dft(G, f)
@@ -288,7 +289,7 @@ def test_full_group_translation_recovers_fourier():
 
 def test_translation_scenario_is_a_fibration(monkeypatch):
     import zakfiber.translation as translation
-    from zakfiber import membership, membership_fibers, range_from_fibers
+    from zakfiber import membership, membership_fibers
 
     built = []
     char_matrix = translation._char_matrix
@@ -299,19 +300,19 @@ def test_translation_scenario_is_a_fibration(monkeypatch):
     gens = [random_complex(rng, 12) for _ in range(2)]
     for g in gens:
         fv = s.forward(g)
-        ref = zakG_forward(s, g)
-        assert np.array_equal(fv.fibers, ref.fibers)
-        assert np.array_equal(fv.fiber_weights, ref.fiber_weights)
+        ref = s.forward_many([g])
+        assert np.array_equal(fv.fibers, ref[0][:, :, 0])
+        assert np.array_equal(fv.fiber_weights, ref[1])
         assert np.max(np.abs(s.inverse(fv) - g)) < 1e-12
     assert built == [s]  # the tables are built once per scenario
     assert np.array_equal(s.ambient_weights, np.ones(12))
     assert np.array_equal(s.synthesis_matrix(gens),
                           translation_synthesis_matrix(s, gens))
 
-    # ti_analyze reads its report off the range's own spectrum; the
-    # spectrum-only SVD of frame_check may differ in the last bits
-    J = range_from_fibers([s.forward(g) for g in gens])
-    _, rep_ti = ti_analyze(s, gens)
+    # frame_check reads its report off the memo entry's range function,
+    # of which range_from_generators returns a copy
+    J = range_from_generators(s, gens)
+    rep_ti = frame_check(s, gens)
     rep_j = report_from_spectra(J, SUPPORT_TOL, riesz_style=False)
     rep = frame_check(s, gens)
     for key, value in vars(rep_j).items():
@@ -326,5 +327,5 @@ def test_translation_scenario_is_a_fibration(monkeypatch):
     outside = random_complex(rng, 12)
     for f, expected in ((gens[0] - 2j * gens[1], True), (outside, False)):
         member, residual = membership(s, f, J)
-        assert (member, residual) == membership_fibers(zakG_forward(s, f), J)
+        assert (member, residual) == membership_fibers(s.forward(f), J)
         assert bool(member) == expected
