@@ -356,10 +356,8 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
         checks += [_gated(f"weil_gen{i}", translation.weil_check(ts, g)[2],
                           l1[i]) for i, g in enumerate(gens)]
 
-    norms_sq = []
     for i, (g, fv) in enumerate(zip(gens, fibered)):
         norm_sq, iso, rt = _transform_deviations(fib, g, fv)
-        norms_sq.append(norm_sq)
         checks.append(_gated(f"zak_roundtrip_gen{i}", max(iso, rt),
                              max(1.0, norm_sq)))
 
@@ -402,17 +400,15 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
                    and riesz_fiber.is_riesz == independent),
     })
 
-    # on actions the generators' own membership is cross-checked as well
+    # every generator and candidate, on both routes, on either fibration
+    labels = [f"gen{i}" for i in range(len(gens))] + \
+        [f"cand{i}" for i in range(len(sc.candidates))]
     sqrtw = np.sqrt(fib.ambient_weights)
-    members = [] if ts is not None else [
-        (f"gen{i}", g, ranges.membership_fibers(fv, J, norm=np.sqrt(n)))
-        for i, (g, fv, n) in enumerate(zip(gens, fibered, norms_sq))]
-    members += [(f"cand{i}", c, ranges.membership(fib, c, J))
-                for i, c in enumerate(sc.candidates)]
     dense = oracle.membership_of_matrix(F, np.stack(
-        [sqrtw * f for _, f, _ in members], axis=1)) if members else ((), ())
-    for (label, _, (member_f, res_f)), member_d, res_d in zip(members,
-                                                             *dense):
+        [sqrtw * f for f in (*gens, *sc.candidates)], axis=1))
+    fibered += [fib.forward(c) for c in sc.candidates]
+    for label, fv, member_d, res_d in zip(labels, fibered, *dense):
+        member_f, res_f = ranges.membership_fibers(fv, J)
         checks.append({
             "name": f"membership_vs_dense_{label}",
             "fiber": [bool(member_f), float(res_f)],

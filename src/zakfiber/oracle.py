@@ -2,7 +2,8 @@
 
 Everything here works on the synthesis matrix M of the full orbit system
 {Pi(gamma) phi : gamma in Gamma, phi generator} assembled column by column
-in the weighted geometry (rows scaled by sqrt(mu)), with no fiberization.
+in the weighted geometry (rows scaled by sqrt(mu)), with no fiberization,
+by one body for an action and for a translation, whose weights are 1.
 :func:`factor` takes the one SVD of M and keeps sigma > RANK_REL * sigma_1,
 and every check reads that one factorization: frame and Riesz bounds are
 extremes of sigma^2, the rank is dim V, and membership projects onto the
@@ -34,37 +35,37 @@ INDEPENDENT_REL = 1e-9
 MEMBER_TOL = 1e-9
 
 
-def _generators(gens, size: int, what: str) -> list[np.ndarray]:
+def _orbit_matrix(gens, src: np.ndarray, mu: np.ndarray,
+                  what: str) -> np.ndarray:
+    """Columns sqrt(mu) * sqrt(mu[src] / mu) * phi[src], generator-major,
+    one per column gi of the index map src; unit weights multiply by
+    exactly 1.0, which keeps every value of phi[src]."""
     gens = [np.asarray(g, dtype=complex) for g in gens]
     if not gens:
         raise ValueError("at least one generator is required")
     for g in gens:
-        if g.shape != (size,):
+        if g.shape != mu.shape:
             raise ValueError(f"generator shape {g.shape} does not match "
-                             f"{what} {size}")
-    return gens
-
-
-def synthesis_matrix(a: QuasiInvariantAction, gens) -> np.ndarray:
-    """Columns sqrt(mu) * Pi(gamma) phi, generator-major, gamma lexicographic."""
-    gens = _generators(gens, a.space.size, "space size")
-    mu = a.space.weights
-    # (N, |Gamma|) in C order: the spectra of M depend on its layout in
-    # the last bits
-    src = a.table[a.group.neg_index_table()].T.copy()
+                             f"{what} {mu.size}")
     amp = np.sqrt(mu[src] / mu[:, None])
     sqrtw = np.sqrt(mu)[:, None]
     return np.concatenate([sqrtw * (amp * phi[src]) for phi in gens], axis=1)
 
 
+def synthesis_matrix(a: QuasiInvariantAction, gens) -> np.ndarray:
+    """Columns sqrt(mu) * Pi(gamma) phi, generator-major, gamma lexicographic."""
+    # (N, |Gamma|) in C order: the spectra of M depend on its layout in
+    # the last bits
+    src = a.table[a.group.neg_index_table()].T.copy()
+    return _orbit_matrix(gens, src, a.space.weights, "space size")
+
+
 def translation_synthesis_matrix(s, gens) -> np.ndarray:
     """Columns T_gamma phi of the TranslationScenario ``s``, generator-major,
-    gamma over the sorted subgroup members; the ambient measure is
-    counting, so no weights scale the rows."""
-    gens = _generators(gens, s.G.order, "group order")
-    # index map for translation: (T_gamma phi)(x) = phi(x - gamma)
+    gamma over the sorted subgroup members, with (T_gamma phi)(x) =
+    phi(x - gamma); the ambient measure is counting: unit weights."""
     src = s.G.flat(s.G.coordinates[:, None] - s.gamma.members)
-    return np.concatenate([phi[src] for phi in gens], axis=1)
+    return _orbit_matrix(gens, src, np.ones(s.G.order), "group order")
 
 
 class Factorization(NamedTuple):

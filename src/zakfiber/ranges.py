@@ -24,7 +24,7 @@ weight-scaled fiber matrix diag(sqrt(mu)) [Z[phi](alpha)]_phi.
                |B - 1| <= tol (absolute, sigma^2)
   RIESZ_REL    1e-9   min sigma^2 > RIESZ_REL * max sigma^2   frame and riesz
                over all fibers (relative, sigma^2)            (is_riesz)
-  MEMBER_TOL   1e-9   residual <= MEMBER_TOL * max(1, norm)   membership,
+  MEMBER_TOL   1e-9   res <= MEMBER_TOL * max(1, fiber norm)  membership,
                (absolute below norm 1, then relative)         decomp audit
   ORTHO_TOL    1e-10  |<part_m, part_n>| and |norm^2 - 1|     decomp audit
                <= tol per fiber; norm^2 > tol counts one      (its default)
@@ -233,30 +233,23 @@ def _project_fibers(Phi: FiberedVector, J: RangeFunction) -> np.ndarray:
     return (J.basis @ coef.swapaxes(1, 2))[:, :, 0]
 
 
-def membership_fibers(Phi: FiberedVector, J: RangeFunction,
-                      norm: float | None = None):
-    """Membership of an already fibered vector; see :func:`membership`."""
+def membership_fibers(Phi: FiberedVector, J: RangeFunction):
+    """(member, residual) of the fibered vector Phi in the invariant space
+    with range function J: residual^2 averages the weighted square
+    distances of its fibers from J(alpha), and member compares residual
+    with MEMBER_TOL * max(1, ||Phi||), in the fiber norm."""
     diff = Phi.fibers - _project_fibers(Phi, J)
     residual = float(np.sqrt(np.sum(np.abs(diff) ** 2 * J.fiber_weights)
                              / J.n_fibers))
-    if norm is None:
-        norm = float(np.sqrt(Phi.norm_sq()))
-    member = residual <= MEMBER_TOL * max(1.0, norm)
-    return member, residual
+    norm = float(np.sqrt(Phi.norm_sq()))
+    return residual <= MEMBER_TOL * max(1.0, norm), residual
 
 
 def membership(zak: Fibration, psi, J: RangeFunction):
-    """Does psi lie in the invariant space with range function J?  ``zak``
-    is either fibration (see :mod:`zakfiber.zak`).
-
-    Returns (member, residual) where residual^2 averages the weighted
-    square distances of the fibers of psi from J(alpha); the verdict
-    compares against MEMBER_TOL * max(1, ||psi||), in the ambient norm.
-    """
-    Phi = zak.forward(psi)
-    v = np.asarray(psi, dtype=complex)
-    norm = float(np.sqrt(np.sum(np.abs(v) ** 2 * zak.ambient_weights)))
-    return membership_fibers(Phi, J, norm=norm)
+    """:func:`membership_fibers` of psi on either fibration (see
+    :mod:`zakfiber.zak`); the transform is an isometry, so the fiber norm
+    of psi is its ambient norm."""
+    return membership_fibers(zak.forward(psi), J)
 
 
 def project(zak: Fibration, psi, J: RangeFunction) -> np.ndarray:

@@ -76,6 +76,8 @@ class FiberedVector:
         """Per-fiber weighted inner products <self(alpha), other(alpha)>."""
         if other.fibers.shape != self.fibers.shape:
             raise ValueError("fiber shapes do not match")
+        if not np.array_equal(other.fiber_weights, self.fiber_weights):
+            raise ValueError("fiber weights do not match")
         return np.sum(self.fibers * np.conj(other.fibers) * self.fiber_weights,
                       axis=1)
 

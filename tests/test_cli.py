@@ -673,6 +673,24 @@ def test_verify_fiber_side_matches_the_single_commands(name):
     assert checks["dimension_vs_dense"]["fiber"] == sum(dims)
 
 
+@pytest.mark.parametrize("name", ["s1", "s1-parseval", "s2", "s3", "star",
+                                  "nondyadic", "nondyadic-translation"])
+def test_verify_judges_every_vector_on_both_routes(name):
+    # every generator, then every candidate, gets one membership check on
+    # either fibration
+    local = Path(__file__).parent / "golden" / f"{name}.json"
+    path = local if local.exists() else fixture_path(name)
+    doc = json.loads(path.read_text())
+    block = doc.get("translation", doc)
+    expected = [f"membership_vs_dense_gen{i}"
+                for i in range(len(block["generators"]))] + \
+        [f"membership_vs_dense_cand{j}"
+         for j in range(len(block.get("candidates", [])))]
+    checks = invoke_json(["verify", "--scenario", str(path)])["checks"]
+    assert [c["name"] for c in checks
+            if c["name"].startswith("membership_vs_dense_")] == expected
+
+
 def _fixture_variant(tmp_path, name, edit, literal=None):
     """Write a copy of a shipped fixture after ``edit(doc)``; every "X" left
     in the document is replaced by the raw JSON ``literal``."""

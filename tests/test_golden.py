@@ -21,6 +21,9 @@ one that reaches the ``pairs`` block of ``translation duality``.  After an
 intended output change, rewrite the snapshot with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which then prints ``tests/snapshot_outputs.py diff`` of the old snapshot
+against the new one: the rewrite's own changes.
 """
 
 import io
@@ -66,7 +69,18 @@ def test_cli_output_unchanged(golden, case):
 
 
 if __name__ == "__main__":
+    import tempfile
+
+    # imported only here: it sets the BLAS thread variables on import
+    import snapshot_outputs
+
     GOLDEN.parent.mkdir(exist_ok=True)
+    old = GOLDEN.read_text() if GOLDEN.exists() else "{}"
     snapshot = {case: capture(case) for case in CASES}
     GOLDEN.write_text(json.dumps(snapshot, sort_keys=True, indent=1) + "\n")
     print(f"wrote {len(snapshot)} cases to {GOLDEN}")
+    # list the rewrite's own changes, old snapshot against new
+    with tempfile.TemporaryDirectory() as tmp:
+        before = Path(tmp) / "cli.json"
+        before.write_text(old)
+        snapshot_outputs.diff(str(before), str(GOLDEN))

@@ -1,6 +1,7 @@
 """Property tests: the array code in group, action and translation against
 the element-by-element references in helpers, ``forward_many`` against
-one ``forward`` per generator, ``verify`` on random free actions, and the
+one ``forward`` per generator, ``verify`` on random free actions and
+``verify`` and ``decompose`` on random translation scenarios, and the
 Parseval decomposition against the range function near the rank cut.
 
 Hypothesis runs derandomized, so every run checks the same examples.
@@ -427,6 +428,77 @@ def test_verify_agrees_off_the_rank_cut(case):
         out, err = io.StringIO(), io.StringIO()
         code = run(["verify", "--scenario", str(path)], out=out, err=err)
     assert code == 0, out.getvalue() + err.getvalue()
+
+
+@st.composite
+def translation_scenarios(draw):
+    """(scenario document, generator count): translation by a subgroup of
+    a random group of order <= 96, given by a list of elements that may be
+    empty, zero, repeated, dependent or off the diagonal, with dense,
+    sparse, zero and dependent generators, plus a random candidate and one
+    in the span."""
+    G = draw(groups(max_order=96))
+    sub = draw(st.lists(elements(G), max_size=2))
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeated",
+                                               "dependent"]), max_size=2)):
+        if kind == "zero" or not sub:
+            sub.append(G.zero)
+        elif kind == "repeated":
+            sub.append(draw(st.sampled_from(sub)))
+        else:
+            sub.append(G.add(draw(st.sampled_from(sub)),
+                             draw(st.sampled_from(sub))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N = G.order
+    gens = []
+    for kind in draw(st.lists(st.sampled_from(["dense", "sparse", "zero",
+                                               "dependent"]),
+                              min_size=1, max_size=3)):
+        if kind == "dense" or (not gens and kind == "dependent"):
+            g = random_complex(rng, N)
+        elif kind == "sparse":
+            g = np.zeros(N, dtype=complex)
+            g[rng.integers(N)] = complex(*rng.normal(size=2))
+        elif kind == "zero":
+            g = np.zeros(N, dtype=complex)
+        else:
+            g = sum(complex(*rng.normal(size=2)) * h for h in gens)
+        gens.append(g)
+    cands = [random_complex(rng, N),
+             sum(complex(*rng.normal(size=2)) * g for g in gens)]
+    doc = {
+        "schema_version": 1,
+        "name": "property",
+        "translation": {
+            "group_factors": list(G.invariant_factors),
+            "subgroup_generators": [list(x) for x in sub],
+            "generators": [[[z.real, z.imag] for z in g] for g in gens],
+            "candidates": [[[z.real, z.imag] for z in v] for v in cands],
+        },
+    }
+    return doc, len(gens)
+
+
+@PROPERTY
+@given(translation_scenarios())
+def test_verify_and_decompose_pass_on_translation_scenarios(case):
+    # the two routes agree on every check, and verify judges each
+    # generator's own membership on translations as on actions
+    doc, k = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        outputs = {}
+        for command in ("verify", "decompose"):
+            out, err = io.StringIO(), io.StringIO()
+            code = run([command, "--scenario", str(path)], out=out, err=err)
+            assert code == 0, (command, out.getvalue() + err.getvalue())
+            outputs[command] = json.loads(out.getvalue())
+    checks = outputs["verify"]["checks"]
+    assert all(c["ok"] for c in checks)
+    names = [c["name"] for c in checks]
+    for i in range(k):
+        assert names.count(f"membership_vs_dense_gen{i}") == 1
 
 
 @PROPERTY

@@ -16,6 +16,18 @@ def test_fibered_vector_shapes():
     assert fv.norm_sq() == pytest.approx(4.0)
 
 
+def test_fiber_inner_rejects_other_weights():
+    # with the first vector's weights alone, a.b = 6 but b.a = 15
+    a = FiberedVector(np.ones((1, 3)), np.array([1.0, 2.0, 3.0]))
+    b = FiberedVector(np.ones((1, 3)), np.full(3, 5.0))
+    for u, v in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="weights"):
+            u.fiber_inner(v)
+        with pytest.raises(ValueError, match="weights"):
+            u.inner(v)
+    assert a.inner(a) == 6.0 and b.inner(b) == 15.0
+
+
 def test_s1_known_fibers():
     zk = ZakTransform(s1_action())
     Z0 = zk.forward(delta(8, 0))
