@@ -16,13 +16,13 @@ subspaces summing to the space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-# range_from_fibers, membership_fibers: unused; bench/spans.py binds them
 from .ranges import ORTHO_TOL, RANK_TOL, GeneratorSystem, RangeFunction, \
-    fiber_system, generator_system, membership_fibers, range_from_fibers
+    generator_system
+# unused here: bench/spans.py REQUIRED_BINDINGS traces these bindings
+from .ranges import membership_fibers, range_from_fibers
 from .zak import FiberedVector, Fibration
 
 __all__ = [
@@ -64,13 +64,9 @@ def _parts(system: GeneratorSystem) -> np.ndarray:
     return J.basis @ Q[:, :, : count.max()]
 
 
-def parseval_decompose_fibers(fibered: Sequence[FiberedVector]
-                              ) -> list[FiberedVector]:
-    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
-    system = fiber_system(fibered)
-    parts = _parts(system)
-    return [FiberedVector(parts[:, :, n], system.weights)
-            for n in range(parts.shape[2])]
+def parseval_decompose_fibers(*args, **kwargs):
+    """Retired: a bare name that bench/spans.py binds (ROADMAP item 3)."""
+    raise NotImplementedError("retired: use decomp.parseval_decompose")
 
 
 def parseval_decompose(zak: Fibration, gens) -> list[np.ndarray]:
@@ -98,16 +94,9 @@ class DecompositionCheck:
     parts_range: RangeFunction  # the parts and their Gram spectrum
 
 
-def verify_decomposition_fibers(gen_fibers: Sequence[FiberedVector],
-                                part_fibers: Sequence[FiberedVector],
-                                tolerance: float = ORTHO_TOL
-                                ) -> DecompositionCheck:
-    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
-    system = fiber_system(gen_fibers)
-    # no parts: an empty stack on the generators' fibers and weights
-    parts = fiber_system(part_fibers or gen_fibers[:1])
-    return _audit(system, parts.stack[:, :, : len(part_fibers)],
-                  parts.weights, tolerance)
+def verify_decomposition_fibers(*args, **kwargs):
+    """Retired: a bare name that bench/spans.py binds (ROADMAP item 3)."""
+    raise NotImplementedError("retired: use decomp.verify_decomposition")
 
 
 def _audit(system: GeneratorSystem, stack: np.ndarray, weights: np.ndarray,

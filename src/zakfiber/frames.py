@@ -29,13 +29,11 @@ their minimum over fibers of nonzero rank and their maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .ranges import RIESZ_REL, SUPPORT_TOL, RangeFunction, fiber_system, \
-    generator_system
-from .zak import FiberedVector, Fibration
+from .ranges import RIESZ_REL, SUPPORT_TOL, RangeFunction, generator_system
+from .zak import Fibration
 
 __all__ = [
     "FrameReport",
@@ -116,11 +114,9 @@ def report_from_spectra(J: RangeFunction, tolerance: float,
     )
 
 
-def frame_check_fibers(fibered: Sequence[FiberedVector],
-                       tolerance: float = SUPPORT_TOL) -> FrameReport:
-    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
-    return report_from_spectra(fiber_system(fibered).factors()[0], tolerance,
-                               riesz_style=False)
+def frame_check_fibers(*args, **kwargs):
+    """Retired: a bare name that bench/spans.py binds (ROADMAP item 3)."""
+    raise NotImplementedError("retired: use frames.frame_check")
 
 
 def frame_check(zak: Fibration, gens,
@@ -131,11 +127,9 @@ def frame_check(zak: Fibration, gens,
                                tolerance, riesz_style=False)
 
 
-def riesz_check_fibers(fibered: Sequence[FiberedVector],
-                       tolerance: float = SUPPORT_TOL) -> FrameReport:
-    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
-    return report_from_spectra(fiber_system(fibered).factors()[0], tolerance,
-                               riesz_style=True)
+def riesz_check_fibers(*args, **kwargs):
+    """Retired: a bare name that bench/spans.py binds (ROADMAP item 3)."""
+    raise NotImplementedError("retired: use frames.riesz_check")
 
 
 def riesz_check(zak: Fibration, gens,

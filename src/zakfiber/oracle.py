@@ -107,20 +107,16 @@ def membership_of_matrix(F: Factorization, b: np.ndarray):
     return residual <= MEMBER_TOL * norm, residual
 
 
-def dense_frame_bounds(a: QuasiInvariantAction, gens):
-    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
-    return frame_bounds_of_matrix(factor(synthesis_matrix(a, gens)))
+def dense_frame_bounds(*args, **kwargs):
+    """Retired: a bare name that bench/spans.py binds (ROADMAP item 3)."""
+    raise NotImplementedError("retired: use oracle.frame_bounds_of_matrix")
 
 
-def dense_riesz_bounds(a: QuasiInvariantAction, gens):
-    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
-    return riesz_bounds_of_matrix(factor(synthesis_matrix(a, gens)))
+def dense_riesz_bounds(*args, **kwargs):
+    """Retired: a bare name that bench/spans.py binds (ROADMAP item 3)."""
+    raise NotImplementedError("retired: use oracle.riesz_bounds_of_matrix")
 
 
-def brute_membership(a: QuasiInvariantAction, f, gens):
-    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
-    v = np.asarray(f, dtype=complex)
-    if v.shape != (a.space.size,):
-        raise ValueError(f"expected {a.space.size} values, got shape {v.shape}")
-    b = np.sqrt(a.space.weights) * v
-    return membership_of_matrix(factor(synthesis_matrix(a, gens)), b)
+def brute_membership(*args, **kwargs):
+    """Retired: a bare name that bench/spans.py binds (ROADMAP item 3)."""
+    raise NotImplementedError("retired: use oracle.membership_of_matrix")

@@ -37,7 +37,6 @@ stays independent of this one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -154,20 +153,6 @@ class GeneratorSystem:
         return RangeFunction(*(a.copy() for a in vars(J).values()))
 
 
-def fiber_system(fibered: Sequence[FiberedVector]) -> GeneratorSystem:
-    """The generator system of fibered generators, C-ordered, in no memo."""
-    if not fibered:
-        raise ValueError("at least one fibered generator is required")
-    first = fibered[0]
-    for fv in fibered[1:]:
-        if fv.fibers.shape != first.fibers.shape:
-            raise ValueError("generator fiber shapes do not match")
-        if not np.array_equal(fv.fiber_weights, first.fiber_weights):
-            raise ValueError("generator fiber weights do not match")
-    return GeneratorSystem(np.stack([fv.fibers for fv in fibered], axis=2),
-                           first.fiber_weights)
-
-
 def generator_system(zak: Fibration, gens) -> GeneratorSystem:
     """The memo entry of ``gens`` on either fibration (see
     :mod:`zakfiber.zak`): its last one when the generators are the same
@@ -209,9 +194,9 @@ class RangeFunction:
         return int(self.basis.shape[2])
 
 
-def range_from_fibers(fibered: Sequence[FiberedVector]) -> RangeFunction:
-    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
-    return fiber_system(fibered).range_function()
+def range_from_fibers(*args, **kwargs):
+    """Retired: a bare name that bench/spans.py binds (ROADMAP item 3)."""
+    raise NotImplementedError("retired: use ranges.range_from_generators")
 
 
 def range_from_generators(zak: Fibration, gens) -> RangeFunction:

@@ -27,12 +27,12 @@ from typing import Iterable
 import numpy as np
 
 from . import oracle
-from .frames import SUPPORT_TOL, FrameReport, frame_check_fibers, \
-    report_from_spectra  # the *_fibers: unused, bench/spans.py binds them
 from .group import FiniteAbelianGroup, Subgroup, annihilator, character, \
     coset_transversal, dft, subgroup_from_generators
-from .ranges import RangeFunction, range_from_fibers, range_from_generators
 from .zak import FiberedVector, Fibration
+# unused here: bench/spans.py REQUIRED_BINDINGS traces these bindings
+from .frames import frame_check_fibers
+from .ranges import range_from_fibers
 
 __all__ = [
     "TranslationScenario",
@@ -225,12 +225,7 @@ def duality_check(s: TranslationScenario, gens) -> DualityReport:
     return DualityReport(transform, gram)
 
 
-def ti_analyze(s: TranslationScenario, gens,
-               tolerance: float = SUPPORT_TOL
-               ) -> tuple[RangeFunction, FrameReport]:
-    """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
-    gens = list(gens)
-    if len(gens) == 0:
-        raise ValueError("at least one generator is required")
-    J = range_from_generators(s, gens)
-    return J, report_from_spectra(J, tolerance, riesz_style=False)
+def ti_analyze(*args, **kwargs):
+    """Retired: a bare name that bench/spans.py binds (ROADMAP item 3)."""
+    raise NotImplementedError("retired: use ranges.range_from_generators "
+                              "and frames.frame_check")

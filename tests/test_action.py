@@ -40,6 +40,23 @@ def test_weighted_norm_and_inner():
     assert sp.inner(v, w) == pytest.approx(1 - 4)
 
 
+def test_weighted_norm_and_inner_check_lengths():
+    sp = WeightedSpace([1, 2, 3])
+    with pytest.raises(ValueError, match=r"^expected 3 values, got shape "
+                       r"\(2,\)$"):
+        sp.norm_sq(np.ones(2))
+    for f, g in ((np.ones(2), np.ones(3)), (np.ones(3), np.ones(4))):
+        with pytest.raises(ValueError, match="^function length does not "
+                           "match the space$"):
+            sp.inner(f, g)
+
+
+def test_apply_checks_the_length():
+    with pytest.raises(ValueError, match=r"^expected 4 values, got shape "
+                       r"\(5,\)$"):
+        s2_action().apply([1], np.ones(5))
+
+
 def test_table_structure_errors():
     G = FiniteAbelianGroup([2])
     sp = WeightedSpace([1, 1, 1])

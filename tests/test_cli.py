@@ -61,6 +61,11 @@ def test_validate_rejects_broken_action(tmp_path):
     rep = json.loads(out)
     assert rep["ok"] is False
     assert rep["violations"]
+    # an analysis command stops at the same validation, with one line
+    code, out, err = invoke(["frame", "--scenario", str(p)])
+    assert (code, out) == (2, "")
+    assert _one_error_line(err)
+    assert err.startswith("error: scenario action fails validation: ")
 
 
 def test_validate_reports_non_free_action(tmp_path):
@@ -300,6 +305,24 @@ def test_ledger_fault_is_io_error(monkeypatch):
     assert "|Gamma| * |Gamma*| = |G|" in err
 
 
+def test_short_dual_transversal_is_io_error(monkeypatch):
+    # the second transversal, of G^ / Gamma*, one representative short
+    # breaks |Omega| = |Gamma|: one error line
+    import zakfiber.translation as translation
+    transversal, calls = translation.coset_transversal, []
+
+    def short(G, sub):
+        calls.append(sub)
+        reps = transversal(G, sub)
+        return reps[:-1] if len(calls) == 2 else reps
+
+    monkeypatch.setattr(translation, "coset_transversal", short)
+    code, out, err = invoke(["validate", "--scenario", "s3"])
+    assert (code, out) == (4, "")
+    assert _one_error_line(err)
+    assert "|Omega| must equal |Gamma|" in err
+
+
 def test_verify_all_fixtures():
     for name in ("s1", "s1-parseval", "s2", "s3", "star"):
         code, out, err = invoke(["verify", "--scenario", name])
@@ -428,6 +451,26 @@ def test_csv_fibers_format():
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "1"
+
+
+@pytest.mark.parametrize("fmt, message", [
+    ("csv-fibers", "report is not representable as CSV: non-finite fiber "
+                   "spectrum"),
+    ("structured", "report is not representable as JSON: ")])
+def test_non_finite_report_exits_2(monkeypatch, fmt, message):
+    from zakfiber import frames
+    report_from_spectra = frames.report_from_spectra
+
+    def infinite(*args, **kwargs):
+        rep = report_from_spectra(*args, **kwargs)
+        rep.smax2[0] = rep.upper = np.inf
+        return rep
+
+    monkeypatch.setattr(frames, "report_from_spectra", infinite)
+    code, out, err = invoke(["frame", "--scenario", "s2", "--format", fmt])
+    assert (code, out) == (2, "")
+    assert _one_error_line(err)
+    assert err.startswith("error: " + message)
 
 
 def test_csv_fibers_rejected_elsewhere():

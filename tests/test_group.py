@@ -87,6 +87,16 @@ def test_character_values():
     assert character(G12, (3,), (4,)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("gamma, alpha, shown", [
+    ((4,), (1,), "[4]"), ((1,), (-1,), "[-1]")])
+def test_character_rejects_non_canonical_residues(gamma, alpha, shown):
+    G = FiniteAbelianGroup([4])
+    with pytest.raises(ValueError) as e:
+        character(G, gamma, alpha)
+    assert str(e.value) == \
+        f"element {shown} is not in canonical residues of factors (4,)"
+
+
 def test_character_is_bilinear_and_unimodular():
     G = FiniteAbelianGroup([3, 4])
     rng = np.random.default_rng(7)

@@ -8,6 +8,16 @@ from helpers import delta, dense, dense_membership, random_complex, \
     s1_action, s2_action
 
 
+def test_orbit_matrix_checks_its_generators():
+    a = s2_action()
+    with pytest.raises(ValueError, match="^at least one generator is "
+                       "required$"):
+        synthesis_matrix(a, [])
+    with pytest.raises(ValueError, match=r"^generator shape \(5,\) does "
+                       r"not match space size 4$"):
+        synthesis_matrix(a, [np.ones(5)])
+
+
 def test_synthesis_matrix_shape_and_norms():
     a = s2_action()
     M = synthesis_matrix(a, [delta(4, 0), delta(4, 3)])

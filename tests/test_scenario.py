@@ -241,6 +241,19 @@ def test_huge_integer_generator_loads_as_its_float():
     assert vec[:1].tobytes() == np.array([complex(float(2**70), 0)]).tobytes()
 
 
+def test_numpy_float_pairs_load_as_plain_floats_bit_for_bit():
+    # np.float64 subclasses float: not the exact type of the fast loader,
+    # so each pair is checked and the list converted as a whole
+    pairs = [[1.5, -0.0], [2**53 + 1, 5e-324], [-3.25, 7.0], [0.0, 1e300]]
+    doc = base_action_doc()
+    doc["generators"] = [pairs]
+    plain = scenario_from_dict(doc).generators[0]
+    doc["generators"] = [[[np.float64(x) for x in p] for p in pairs]]
+    (vec,) = scenario_from_dict(doc).generators
+    assert vec.dtype == complex
+    assert vec.tobytes() == plain.tobytes()
+
+
 def test_bad_table_is_wrapped():
     doc = base_action_doc()
     doc["action"]["table"] = [[0, 1, 2, 3], [0, 1, 2, 3]]

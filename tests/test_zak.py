@@ -16,6 +16,18 @@ def test_fibered_vector_shapes():
     assert fv.norm_sq() == pytest.approx(4.0)
 
 
+def test_fibered_vector_needs_2d_fibers():
+    with pytest.raises(ValueError, match="^fibers must be a 2-d array$"):
+        FiberedVector(np.zeros(3), np.ones(3))
+
+
+def test_fiber_inner_rejects_other_shapes():
+    a = FiberedVector(np.ones((2, 3)), np.ones(3))
+    b = FiberedVector(np.ones((3, 3)), np.ones(3))
+    with pytest.raises(ValueError, match="^fiber shapes do not match$"):
+        a.fiber_inner(b)
+
+
 def test_fiber_inner_rejects_other_weights():
     # with the first vector's weights alone, a.b = 6 but b.a = 15
     a = FiberedVector(np.ones((1, 3)), np.array([1.0, 2.0, 3.0]))
