@@ -101,12 +101,16 @@ class QuasiInvariantAction:
                 f"table shape {t.shape} does not match "
                 f"(group order, space size) = ({group.order}, {space.size})"
             )
-        # checked before the cast, so a non-integer entry fails its row too
-        fits = t.dtype.kind in "iu" and space.size < 2 ** 31 \
-            and t.min() >= 0 and t.max() < space.size  # int32 sorts faster
-        sorted_rows = np.sort(t.astype(np.int32) if fits else t, axis=1)
-        bad = np.flatnonzero(np.any(sorted_rows != np.arange(space.size),
-                                    axis=1))
+        # checked before the cast, so a non-integer or wrapping entry fails
+        # its row too; in range, the narrowest unsigned copy sorts fastest,
+        # and a sorted row minus 0..N-1 is all zero only on a permutation
+        if t.dtype.kind in "iu" and t.min() >= 0 and t.max() < space.size:
+            rows = t.astype(np.min_scalar_type(space.size - 1))
+            rows.sort(axis=1)
+            rows -= np.arange(space.size, dtype=rows.dtype)
+        else:
+            rows = np.sort(t, axis=1) != np.arange(space.size)
+        bad = np.flatnonzero(np.any(rows, axis=1))
         if bad.size:
             raise ValueError(
                 f"table row {bad[0]} is not a permutation of "

@@ -124,7 +124,7 @@ def _audit(system: GeneratorSystem, stack: np.ndarray, weights: np.ndarray,
     # (c) dimensions add up fiber by fiber, as integers; a single part
     # spans dimension 1 exactly on the fibers where (b) counts it
     summed = on.sum(axis=1)
-    dim_rows = [(int(s), int(d)) for s, d in zip(summed, dims)]
+    dim_rows = list(zip(summed.tolist(), dims.tolist()))
     dims_match = bool(np.array_equal(summed, dims))
 
     # (d) the generators lie in the union of the part orbits; the parts

@@ -82,16 +82,39 @@ def test_table_structure_errors():
     assert swap.table.dtype == np.intp and validate_action(swap).ok
 
 
-@pytest.mark.parametrize("entry, dtype", [(2 ** 32 + 3, np.int64),
-                                          (3 - 2 ** 32, np.int64),
-                                          (2 ** 32 + 3, np.uint64)])
+@pytest.mark.parametrize(
+    "entry, dtype",
+    [(2 ** bits + 3, dtype) for bits in (8, 16, 32)
+     for dtype in (np.int64, np.uint64)]
+    + [(3 - 2 ** bits, np.int64) for bits in (8, 16, 32)]
+    + [(2 ** 64 + 3 - 2 ** bits, np.uint64) for bits in (8, 16)])
 def test_table_entry_that_wraps_in_32_bits_is_rejected(entry, dtype):
-    # row 1 would read as the double swap [1, 0, 3, 2] in 32 bits
+    # the entry is 3 mod 2**8, so row 1 would read as the double swap
+    # [1, 0, 3, 2] in 8 bits, the narrowest width that holds 0..3
     table = np.array([[0, 1, 2, 3], [1, 0, entry, 2]], dtype=dtype)
-    assert np.array_equal(table.astype(np.int32)[1], [1, 0, 3, 2])
+    assert np.array_equal(table.astype(np.uint8)[1], [1, 0, 3, 2])
     with pytest.raises(ValueError, match="table row 1 is not a permutation"):
         QuasiInvariantAction(FiniteAbelianGroup([2]),
                              WeightedSpace(np.ones(4)), table)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 65536, 65537])
+def test_tables_at_the_narrow_width_boundaries(n):
+    G, space = FiniteAbelianGroup([2]), WeightedSpace(np.ones(n))
+    table = np.array([np.arange(n), np.roll(np.arange(n), 1)])
+    action = QuasiInvariantAction(G, space, table)
+    assert action.table.dtype == np.intp
+    assert np.array_equal(action.table, table)
+    # in row 1, which reads [n - 1, 0, 1, ...]: a duplicate, N in place of
+    # 0, and entries that wrap onto n - 1 in 8, 16 or 32 bits
+    cases = [(0, n - 2), (1, n)] + [(0, n - 1 + s * 2 ** bits)
+                                    for bits in (8, 16, 32) for s in (1, -1)]
+    for col, entry in cases:
+        bad = table.copy()
+        bad[1, col] = entry
+        with pytest.raises(ValueError,
+                           match="table row 1 is not a permutation"):
+            QuasiInvariantAction(G, space, bad)
 
 
 def test_validate_ok_on_fixtures():

@@ -1,5 +1,6 @@
 """Property tests: the array code in group, action and translation against
-the element-by-element references in helpers, ``forward_many`` against
+the element-by-element references in helpers, the action table's row
+check against an int64 sort, ``forward_many`` against
 one ``forward`` per generator, ``verify`` on random free actions and
 ``verify`` and ``decompose`` on random translation scenarios, and the
 Parseval decomposition against the range function near the rank cut.
@@ -132,6 +133,46 @@ def test_tiling_transversal_agrees_with_scan(case):
     points = tiling_transversal(a)
     assert np.array_equal(points, expected)
     assert sorted(a.table[:, points].ravel()) == list(range(a.space.size))
+
+
+@st.composite
+def permutation_tables(draw):
+    """(group, table): random permutation rows of N points, N small or at
+    the 8- and 16-bit boundaries, in a random integer dtype, with at most
+    one entry corrupted to a duplicate, N, -1, N + 2**8 or N + 2**16."""
+    G = FiniteAbelianGroup([draw(st.integers(1, 4))])
+    N = draw(st.one_of(st.integers(1, 40),
+                       st.sampled_from([255, 256, 257, 65536, 65537])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.permuted(np.tile(np.arange(N), (G.order, 1)), axis=1)
+    corruption = draw(st.sampled_from(
+        ["none", "duplicate", N, -1, N + 2**8, N + 2**16]))
+    if corruption != "none" and (corruption != "duplicate" or N >= 2):
+        row, col = int(rng.integers(G.order)), int(rng.integers(N))
+        table[row, col] = (table[row, col - 1] if corruption == "duplicate"
+                           else corruption)
+    signed = [np.int64, np.int32]
+    dtype = draw(st.sampled_from(
+        signed + [np.uint64, np.uint32] if table.min() >= 0 else signed))
+    return G, table.astype(dtype)
+
+
+@PROPERTY
+@given(permutation_tables())
+def test_table_check_agrees_with_an_int64_sort(case):
+    G, table = case
+    N = table.shape[1]
+    flagged = np.flatnonzero(np.any(
+        np.sort(table.astype(np.int64), axis=1) != np.arange(N), axis=1))
+    space = WeightedSpace(np.ones(N))
+    if flagged.size:
+        with pytest.raises(ValueError, match=f"^table row {flagged[0]} is "
+                           f"not a permutation of 0..{N - 1}$"):
+            QuasiInvariantAction(G, space, table)
+    else:
+        action = QuasiInvariantAction(G, space, table)
+        assert action.table.dtype == np.intp
+        assert np.array_equal(action.table, table)
 
 
 @PROPERTY
@@ -542,3 +583,4 @@ def test_audit_passes_where_generators_vanish_on_fibers(case, k):
     check = verify_decomposition(zk, gens, parseval_decompose(zk, gens))
     assert check.ok
     assert check.dim_rows == [(int(d), int(d)) for d in dims]
+    assert all(type(v) is int for row in check.dim_rows for v in row)
