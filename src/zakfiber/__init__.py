@@ -32,17 +32,14 @@ from .group import (
     Subgroup,
     annihilator,
     character,
-    character_table,
     coset_transversal,
     dft,
-    idft,
     subgroup_from_generators,
 )
 from .ranges import (
     RangeFunction,
     membership,
     membership_fibers,
-    project,
     range_from_generators,
 )
 from .scenario import Scenario, ScenarioError, fixture_path, parse_scenario
@@ -53,7 +50,6 @@ from .translation import (
     duality_check,
     fiberize,
     weil_check,
-    zak_point,
 )
 from .zak import FiberedVector, ZakTransform
 

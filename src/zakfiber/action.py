@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -63,19 +63,6 @@ class WeightedSpace:
 
     def __repr__(self) -> str:
         return f"WeightedSpace(size={self.size})"
-
-    def norm_sq(self, psi: Sequence[complex]) -> float:
-        v = np.asarray(psi, dtype=complex)
-        if v.shape != (self.size,):
-            raise ValueError(f"expected {self.size} values, got shape {v.shape}")
-        return float(np.sum(np.abs(v) ** 2 * self.weights))
-
-    def inner(self, f: Sequence[complex], g: Sequence[complex]) -> complex:
-        a = np.asarray(f, dtype=complex)
-        b = np.asarray(g, dtype=complex)
-        if a.shape != (self.size,) or b.shape != (self.size,):
-            raise ValueError("function length does not match the space")
-        return complex(np.sum(a * np.conj(b) * self.weights))
 
 
 class QuasiInvariantAction:
@@ -123,31 +110,6 @@ class QuasiInvariantAction:
     def __repr__(self) -> str:
         return (f"QuasiInvariantAction(group={self.group!r}, "
                 f"space={self.space!r})")
-
-    def sigma(self, gamma: Iterable[int]) -> np.ndarray:
-        """Permutation row for the group element ``gamma``."""
-        return self.table[self.group.index(gamma)]
-
-    def jacobian(self, gamma: Iterable[int], x: int) -> float:
-        """J(gamma, x) = mu(sigma_gamma(x)) / mu(x)."""
-        mu = self.space.weights
-        return float(mu[self.sigma(gamma)[x]] / mu[x])
-
-    def jacobian_row(self, gamma: Iterable[int]) -> np.ndarray:
-        mu = self.space.weights
-        return mu[self.sigma(gamma)] / mu
-
-    def apply(self, gamma: Iterable[int], psi: Sequence[complex]) -> np.ndarray:
-        """(Pi(gamma) psi)(x) = J(-gamma, x)^(1/2) psi(sigma_{-gamma}(x))."""
-        v = np.asarray(psi, dtype=complex)
-        if v.shape != (self.space.size,):
-            raise ValueError(
-                f"expected {self.space.size} values, got shape {v.shape}"
-            )
-        neg = self.group.neg(gamma)
-        perm = self.sigma(neg)
-        mu = self.space.weights
-        return np.sqrt(mu[perm] / mu) * v[perm]
 
 
 class AffineAction(QuasiInvariantAction):

@@ -2,9 +2,7 @@
 
 Reports are JSON documents with sorted keys (or a CSV fiber dump), built
 from deterministic computations only, so repeated runs produce
-byte-identical output.  ``--parallel N`` is accepted and range-checked
-for compatibility but has no effect: every fiber computation runs as one
-batched numpy call.
+byte-identical output.
 
 Exit codes: 0 success, 2 validation failure, incompatible request or
 numerically unusable scenario (non-finite report, failed SVD, floating-point
@@ -483,9 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="global tolerance in (0, 1); default %(default)s")
     common.add_argument("--format", choices=["structured", "csv-fibers"],
                         default="structured")
-    common.add_argument("--parallel", type=int, default=1,
-                        help="accepted for compatibility (must be >= 1); has "
-                             "no effect")
 
     p = argparse.ArgumentParser(
         prog="zakfiber",
@@ -524,9 +519,6 @@ def run(argv=None, out=None, err=None) -> int:
 
     if not (0.0 < args.tolerance < 1.0):
         err.write(f"tolerance must be in (0, 1), got {args.tolerance}\n")
-        return EXIT_VALIDATION
-    if args.parallel < 1:
-        err.write(f"--parallel must be >= 1, got {args.parallel}\n")
         return EXIT_VALIDATION
 
     try:

@@ -29,9 +29,7 @@ __all__ = [
     "FiniteAbelianGroup",
     "Subgroup",
     "character",
-    "character_table",
     "dft",
-    "idft",
     "subgroup_from_generators",
     "annihilator",
     "coset_transversal",
@@ -87,20 +85,6 @@ class FiniteAbelianGroup:
                                  f"{self.invariant_factors}")
         return t
 
-    def add(self, a: Iterable[int], b: Iterable[int]) -> Element:
-        a = self.check(a)
-        b = self.check(b)
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.invariant_factors))
-
-    def sub(self, a: Iterable[int], b: Iterable[int]) -> Element:
-        a = self.check(a)
-        b = self.check(b)
-        return tuple((x - y) % n for x, y, n in zip(a, b, self.invariant_factors))
-
-    def neg(self, a: Iterable[int]) -> Element:
-        a = self.check(a)
-        return tuple((-x) % n for x, n in zip(a, self.invariant_factors))
-
     @cached_property
     def coordinates(self) -> np.ndarray:
         """All elements as rows of an (order, rank) array, lexicographic."""
@@ -152,18 +136,6 @@ def character(G: FiniteAbelianGroup, gamma, alpha):
     return complex(z) if np.ndim(z) == 0 else z
 
 
-def character_table(G: FiniteAbelianGroup) -> np.ndarray:
-    """Matrix (gamma, alpha) indexed [index(gamma), index(alpha)]."""
-    mats = []
-    for n in G.invariant_factors:
-        w = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-        mats.append(w)
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def dft(G: FiniteAbelianGroup, values: Sequence[complex]) -> np.ndarray:
     """Forward transform F(alpha) = sum_gamma c_gamma * conj((gamma, alpha)).
 
@@ -174,14 +146,6 @@ def dft(G: FiniteAbelianGroup, values: Sequence[complex]) -> np.ndarray:
     if c.shape != (G.order,):
         raise ValueError(f"expected {G.order} coefficients, got shape {c.shape}")
     return np.fft.fftn(c.reshape(G.invariant_factors)).ravel()
-
-
-def idft(G: FiniteAbelianGroup, values: Sequence[complex]) -> np.ndarray:
-    """Inverse transform c_gamma = (1/|G|) sum_alpha F(alpha) * (gamma, alpha)."""
-    F = np.asarray(values, dtype=complex)
-    if F.shape != (G.order,):
-        raise ValueError(f"expected {G.order} values, got shape {F.shape}")
-    return np.fft.ifftn(F.reshape(G.invariant_factors)).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,11 +163,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def __contains__(self, el: Iterable[int]) -> bool:
-        t = tuple(int(v) for v in el)
-        return (len(t) == self.parent.rank
-                and bool(np.any(np.all(self.members == t, axis=1))))
 
 
 def _rows(G: FiniteAbelianGroup, flat: np.ndarray) -> np.ndarray:

@@ -49,7 +49,6 @@ __all__ = [
     "range_from_generators",
     "membership",
     "membership_fibers",
-    "project",
 ]
 
 RANK_TOL = 1e-10
@@ -235,10 +234,3 @@ def membership(zak: Fibration, psi, J: RangeFunction):
     :mod:`zakfiber.zak`); the transform is an isometry, so the fiber norm
     of psi is its ambient norm."""
     return membership_fibers(zak.forward(psi), J)
-
-
-def project(zak: Fibration, psi, J: RangeFunction) -> np.ndarray:
-    """Orthogonal projection of psi onto the invariant space of J; ``zak``
-    is either fibration (see :mod:`zakfiber.zak`)."""
-    proj = _project_fibers(zak.forward(psi), J)
-    return zak.inverse(FiberedVector(proj, J.fiber_weights))

@@ -38,7 +38,6 @@ __all__ = [
     "TranslationScenario",
     "build_scenario",
     "weil_check",
-    "zak_point",
     "fiberize",
     "DualityReport",
     "duality_check",
@@ -139,14 +138,6 @@ def _zak_sums(s: TranslationScenario, v: np.ndarray, omega: np.ndarray,
     terms = v[G.flat(x[..., None, :] - gamma)] \
         * np.conj(character(G, gamma, omega[..., None, :]))
     return np.sum(terms, axis=-1)
-
-
-def zak_point(s: TranslationScenario, f, omega: Iterable[int],
-              x: Iterable[int]) -> complex:
-    """Defining sum of Z[f](omega)(x) at arbitrary x in G, omega in G^."""
-    v = s._vector(f)
-    om, xx = (np.asarray(s.G.check(el), dtype=np.intp) for el in (omega, x))
-    return complex(_zak_sums(s, v, om, xx))
 
 
 def _char_matrix(s: TranslationScenario) -> np.ndarray:

@@ -68,10 +68,6 @@ class FiberedVector:
     def n_fibers(self) -> int:
         return int(self.fibers.shape[0])
 
-    @property
-    def n_points(self) -> int:
-        return int(self.fibers.shape[1])
-
     def fiber_inner(self, other: "FiberedVector") -> np.ndarray:
         """Per-fiber weighted inner products <self(alpha), other(alpha)>."""
         if other.fibers.shape != self.fibers.shape:
@@ -86,9 +82,6 @@ class FiberedVector:
 
     def norm_sq(self) -> float:
         return float(np.sum(self.fiber_norms_sq()) / self.n_fibers)
-
-    def inner(self, other: "FiberedVector") -> complex:
-        return complex(np.sum(self.fiber_inner(other)) / self.n_fibers)
 
 
 class Fibration:

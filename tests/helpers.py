@@ -23,7 +23,8 @@ from zakfiber import (
 from zakfiber.decomp import _audit, _parts
 from zakfiber.oracle import Factorization, factor, membership_of_matrix, \
     synthesis_matrix
-from zakfiber.ranges import ORTHO_TOL, GeneratorSystem
+from zakfiber.ranges import ORTHO_TOL, GeneratorSystem, RangeFunction, \
+    _project_fibers
 from zakfiber.zak import FiberedVector
 
 
@@ -74,12 +75,37 @@ def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def elem_add(G: FiniteAbelianGroup, a, b) -> tuple:
+    """a + b, residue by residue: a tuple of G."""
+    return tuple((int(x) + int(y)) % n
+                 for x, y, n in zip(a, b, G.invariant_factors))
+
+
+def elem_neg(G: FiniteAbelianGroup, a) -> tuple:
+    return tuple(-int(x) % n for x, n in zip(a, G.invariant_factors))
+
+
+def elem_sub(G: FiniteAbelianGroup, a, b) -> tuple:
+    return elem_add(G, a, elem_neg(G, b))
+
+
+def weighted_inner(mu, f, g) -> complex:
+    """<f, g> = sum_x f(x) conj(g(x)) mu(x) on a weighted space."""
+    return complex(np.sum(np.asarray(f) * np.conj(g) * mu))
+
+
+def project(zak, psi, J: RangeFunction) -> np.ndarray:
+    """Weighted-orthogonal projection of psi onto the invariant space of J,
+    fiber by fiber through ``ranges._project_fibers``."""
+    proj = _project_fibers(zak.forward(psi), J)
+    return zak.inverse(FiberedVector(proj, J.fiber_weights))
+
+
 def naive_apply(a: QuasiInvariantAction, gamma, psi) -> np.ndarray:
     """(Pi(gamma) psi)(x) term by term."""
     G = a.group
     mu = a.space.weights
-    neg = G.neg(gamma)
-    perm = a.table[G.index(neg)]
+    perm = a.table[G.index(elem_neg(G, gamma))]
     out = np.zeros(a.space.size, dtype=complex)
     for x in range(a.space.size):
         out[x] = np.sqrt(mu[perm[x]] / mu[x]) * psi[perm[x]]
@@ -124,18 +150,18 @@ def strided_inverse(zk: ZakTransform, fibers: np.ndarray) -> np.ndarray:
     return psi
 
 
+def naive_zak_point(s: TranslationScenario, f, omega, x) -> complex:
+    """Defining sum of Z[f](omega)(x) at any x in G and omega in G^, one
+    term per member of Gamma."""
+    G = s.G
+    return sum(f[G.index(elem_sub(G, x, g))]
+               * np.conj(character(G, g, omega)) for g in s.gamma.members)
+
+
 def naive_zakG(s: TranslationScenario, f) -> np.ndarray:
     """Defining sum of the subgroup-translation Zak transform."""
-    G = s.G
-    out = np.zeros((s.n_fibers, s.n_points), dtype=complex)
-    for wi, om in enumerate(s.dual_reps):
-        for ci, x in enumerate(s.coset_reps):
-            total = 0.0 + 0.0j
-            for g in s.gamma.members:
-                total += f[G.index(G.sub(x, g))] * \
-                    np.conj(character(G, g, om))
-            out[wi, ci] = total
-    return out
+    return np.array([[naive_zak_point(s, f, om, x) for x in s.coset_reps]
+                     for om in s.dual_reps], dtype=complex)
 
 
 def dense(a: QuasiInvariantAction, gens) -> Factorization:
@@ -198,26 +224,28 @@ def reference_validate(a: QuasiInvariantAction) -> list[str]:
     elements = G.elements()
     for i, g1 in enumerate(elements):
         for j, g2 in enumerate(elements):
+            g12 = elem_add(G, g1, g2)
             composed = a.table[i][a.table[j]]
-            direct = a.table[G.index(G.add(g1, g2))]
+            direct = a.table[G.index(g12)]
             if not np.array_equal(composed, direct):
                 x = int(np.flatnonzero(composed != direct)[0])
                 violations.append(
-                    f"(ii) sigma_{g1} o sigma_{g2} != sigma_{G.add(g1, g2)}: "
+                    f"(ii) sigma_{g1} o sigma_{g2} != sigma_{g12}: "
                     f"witness x={x}"
                 )
     mu = a.space.weights
     for i, g1 in enumerate(elements):
         j1 = mu[a.table[i]] / mu
         for j, g2 in enumerate(elements):
+            g12 = elem_add(G, g1, g2)
             j2 = mu[a.table[j]] / mu
-            lhs = mu[a.table[G.index(G.add(g1, g2))]] / mu
+            lhs = mu[a.table[G.index(g12)]] / mu
             rhs = j1[a.table[j]] * j2
             dev = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)
             if np.any(dev > 1e-12):
                 x = int(np.argmax(dev))
                 violations.append(
-                    f"cocycle J({G.add(g1, g2)}, x) != "
+                    f"cocycle J({g12}, x) != "
                     f"J({g1}, sigma_{g2}(x)) * J({g2}, x): witness x={x}"
                 )
     return violations
@@ -248,7 +276,7 @@ def reference_closure(G: FiniteAbelianGroup, gens) -> tuple:
         nxt = []
         for m in frontier:
             for g in gens:
-                s = G.add(m, g)
+                s = elem_add(G, m, g)
                 if s not in members:
                     members.add(s)
                     nxt.append(s)
@@ -268,7 +296,7 @@ def reference_cosets(G: FiniteAbelianGroup, members) -> list:
     for el in G.elements():
         if el not in seen:
             reps.append(el)
-            seen.update(G.add(el, m) for m in members)
+            seen.update(elem_add(G, el, m) for m in members)
     return reps
 
 
@@ -276,25 +304,23 @@ def reference_duality(s: TranslationScenario, f, g):
     """(transform, Gramian) deviations of the duality identity, one point
     and one term at a time."""
     G = s.G
-
-    def zak(v, om, x):
-        return sum(v[G.index(G.sub(x, c))] * np.conj(character(G, c, om))
-                   for c in s.gamma.members)
-
     fhat = np.fft.fftn(np.reshape(f, G.invariant_factors)).ravel()
     ghat = np.fft.fftn(np.reshape(g, G.invariant_factors)).ravel()
     dev = gram = 0.0
     for om in s.dual_reps:
-        Tf = [fhat[G.index(G.add(om, d))] for d in s.gamma_star.members]
-        Tg = [ghat[G.index(G.add(om, d))] for d in s.gamma_star.members]
+        neg_om = elem_neg(G, om)
+        shifted = [G.index(elem_add(G, om, d)) for d in s.gamma_star.members]
+        Tf, Tg = fhat[shifted], ghat[shifted]
         for x in s.coset_reps:
             lhs = sum(a * np.conj(character(G, x, d)) for a, d
                       in zip(Tf, s.gamma_star.members))
             lhs = lhs * s.gamma.order / G.order
-            rhs = character(G, x, om) * zak(f, G.neg(om), G.neg(x))
+            rhs = character(G, x, om) * naive_zak_point(s, f, neg_om,
+                                                        elem_neg(G, x))
             dev = max(dev, abs(lhs - rhs))
         lhs = sum(a * np.conj(b) for a, b in zip(Tf, Tg)) / s.gamma_star.order
-        rhs = sum(zak(f, G.neg(om), x) * np.conj(zak(g, G.neg(om), x))
+        rhs = sum(naive_zak_point(s, f, neg_om, x)
+                  * np.conj(naive_zak_point(s, g, neg_om, x))
                   for x in s.coset_reps)
         gram = max(gram, abs(lhs - rhs))
     return dev, gram

