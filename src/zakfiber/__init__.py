@@ -51,6 +51,6 @@ from .translation import (
     fiberize,
     weil_check,
 )
-from .zak import FiberedVector, ZakTransform
+from .zak import ZakTransform
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .action import NotFreeError, tiling_transversal, validate_action
 from .scenario import SCHEMA_VERSION, Scenario, ScenarioError, fixture_path, \
     parse_scenario
 from .translation import TranslationScenario
-from .zak import FiberedVector, ZakTransform
+from .zak import ZakTransform
 
 __all__ = ["main", "run"]
 
@@ -140,16 +140,20 @@ def _fibration(sc: Scenario) -> ZakTransform | TranslationScenario:
 
 
 def _generator_fibers(sc: Scenario):
-    """The scenario's fibration and the columns of its memo entry."""
+    """The scenario's fibration and the fiber stack of its memo entry:
+    column j has the bits and memory layout of ``forward`` of generator j."""
     fib = _fibration(sc)
-    return fib, ranges.generator_system(fib, sc.generators).fibered()
+    return fib, ranges.generator_system(fib, sc.generators).stack
 
 
-def _transform_deviations(fib, f, fv: FiberedVector):
-    """(ambient square norm, isometry and round-trip deviations) of f."""
+def _transform_deviations(fib, f, F: np.ndarray):
+    """(ambient square norm, fiber square norms, isometry and round-trip
+    deviations) of f, whose fibers are F."""
     norm_sq = float(np.sum(np.abs(f) ** 2 * fib.ambient_weights))
-    back = fib.inverse(fv)
-    return (norm_sq, abs(norm_sq - fv.norm_sq()),
+    fiber_norms_sq = np.sum(np.abs(F) ** 2 * fib.fiber_weights, axis=1)
+    back = fib.inverse(F)
+    return (norm_sq, fiber_norms_sq,
+            abs(norm_sq - float(np.sum(fiber_norms_sq) / fib.n_fibers)),
             float(np.max(np.abs(back - f))))
 
 
@@ -190,13 +194,14 @@ def cmd_validate(sc: Scenario, args) -> tuple[dict, int]:
 
 def cmd_zak(sc: Scenario, args) -> tuple[dict, int]:
     rep = _base_report(sc, args)
-    fib, fibered = _generator_fibers(sc)
+    fib, stack = _generator_fibers(sc)
     records = []
-    for i, (g, fv) in enumerate(zip(sc.generators, fibered)):
-        _, iso, rt = _transform_deviations(fib, g, fv)
+    for i, g in enumerate(sc.generators):
+        _, fiber_norms_sq, iso, rt = _transform_deviations(fib, g,
+                                                           stack[:, :, i])
         records.append({
             "generator": i,
-            "fiber_norms_sq": [float(x) for x in fv.fiber_norms_sq()],
+            "fiber_norms_sq": [float(x) for x in fiber_norms_sq],
             "isometry_deviation": iso,
             "roundtrip_deviation": rt,
         })
@@ -254,11 +259,13 @@ def cmd_riesz(sc: Scenario, args) -> tuple[dict, int]:
 
 def cmd_bracket(sc: Scenario, args) -> tuple[dict, int]:
     rep = _base_report(sc, args)
-    _, fibered = _generator_fibers(sc)
+    fib, stack = _generator_fibers(sc)
+    k = stack.shape[2]
     pairs = []
-    for i in range(len(fibered)):
-        for j in range(i, len(fibered)):
-            vals = fibered[i].fiber_inner(fibered[j])
+    for i in range(k):
+        for j in range(i, k):
+            vals = np.sum(stack[:, :, i] * np.conj(stack[:, :, j])
+                          * fib.fiber_weights, axis=1)
             pairs.append({
                 "i": i,
                 "j": j,
@@ -343,7 +350,7 @@ def cmd_translation_analyze(sc: Scenario, args) -> tuple[dict, int]:
 
 def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
     rep = _base_report(sc, args)
-    fib, fibered = _generator_fibers(sc)
+    fib, stack = _generator_fibers(sc)
     # Weil and duality identities exist only for subgroup translations
     ts = sc.translation if sc.kind == "translation" else None
     gens = sc.generators
@@ -354,8 +361,8 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
         checks += [_gated(f"weil_gen{i}", translation.weil_check(ts, g)[2],
                           l1[i]) for i, g in enumerate(gens)]
 
-    for i, (g, fv) in enumerate(zip(gens, fibered)):
-        norm_sq, iso, rt = _transform_deviations(fib, g, fv)
+    for i, g in enumerate(gens):
+        norm_sq, _, iso, rt = _transform_deviations(fib, g, stack[:, :, i])
         checks.append(_gated(f"zak_roundtrip_gen{i}", max(iso, rt),
                              max(1.0, norm_sq)))
 
@@ -404,9 +411,10 @@ def cmd_verify(sc: Scenario, args) -> tuple[dict, int]:
     sqrtw = np.sqrt(fib.ambient_weights)
     dense = oracle.membership_of_matrix(F, np.stack(
         [sqrtw * f for f in (*gens, *sc.candidates)], axis=1))
-    fibered += [fib.forward(c) for c in sc.candidates]
-    for label, fv, member_d, res_d in zip(labels, fibered, *dense):
-        member_f, res_f = ranges.membership_fibers(fv, J)
+    fibers = [stack[:, :, i] for i in range(len(gens))] + \
+        [fib.forward(c) for c in sc.candidates]
+    for label, Fi, member_d, res_d in zip(labels, fibers, *dense):
+        member_f, res_f = ranges.membership_fibers(Fi, J)
         checks.append({
             "name": f"membership_vs_dense_{label}",
             "fiber": [bool(member_f), float(res_f)],

@@ -23,7 +23,7 @@ from .ranges import ORTHO_TOL, RANK_TOL, GeneratorSystem, RangeFunction, \
     generator_system
 # unused here: bench/spans.py REQUIRED_BINDINGS traces these bindings
 from .ranges import membership_fibers, range_from_fibers
-from .zak import FiberedVector, Fibration
+from .zak import Fibration
 
 __all__ = [
     "parseval_decompose",
@@ -74,8 +74,7 @@ def parseval_decompose(zak: Fibration, gens) -> list[np.ndarray]:
     ``zak`` is either fibration (see :mod:`zakfiber.zak`)."""
     system = generator_system(zak, gens)
     parts = _parts(system)
-    return [zak.inverse(FiberedVector(parts[:, :, n], system.weights))
-            for n in range(parts.shape[2])]
+    return [zak.inverse(parts[:, :, n]) for n in range(parts.shape[2])]
 
 
 @dataclass
@@ -168,7 +167,7 @@ def verify_decomposition(zak: Fibration, gens, parts,
     if parts:
         # C-ordered: the last bits of the membership residuals depend on
         # the layout
-        stack = np.ascontiguousarray(zak.forward_many(parts)[0])
+        stack = np.ascontiguousarray(zak.forward_many(parts))
     else:
         stack = np.zeros(system.stack.shape[:2] + (0,), dtype=complex)
     return _audit(system, stack, system.weights, tolerance)

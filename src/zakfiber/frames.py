@@ -21,9 +21,9 @@ Omega_psi = {alpha : ||Z[psi](alpha)||^2 > tolerance}; it sets only the
 support size of a report.
 
 A single generator needs no special case: its fiber spectra are the
-brackets [psi, psi](alpha) = ||Z[psi](alpha)||^2 (bracket values are
-``FiberedVector.fiber_inner``), so ``frame_check(zak, [psi])`` bounds are
-their minimum over fibers of nonzero rank and their maximum.
+brackets [psi, psi](alpha) = ||Z[psi](alpha)||^2 (weighted fiber sums,
+as the ``bracket`` command reports them), so ``frame_check(zak, [psi])``
+bounds are their minimum over fibers of nonzero rank and their maximum.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ inside l2(C, mu).  All J(alpha) are stored as one padded stack of bases,
 orthonormal in the weighted inner product, with the squared spectrum
 ``s2``: a :class:`RangeFunction`, which :func:`_factor`, the only fiber
 factorization, yields from one batched thin SVD of the weight-scaled
-fiber matrices, and which every reader takes whole.
+fiber matrices, and which every reader takes whole.  Fibers are plain
+arrays; their weights mu are the fibration's ``fiber_weights``, which a
+generator system and its range function share.
 
 Every cut of the fiber route is one of the constants below; ``frames``
 and ``decomp`` import them.  Only ``tolerance`` can be set per call: it
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zak import FiberedVector, Fibration
+from .zak import Fibration
 
 __all__ = [
     "RangeFunction",
@@ -120,12 +122,6 @@ class GeneratorSystem:
             self._factors = J, coords
         return self._factors
 
-    def fibered(self) -> list[FiberedVector]:
-        """Each generator's fibers, column j of the stack: in a memo entry
-        the bits and memory layout of ``forward`` of generator j."""
-        return [FiberedVector(self.stack[:, :, j], self.weights)
-                for j in range(self.stack.shape[2])]
-
     def membership(self, J: "RangeFunction", weighted: np.ndarray):
         """(members, residuals) of the k generators against J, judged as by
         :func:`membership_fibers`, given ``weighted`` = conj(J.basis) * mu."""
@@ -158,12 +154,12 @@ def generator_system(zak: Fibration, gens) -> GeneratorSystem:
     bits, else a new one that replaces it."""
     vectors = [np.asarray(g, dtype=complex) for g in gens]
     if zak.memo is None or not zak.memo.holds(vectors):
-        stack, weights = zak.forward_many(vectors)
+        stack = zak.forward_many(vectors)
         stack.flags.writeable = False
         # the key, stacked once the forward's own temporaries are freed
         rows = np.stack(vectors)
         rows.flags.writeable = False
-        zak.memo = GeneratorSystem(stack, weights, rows)
+        zak.memo = GeneratorSystem(stack, zak.fiber_weights, rows)
     return zak.memo
 
 
@@ -206,26 +202,25 @@ def range_from_generators(zak: Fibration, gens) -> RangeFunction:
     return generator_system(zak, gens).range_function()
 
 
-def _project_fibers(Phi: FiberedVector, J: RangeFunction) -> np.ndarray:
+def _project_fibers(F: np.ndarray, J: RangeFunction) -> np.ndarray:
     """Fiberwise weighted-orthogonal projection Q Q^H diag(mu) v onto J,
     with Q^H diag(mu) v taken as conj((diag(mu) v)^H Q) to leave Q as is."""
-    if Phi.fibers.shape[0] != J.n_fibers or \
-            not np.array_equal(Phi.fiber_weights, J.fiber_weights):
-        raise ValueError("fibered vector does not match the range function")
-    coef = np.conj(np.conj(Phi.fibers * J.fiber_weights)[:, None, :]
-                   @ J.basis)
+    if F.shape != J.basis.shape[:2]:
+        raise ValueError(f"fiber shape {F.shape} does not match the range "
+                         f"function's {J.basis.shape[:2]}")
+    coef = np.conj(np.conj(F * J.fiber_weights)[:, None, :] @ J.basis)
     return (J.basis @ coef.swapaxes(1, 2))[:, :, 0]
 
 
-def membership_fibers(Phi: FiberedVector, J: RangeFunction):
-    """(member, residual) of the fibered vector Phi in the invariant space
-    with range function J: residual^2 averages the weighted square
-    distances of its fibers from J(alpha), and member compares residual
-    with MEMBER_TOL * max(1, ||Phi||), in the fiber norm."""
-    diff = Phi.fibers - _project_fibers(Phi, J)
-    residual = float(np.sqrt(np.sum(np.abs(diff) ** 2 * J.fiber_weights)
-                             / J.n_fibers))
-    norm = float(np.sqrt(Phi.norm_sq()))
+def membership_fibers(F: np.ndarray, J: RangeFunction):
+    """(member, residual) of the fibers F in the invariant space with range
+    function J: residual^2 averages the weighted square distances of its
+    fibers from J(alpha), and member compares residual with MEMBER_TOL *
+    max(1, ||F||), in the fiber norm."""
+    w, n = J.fiber_weights, J.n_fibers
+    diff = F - _project_fibers(F, J)
+    residual = float(np.sqrt(np.sum(np.abs(diff) ** 2 * w) / n))
+    norm = float(np.sqrt(np.sum(np.sum(np.abs(F) ** 2 * w, axis=1)) / n))
     return residual <= MEMBER_TOL * max(1.0, norm), residual
 
 

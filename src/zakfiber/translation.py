@@ -29,7 +29,7 @@ import numpy as np
 from . import oracle
 from .group import FiniteAbelianGroup, Subgroup, annihilator, character, \
     coset_transversal, dft, subgroup_from_generators
-from .zak import FiberedVector, Fibration
+from .zak import Fibration
 # unused here: bench/spans.py REQUIRED_BINDINGS traces these bindings
 from .frames import frame_check_fibers
 from .ranges import range_from_fibers
@@ -57,7 +57,7 @@ class TranslationScenario(Fibration):
     normalization: dict[str, float]
 
     def __post_init__(self):
-        # unit weights, built once and read-only: results share them
+        # unit weights, built once and read-only: range functions share them
         self.ambient_weights = np.ones(self.G.order)
         self.fiber_weights = np.ones(self.n_points)
         for w in (self.ambient_weights, self.fiber_weights):
@@ -76,7 +76,7 @@ class TranslationScenario(Fibration):
         """(_char_matrix, _shift_index), built on first use."""
         return _char_matrix(self), _shift_index(self)
 
-    def forward(self, f) -> FiberedVector:
+    def forward(self, f) -> np.ndarray:
         return zakG_forward(self, f)
 
     def _forward_vectors(self, vectors: list[np.ndarray]):
@@ -84,10 +84,10 @@ class TranslationScenario(Fibration):
         # stack shape: each generator's fibers stay C-contiguous
         K, S = self._tables
         orbits = np.array([v[S] for v in vectors])
-        return (K @ orbits).transpose(1, 2, 0), self.fiber_weights
+        return (K @ orbits).transpose(1, 2, 0)
 
-    def inverse(self, Phi: FiberedVector) -> np.ndarray:
-        return zakG_inverse(self, Phi)
+    def inverse(self, F) -> np.ndarray:
+        return zakG_inverse(self, F)
 
     def synthesis_matrix(self, gens) -> np.ndarray:
         return oracle.translation_synthesis_matrix(self, gens)
@@ -150,17 +150,17 @@ def _shift_index(s: TranslationScenario) -> np.ndarray:
     return s.G.flat(s.coset_reps - s.gamma.members[:, None])
 
 
-def zakG_forward(s: TranslationScenario, f) -> FiberedVector:
+def zakG_forward(s: TranslationScenario, f) -> np.ndarray:
     """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
     return Fibration.forward(s, f)
 
 
-def zakG_inverse(s: TranslationScenario, Phi: FiberedVector) -> np.ndarray:
+def zakG_inverse(s: TranslationScenario, F) -> np.ndarray:
     """Not API: bench/spans.py binds it until ROADMAP items 1 and 3."""
     # per representative x the orbit data gamma -> f(x - gamma) is
     # recovered by Fourier inversion on Gamma
     K, S = s._tables
-    orbit = (K.conj().T @ s._fibers(Phi)) / s.gamma.order  # (|Gamma|, |C|)
+    orbit = (K.conj().T @ s._fibers(F)) / s.gamma.order  # (|Gamma|, |C|)
     f = np.empty(s.G.order, dtype=complex)
     f[S] = orbit
     return f

@@ -14,74 +14,36 @@ Per representative x, the orbit sequence gamma -> (Pi(gamma) psi)(x) is
 transformed with the FFT over the factor axes, of a C-ordered copy on a
 group of rank > 1, so fibers are enumerated in lexicographic dual order.
 
-A fibration has ``forward``, ``inverse``, ``n_fibers``, ``n_points``,
-``ambient_weights``, read-only ``fiber_weights`` that results share, and
+Fibers are plain complex arrays of shape (n_fibers, n_points), one row
+per dual point; the measure mu on C belongs to the fibration alone.  A
+fibration has ``forward``, ``inverse`` (of any such array, or nested
+list), ``n_fibers``, ``n_points``, ``ambient_weights``, read-only
+``fiber_weights`` (mu on C, which range functions share), and
 ``synthesis_matrix(gens)`` (the oracle's matrix of the orbit system); the
 two are :class:`ZakTransform` and ``translation.TranslationScenario``.
 Both are a :class:`Fibration`, which checks their vectors and fibers and
 gives both ``forward_many(gens)``, the stack (n_fibers, n_points, k) of all
 k generators' fibers at once, in Fortran order for an action; ``forward``
-is its case k = 1.  Each fibration also keeps one memo entry in ``memo``, a
-``ranges.GeneratorSystem``: the last generator system, a read-only copy of
-the generators, their read-only fiber stack and, once first needed, the
-range function and coordinates of its thin SVD.  ``frame_check``,
-``riesz_check``, ``range_from_generators``, ``parseval_decompose``,
-``verify_decomposition`` and every CLI command that fiberizes generators
-read the entry through ``ranges.generator_system``, which replaces it
-when called with generators of other bits.  It costs one generator
-stack, one fiber stack of the same size and a range basis of at most that
-size.
+is its column for k = 1.  Each fibration also keeps one memo entry in
+``memo``, a ``ranges.GeneratorSystem``: the last generator system, a
+read-only copy of the generators, their read-only fiber stack and, once
+first needed, the range function and coordinates of its thin SVD.
+``frame_check``, ``riesz_check``, ``range_from_generators``,
+``parseval_decompose``, ``verify_decomposition`` and every CLI command
+that fiberizes generators read the entry through
+``ranges.generator_system``, which replaces it when called with
+generators of other bits.  It costs one generator stack, one fiber stack
+of the same size and a range basis of at most that size.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
 from .action import AffineAction, QuasiInvariantAction, tiling_transversal
 
-__all__ = ["FiberedVector", "Fibration", "ZakTransform"]
-
-
-@dataclass
-class FiberedVector:
-    """Stack of fibers, one row per dual point, plus the atom weights on C.
-
-    The fiber inner product is <u, v> = sum_x u(x) conj(v(x)) mu(x); the
-    global square norm averages fiber square norms over the dual group.
-    """
-
-    fibers: np.ndarray        # (n_fibers, n_points) complex
-    fiber_weights: np.ndarray  # (n_points,) positive
-
-    def __post_init__(self):
-        self.fibers = np.asarray(self.fibers, dtype=complex)
-        self.fiber_weights = np.asarray(self.fiber_weights, dtype=float)
-        if self.fibers.ndim != 2:
-            raise ValueError("fibers must be a 2-d array")
-        if self.fiber_weights.shape != (self.fibers.shape[1],):
-            raise ValueError("fiber_weights length does not match fibers")
-
-    @property
-    def n_fibers(self) -> int:
-        return int(self.fibers.shape[0])
-
-    def fiber_inner(self, other: "FiberedVector") -> np.ndarray:
-        """Per-fiber weighted inner products <self(alpha), other(alpha)>."""
-        if other.fibers.shape != self.fibers.shape:
-            raise ValueError("fiber shapes do not match")
-        if not np.array_equal(other.fiber_weights, self.fiber_weights):
-            raise ValueError("fiber weights do not match")
-        return np.sum(self.fibers * np.conj(other.fibers) * self.fiber_weights,
-                      axis=1)
-
-    def fiber_norms_sq(self) -> np.ndarray:
-        return np.sum(np.abs(self.fibers) ** 2 * self.fiber_weights, axis=1)
-
-    def norm_sq(self) -> float:
-        return float(np.sum(self.fiber_norms_sq()) / self.n_fibers)
+__all__ = ["Fibration", "ZakTransform"]
 
 
 class Fibration:
@@ -89,8 +51,8 @@ class Fibration:
     checks of vectors and fibers.
 
     A subclass has ``n_fibers``, ``n_points``, ``ambient_weights``,
-    ``fiber_weights`` and ``_forward_vectors(vs)`` (the fiber stack and
-    weights of a list of checked vectors).
+    ``fiber_weights`` and ``_forward_vectors(vs)`` (the fiber stack of a
+    list of checked vectors).
     """
 
     # the last generator system, kept by ranges.generator_system
@@ -104,22 +66,22 @@ class Fibration:
                              f"got shape {v.shape}")
         return v
 
-    def _fibers(self, Phi: FiberedVector) -> np.ndarray:
-        """The fibers of Phi, checked against this fibration's shape."""
+    def _fibers(self, F) -> np.ndarray:
+        """F as complex fibers, checked against this fibration's shape."""
+        F = np.asarray(F, dtype=complex)
         shape = (self.n_fibers, self.n_points)
-        if Phi.fibers.shape != shape:
-            raise ValueError(f"fiber shape {Phi.fibers.shape} does not match "
-                             f"{shape}")
-        return Phi.fibers
+        if F.shape != shape:
+            raise ValueError(f"fiber shape {F.shape} does not match {shape}")
+        return F
 
-    def forward(self, psi) -> FiberedVector:
-        stack, weights = self._forward_vectors([self._vector(psi)])
-        return FiberedVector(stack[:, :, 0], weights)
+    def forward(self, psi) -> np.ndarray:
+        """The fibers of psi, (n_fibers, n_points): one row per dual point."""
+        return self._forward_vectors([self._vector(psi)])[:, :, 0]
 
-    def forward_many(self, gens) -> tuple[np.ndarray, np.ndarray]:
-        """(stack, weights): the fibers of all k generators at once, shaped
-        (n_fibers, n_points, k); ``forward`` of the j-th generator is
-        column j, so both have the same bits and memory layout."""
+    def forward_many(self, gens) -> np.ndarray:
+        """The fibers of all k generators at once, shaped (n_fibers,
+        n_points, k); ``forward`` of the j-th generator is column j, so
+        both have the same bits and memory layout."""
         vectors = [self._vector(g) for g in gens]
         if not vectors:
             raise ValueError("at least one fibered generator is required")
@@ -149,7 +111,7 @@ class ZakTransform(Fibration):
         self._src = np.asfortranarray(src)
         self._amp_fwd = np.sqrt(mu[self._src] / mu[C])
         self._amp_inv = np.sqrt(mu[C] / mu[self._src])
-        self.fiber_weights = mu[C]  # read-only: results share it
+        self.fiber_weights = mu[C]  # read-only: range functions share it
         self.fiber_weights.flags.writeable = False
         self.ambient_weights = mu
 
@@ -183,14 +145,13 @@ class ZakTransform(Fibration):
         stack = orbits.T
         fibers = np.fft.fftn(self._on_group_axes(stack),
                              axes=tuple(range(self.group.rank)))
-        return np.asfortranarray(fibers.reshape(stack.shape)), \
-            self.fiber_weights
+        return np.asfortranarray(fibers.reshape(stack.shape))
 
-    def inverse(self, Phi: FiberedVector) -> np.ndarray:
-        u = np.fft.ifftn(self._on_group_axes(self._fibers(Phi)),
+    def inverse(self, F) -> np.ndarray:
+        u = np.fft.ifftn(self._on_group_axes(self._fibers(F)),
                          axes=tuple(range(self.group.rank)))
         u = u.reshape(self.group.order, self.n_points)
-        # u[gi] = (1/|Gamma|) sum_alpha Phi(alpha) (gamma, alpha) is the
+        # u[gi] = (1/|Gamma|) sum_alpha F(alpha) (gamma, alpha) is the
         # orbit value the forward transform read at src[gi]
         psi = np.empty(self.action.space.size, dtype=complex)
         psi[self._src] = self._amp_inv * u

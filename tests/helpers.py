@@ -25,7 +25,6 @@ from zakfiber.oracle import Factorization, factor, membership_of_matrix, \
     synthesis_matrix
 from zakfiber.ranges import ORTHO_TOL, GeneratorSystem, RangeFunction, \
     _project_fibers
-from zakfiber.zak import FiberedVector
 
 
 def s1_action() -> QuasiInvariantAction:
@@ -94,11 +93,27 @@ def weighted_inner(mu, f, g) -> complex:
     return complex(np.sum(np.asarray(f) * np.conj(g) * mu))
 
 
+def fiber_inner(w, F, G) -> np.ndarray:
+    """Per-fiber weighted inner products <F(alpha), G(alpha)> of two fiber
+    arrays (n_fibers, n_points) under the fiber weights w."""
+    return np.sum(F * np.conj(G) * w, axis=1)
+
+
+def fiber_norms_sq(w, F) -> np.ndarray:
+    """Per-fiber weighted square norms of the fibers F."""
+    return np.sum(np.abs(F) ** 2 * w, axis=1)
+
+
+def norm_sq(w, F) -> float:
+    """Global square norm of the fibers F: their square norms averaged over
+    the dual group."""
+    return float(np.sum(fiber_norms_sq(w, F)) / len(F))
+
+
 def project(zak, psi, J: RangeFunction) -> np.ndarray:
     """Weighted-orthogonal projection of psi onto the invariant space of J,
     fiber by fiber through ``ranges._project_fibers``."""
-    proj = _project_fibers(zak.forward(psi), J)
-    return zak.inverse(FiberedVector(proj, J.fiber_weights))
+    return zak.inverse(_project_fibers(zak.forward(psi), J))
 
 
 def naive_apply(a: QuasiInvariantAction, gamma, psi) -> np.ndarray:
@@ -177,32 +192,30 @@ def dense_membership(a: QuasiInvariantAction, f, gens):
 
 
 # ---------------------------------------------------------------------------
-# fibered vectors given as lists, through the generator system of their
-# stack
+# fiber arrays given as lists under one set of fiber weights, through the
+# generator system of their stack
 
 
-def stacked(fibered) -> GeneratorSystem:
-    """The generator system of fibered vectors of one shape and weights,
-    stacked C-ordered along a last axis."""
-    return GeneratorSystem(np.stack([fv.fibers for fv in fibered], axis=2),
-                           fibered[0].fiber_weights)
+def stacked(fibers, w) -> GeneratorSystem:
+    """The generator system of fiber arrays of one shape under the fiber
+    weights w, stacked C-ordered along a last axis."""
+    return GeneratorSystem(np.stack(fibers, axis=2), w)
 
 
-def parts_of(fibered) -> list[FiberedVector]:
-    """``decomp._parts`` of the stacked generators, one fibered vector per
+def parts_of(fibers, w) -> list[np.ndarray]:
+    """``decomp._parts`` of the stacked generators, one fiber array per
     part."""
-    system = stacked(fibered)
-    parts = _parts(system)
-    return [FiberedVector(parts[:, :, n], system.weights)
-            for n in range(parts.shape[2])]
+    parts = _parts(stacked(fibers, w))
+    return [parts[:, :, n] for n in range(parts.shape[2])]
 
 
-def audit_of(fibered, claim, tolerance: float = ORTHO_TOL):
+def audit_of(fibers, claim, w, tolerance: float = ORTHO_TOL):
     """``decomp._audit`` of the claimed part fibers against the stacked
-    generators; no claim is an empty stack on the generators' fibers."""
-    parts = stacked(claim or fibered[:1])
-    return _audit(stacked(fibered), parts.stack[:, :, : len(claim)],
-                  parts.weights, tolerance)
+    generators, both under the fiber weights w; no claim is an empty stack
+    on the generators' fibers."""
+    parts = stacked(claim or fibers[:1], w)
+    return _audit(stacked(fibers, w), parts.stack[:, :, : len(claim)], w,
+                  tolerance)
 
 
 # ---------------------------------------------------------------------------

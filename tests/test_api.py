@@ -10,17 +10,20 @@ import pytest
 import zakfiber
 from zakfiber.action import QuasiInvariantAction, WeightedSpace
 from zakfiber.group import FiniteAbelianGroup, Subgroup
-from zakfiber.zak import FiberedVector
+from zakfiber.ranges import GeneratorSystem
 
-# module-level functions, and the methods by their class
-FUNCTIONS = ["character_table", "idft", "project", "zak_point"]
+# module-level names, and the methods by their class (by its name when
+# the class itself is gone)
+FUNCTIONS = ["character_table", "idft", "project", "zak_point",
+             "FiberedVector"]
 METHODS = [
     (FiniteAbelianGroup, "add"), (FiniteAbelianGroup, "sub"),
     (FiniteAbelianGroup, "neg"), (Subgroup, "__contains__"),
     (QuasiInvariantAction, "sigma"), (QuasiInvariantAction, "jacobian"),
     (QuasiInvariantAction, "jacobian_row"), (QuasiInvariantAction, "apply"),
     (WeightedSpace, "norm_sq"), (WeightedSpace, "inner"),
-    (FiberedVector, "inner"), (FiberedVector, "n_points"),
+    ("FiberedVector", "inner"), ("FiberedVector", "n_points"),
+    (GeneratorSystem, "fibered"),
 ]
 MODULES = [zakfiber] + [importlib.import_module(f"zakfiber.{m.name}")
                         for m in pkgutil.iter_modules(zakfiber.__path__)]
@@ -34,6 +37,10 @@ def test_removed_function_is_in_no_module(name):
 
 
 @pytest.mark.parametrize("cls, name", METHODS,
-                         ids=[f"{c.__name__}.{n}" for c, n in METHODS])
+                         ids=[f"{getattr(c, '__name__', c)}.{n}"
+                              for c, n in METHODS])
 def test_removed_method_is_gone(cls, name):
+    if isinstance(cls, str):
+        cls = next((getattr(m, cls) for m in MODULES if hasattr(m, cls)),
+                   None)
     assert not hasattr(cls, name)

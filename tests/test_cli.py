@@ -954,12 +954,12 @@ def test_verify_wide_range_generator(tmp_path, c, lower):
     # fibers of norm 1e6 and c: at c = 1e-2 both are retained, at c = 3e-5
     # (below 1e-10 of the largest) both routes drop the small fiber,
     # although its sigma^2 lies above the support tolerance
-    from zakfiber import FiberedVector, ZakTransform
+    from zakfiber import ZakTransform
     from zakfiber.scenario import parse_scenario
     zk = ZakTransform(parse_scenario(fixture_path("s1")).action)
     F = np.zeros((4, 2), dtype=complex)
     F[0, 0], F[1, 1] = 1e6, c
-    psi = zk.inverse(FiberedVector(F, zk.fiber_weights))
+    psi = zk.inverse(F)
 
     def edit(doc):
         doc["generators"] = [_pairs(psi)]

@@ -7,11 +7,11 @@ from zakfiber import FiniteAbelianGroup, QuasiInvariantAction, \
     WeightedSpace, ZakTransform, fixture_path, frame_check, \
     parse_scenario, parseval_decompose, range_from_generators, riesz_check, \
     verify_decomposition
-from zakfiber.ranges import generator_system
-from zakfiber.zak import FiberedVector
+from zakfiber.decomp import _audit
+from zakfiber.ranges import ORTHO_TOL, generator_system
 
-from helpers import audit_of, delta, parts_of, random_complex, s1_action, \
-    s2_action, star_generator
+from helpers import audit_of, delta, fiber_norms_sq, parts_of, \
+    random_complex, s1_action, s2_action, stacked, star_generator
 
 
 def test_orthonormal_deltas_pass_through():
@@ -114,13 +114,14 @@ def test_fiber_level_entry_points():
     zk = ZakTransform(s2_action())
     gens = [random_complex(rng, 4) for _ in range(2)]
     gen_fibers = [zk.forward(g) for g in gens]
-    parts = parts_of(gen_fibers)
+    parts = parts_of(gen_fibers, zk.fiber_weights)
     for p in parts:
-        assert isinstance(p, FiberedVector)
-        norms = p.fiber_norms_sq()
+        assert isinstance(p, np.ndarray)
+        assert p.shape == (zk.n_fibers, zk.n_points)
+        norms = fiber_norms_sq(zk.fiber_weights, p)
         on = norms > 1e-10
         assert np.all(np.abs(norms[on] - 1.0) < 1e-10)
-    check = audit_of(gen_fibers, parts)
+    check = audit_of(gen_fibers, parts, zk.fiber_weights)
     assert check.ok
 
 
@@ -131,10 +132,9 @@ def test_audit_rejects_parts_of_another_geometry():
     w, other = np.array([1.0, 4.0, 0.5]), np.array([2.0, 1.0, 1.0])
     fibers = [rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
               for _ in range(2)]
-    gens = [FiberedVector(f, w) for f in fibers]
-    parts = parts_of([FiberedVector(f, other) for f in fibers])
+    parts = np.stack(parts_of(fibers, other), axis=2)
     with pytest.raises(ValueError):
-        audit_of(gens, parts)
+        _audit(stacked(fibers, w), parts, other, ORTHO_TOL)
 
 
 def test_audit_membership_takes_less_memory_than_the_generator_stack():
@@ -275,8 +275,8 @@ def test_generator_order_is_respected():
     g1 = delta(8, 0) + delta(8, 1)
     parts = parseval_decompose(zk, [g0, g1])
     assert len(parts) == 2
-    Z0 = zk.forward(g0).fibers
-    P0 = zk.forward(parts[0]).fibers
+    Z0 = zk.forward(g0)
+    P0 = zk.forward(parts[0])
     for i in range(4):
         # colinear fibers: cross product of the two 2-vectors vanishes
         assert abs(Z0[i, 0] * P0[i, 1] - Z0[i, 1] * P0[i, 0]) < 1e-12

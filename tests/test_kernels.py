@@ -27,9 +27,9 @@ import pytest
 from zakfiber.frames import report_from_spectra
 from zakfiber.ranges import MEMBER_TOL, ORTHO_TOL, RANK_TOL, SUPPORT_TOL, \
     _project_fibers, membership_fibers
-from zakfiber.zak import FiberedVector
 
-from helpers import audit_of, parts_of, stacked
+from helpers import audit_of, fiber_inner, fiber_norms_sq, norm_sq, \
+    parts_of, stacked
 
 SHAPES = [(9, 5, 3), (7, 3, 5), (6, 4, 4), (1, 6, 2), (5, 2, 1)]
 
@@ -50,7 +50,7 @@ def mixed_rank_stack(rng, n_fibers, n_points, n_gens):
         if kind == 3 and n_gens > 1:
             # the last generator repeats a combination of the first two
             fibers[-1, i] = 2.0 * fibers[0, i] - 1j * fibers[1, i]
-    return [FiberedVector(f, w) for f in fibers], w
+    return list(fibers), w
 
 
 def tiny_fiber_stack(rng):
@@ -58,13 +58,13 @@ def tiny_fiber_stack(rng):
     singular value of the others: full rank on its own, zero against the
     whole stack."""
     fibered, w = mixed_rank_stack(rng, 6, 4, 3)
-    for fv in fibered:
-        fv.fibers[1] *= 1e-12
+    for F in fibered:
+        F[1] *= 1e-12
     return fibered, w
 
 
 def per_fiber_matrices(fibered, w):
-    stack = np.stack([fv.fibers for fv in fibered], axis=2)
+    stack = np.stack(fibered, axis=2)
     return [np.sqrt(w)[:, None] * m for m in stack]
 
 
@@ -109,7 +109,7 @@ def reference_mgs(fibered, w):
             if nr > RANK_TOL * ref / np.sqrt(k):
                 accepted.append(r / nr)
         survivors.append([U[:, :d] @ q / np.sqrt(w) for q in accepted])
-    n_fibers, n_points = fibered[0].fibers.shape
+    n_fibers, n_points = fibered[0].shape
     parts = np.zeros((max(map(len, survivors)), n_fibers, n_points),
                      dtype=complex)
     for i, acc in enumerate(survivors):
@@ -124,7 +124,7 @@ def check_spectra(fibered, w):
     # a fiber of rank below the generator count has Gram eigenvalue 0
     gram_min = np.array([s2[i, -1] if d == len(fibered) else 0.0
                          for i, d in enumerate(dims)])
-    J = stacked(fibered).factors()[0]
+    J = stacked(fibered, w).factors()[0]
     frame = report_from_spectra(J, SUPPORT_TOL, riesz_style=False)
     riesz = report_from_spectra(J, SUPPORT_TOL, riesz_style=True)
     for rep in (frame, riesz):
@@ -142,7 +142,7 @@ def check_spectra(fibered, w):
 
 
 def check_range(fibered, w):
-    J = stacked(fibered).range_function()
+    J = stacked(fibered, w).range_function()
     inv_sqrtw = 1.0 / np.sqrt(w)
     svds = [np.linalg.svd(B, full_matrices=False)
             for B in per_fiber_matrices(fibered, w)]
@@ -163,36 +163,35 @@ def check_project(fibered, w):
     """Projection and membership against one projection per fiber onto
     the first dims[i] basis columns, for a vector inside the span and a
     random one."""
-    J = stacked(fibered).range_function()
+    J = stacked(fibered, w).range_function()
     rng = np.random.default_rng(len(w))
-    inside = fibered[0].fibers - 2j * fibered[-1].fibers
+    inside = fibered[0] - 2j * fibered[-1]
     noise = rng.normal(size=inside.shape) + 1j * rng.normal(size=inside.shape)
     for v in (inside, noise):
-        Phi = FiberedVector(v, w)
         want = np.zeros_like(v)
         for i, d in enumerate(J.dims):
             Q = J.basis[i, :, :d]
             want[i] = Q @ (Q.conj().T @ (w * v[i]))
         scale = max(1.0, np.max(np.abs(v)))
-        assert np.max(np.abs(_project_fibers(Phi, J) - want)) \
+        assert np.max(np.abs(_project_fibers(v, J) - want)) \
             <= 1e-12 * scale
-        norm = np.sqrt(Phi.norm_sq())
+        norm = np.sqrt(norm_sq(w, v))
         residual = np.sqrt(np.sum(np.abs(v - want) ** 2 * w) / len(v))
-        member, got = membership_fibers(Phi, J)
+        member, got = membership_fibers(v, J)
         assert got == pytest.approx(residual, rel=1e-12,
                                     abs=1e-12 * max(1.0, norm))
         assert member == (residual <= MEMBER_TOL * max(1.0, norm))
-    return membership_fibers(FiberedVector(inside, w), J)[0]
+    return membership_fibers(inside, J)[0]
 
 
-def reference_audit(parts):
+def reference_audit(parts, w):
     """(orthogonality_max, parts_parseval) from one fiber_inner per pair
     of parts and one norm vector per part."""
-    ortho = max((float(np.max(np.abs(p.fiber_inner(q))))
+    ortho = max((float(np.max(np.abs(fiber_inner(w, p, q))))
                  for p, q in itertools.combinations(parts, 2)), default=0.0)
     parseval = []
     for p in parts:
-        norms = p.fiber_norms_sq()
+        norms = fiber_norms_sq(w, p)
         on = norms > ORTHO_TOL
         parseval.append(bool(on.any())
                         and bool(np.all(np.abs(norms[on] - 1.0) <= ORTHO_TOL)))
@@ -203,36 +202,35 @@ def check_audit(fibered, w):
     """The audit's batched Gram matrix against the pairwise reference, on
     the Gram-Schmidt parts, a rescaled part, a repeated part and the raw
     generators."""
-    parts = parts_of(fibered)
-    doubled = [FiberedVector(2.0 * p.fibers, w) for p in parts[:1]] \
-        + parts[1:]
+    parts = parts_of(fibered, w)
+    doubled = [2.0 * p for p in parts[:1]] + parts[1:]
     for claim in (parts, doubled, parts + parts[:1], list(fibered), []):
-        check = audit_of(fibered, claim)
-        ortho, parseval = reference_audit(claim)
+        check = audit_of(fibered, claim, w)
+        ortho, parseval = reference_audit(claim, w)
         assert check.orthogonality_max == pytest.approx(ortho, rel=1e-12,
                                                         abs=1e-14)
         assert check.parts_parseval == parseval
-    return audit_of(fibered, parts).ok
+    return audit_of(fibered, parts, w).ok
 
 
 def check_decompose(fibered, w):
-    parts = parts_of(fibered)
+    parts = parts_of(fibered, w)
     expected = reference_mgs(fibered, w)
     assert len(parts) == len(expected)
     for p, e in zip(parts, expected):
-        assert np.array_equal(p.fibers == 0, e == 0)
-        assert np.max(np.abs(p.fibers - e)) <= 1e-13
+        assert np.array_equal(p == 0, e == 0)
+        assert np.max(np.abs(p - e)) <= 1e-13
 
 
-def lstsq_distance(claim, fv, w):
-    """Root mean over the fibers of the weighted distance of fv from the
-    span of the claimed parts, one least-squares solve per fiber."""
+def lstsq_distance(claim, F, w):
+    """Root mean over the fibers of the weighted distance of the fibers F
+    from the span of the claimed parts, one least-squares solve per fiber."""
     d2 = 0.0
-    for B, v in zip(per_fiber_matrices(claim, w), fv.fibers):
+    for B, v in zip(per_fiber_matrices(claim, w), F):
         b = np.sqrt(w) * v
         x = np.linalg.lstsq(B, b, rcond=None)[0]
         d2 += np.sum(np.abs(b - B @ x) ** 2)
-    return np.sqrt(d2 / len(fv.fibers))
+    return np.sqrt(d2 / len(F))
 
 
 def check_parts_range(fibered, w):
@@ -243,9 +241,9 @@ def check_parts_range(fibered, w):
     The residuals are those of the stacked membership of the generator
     system, which sums in another order than one vector at a time, so
     they match ``membership_fibers`` to 1e-12 of the vector's norm."""
-    parts = parts_of(fibered)
-    J = audit_of(fibered, parts).parts_range
-    n_fibers = fibered[0].n_fibers
+    parts = parts_of(fibered, w)
+    J = audit_of(fibered, parts, w).parts_range
+    n_fibers = fibered[0].shape[0]
     s2 = np.zeros((n_fibers, max(1, len(parts))))
     dims = np.zeros(n_fibers, dtype=int)
     if parts:
@@ -255,22 +253,21 @@ def check_parts_range(fibered, w):
         dims = [np.linalg.matrix_rank(B) for B in mats]
     assert np.max(np.abs(J.s2 - s2)) <= 1e-14
     assert np.array_equal(J.dims, dims)
-    doubled = [FiberedVector(2.0 * p.fibers, w) for p in parts[:1]] \
-        + parts[1:]
+    doubled = [2.0 * p for p in parts[:1]] + parts[1:]
     for claim in (doubled, parts + parts[:1], list(fibered)):
         if not claim:
             continue
-        check = audit_of(fibered, claim)
+        check = audit_of(fibered, claim, w)
         J = check.parts_range
-        members, residuals = stacked(fibered).membership(
+        members, residuals = stacked(fibered, w).membership(
             J, np.conj(J.basis) * w[:, None])
         assert check.membership_ok == members.all()
-        for fv, residual, got, member in zip(
+        for F, residual, got, member in zip(
                 fibered, check.membership_residuals, residuals, members):
-            distance = lstsq_distance(claim, fv, w)
-            norm = np.sqrt(fv.norm_sq())
+            distance = lstsq_distance(claim, F, w)
+            norm = np.sqrt(norm_sq(w, F))
             assert got == residual >= distance
-            assert abs(got - membership_fibers(fv, J)[1]) \
+            assert abs(got - membership_fibers(F, J)[1]) \
                 <= 1e-12 * max(1.0, norm)
             if member:
                 assert distance <= MEMBER_TOL * max(1.0, norm)

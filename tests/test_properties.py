@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zakfiber import (
-    FiberedVector,
     FiniteAbelianGroup,
     NotFreeError,
     QuasiInvariantAction,
@@ -44,10 +43,10 @@ from zakfiber import (
 
 from zakfiber.cli import run
 
-from helpers import elem_add, random_complex, reference_annihilator, \
-    reference_closure, reference_cosets, reference_duality, \
-    reference_tiling, reference_validate, strided_forward_many, \
-    strided_inverse
+from helpers import elem_add, fiber_norms_sq, random_complex, \
+    reference_annihilator, reference_closure, reference_cosets, \
+    reference_duality, reference_tiling, reference_validate, \
+    strided_forward_many, strided_inverse
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -306,16 +305,15 @@ def free_actions(draw):
 
 
 def _assert_forward_many(fib, gens):
-    stack, weights = fib.forward_many(gens)
-    fibered = [fib.forward(g) for g in gens]
+    stack = fib.forward_many(gens)
     assert stack.shape[2] == len(gens)
-    for j, fv in enumerate(fibered):
+    for j, g in enumerate(gens):
         # the same bits in the same layout, on which later sums depend
-        assert stack[:, :, j].tobytes() == fv.fibers.tobytes()
+        F = fib.forward(g)
+        assert stack[:, :, j].tobytes() == F.tobytes()
         layout = [(a.flags.c_contiguous, a.flags.f_contiguous)
-                  for a in (stack[:, :, j], fv.fibers)]
+                  for a in (stack[:, :, j], F)]
         assert layout[0] == layout[1]
-    assert np.array_equal(weights, fibered[0].fiber_weights)
 
 
 @PROPERTY
@@ -338,10 +336,10 @@ def test_forward_and_inverse_keep_the_bits_of_strided_fft_lines(G, c, seed,
     weights = 10.0 ** rng.uniform(-3, 3, table.shape[1])
     zk = ZakTransform(QuasiInvariantAction(G, WeightedSpace(weights), table))
     gens = [random_complex(rng, table.shape[1]) for _ in range(k)]
-    stack = zk.forward_many(gens)[0]
+    stack = zk.forward_many(gens)
     assert stack.tobytes() == strided_forward_many(zk, gens).tobytes()
     for fibers in (stack[:, :, 0], np.ascontiguousarray(stack[:, :, -1])):
-        psi = zk.inverse(FiberedVector(fibers, zk.fiber_weights))
+        psi = zk.inverse(fibers)
         assert psi.tobytes() == strided_inverse(zk, fibers).tobytes()
 
 
@@ -457,7 +455,7 @@ def test_verify_agrees_off_the_rank_cut(case):
     # both sides, and there the routes must agree
     doc, action, gens = case
     zk = ZakTransform(action)
-    stack = np.stack([zk.forward(g).fibers for g in gens], axis=2)
+    stack = np.stack([zk.forward(g) for g in gens], axis=2)
     s = np.linalg.svd(np.sqrt(zk.fiber_weights)[:, None] * stack,
                       compute_uv=False)
     smax = s.max()
@@ -561,8 +559,8 @@ def test_decomposition_has_the_range_dims_near_the_rank_cut(case, eps):
     dims = range_from_generators(zk, gens).dims
     parts = parseval_decompose(zk, gens)
     # a part's fiber norms are 0 or 1, up to rounding
-    counts = sum((zk.forward(p).fiber_norms_sq() > 0.5).astype(int)
-                 for p in parts)
+    counts = sum((fiber_norms_sq(zk.fiber_weights, zk.forward(p)) > 0.5)
+                 .astype(int) for p in parts)
     assert np.array_equal(counts, dims)
 
 
@@ -576,9 +574,9 @@ def test_audit_passes_where_generators_vanish_on_fibers(case, k):
     zk = ZakTransform(action)
     gens = []
     for _ in range(k):
-        fv = zk.forward(random_complex(rng, action.space.size))
-        fv.fibers[rng.random(zk.n_fibers) < 0.5] = 0.0
-        gens.append(zk.inverse(fv))
+        F = zk.forward(random_complex(rng, action.space.size))
+        F[rng.random(zk.n_fibers) < 0.5] = 0.0
+        gens.append(zk.inverse(F))
     dims = range_from_generators(zk, gens).dims
     check = verify_decomposition(zk, gens, parseval_decompose(zk, gens))
     assert check.ok

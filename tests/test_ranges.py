@@ -143,25 +143,27 @@ def test_membership_fibers_variant():
 def test_fiber_shape_mismatch():
     zk = ZakTransform(s1_action())
     J = range_from_generators(zk, [delta(8, 0)])
-    from zakfiber import FiberedVector
-    bad = FiberedVector(np.zeros((3, 2)), zk.fiber_weights)
     with pytest.raises(ValueError):
-        membership_fibers(bad, J)
+        membership_fibers(np.zeros((3, 2)), J)
 
 
-def test_fiber_weight_mismatch():
-    # J's weights would measure a vector of another geometry wrongly
+def test_membership_measures_fibers_by_the_range_weights():
+    # fibers carry no weights: the same span, orthonormal under doubled
+    # weights, measures every distance sqrt(2) times longer
     zk = ZakTransform(s1_action())
     J = range_from_generators(zk, [delta(8, 0)])
-    from zakfiber import FiberedVector
-    other = FiberedVector(zk.forward(delta(8, 1)).fibers,
-                          2.0 * zk.fiber_weights)
-    with pytest.raises(ValueError):
-        membership_fibers(other, J)
+    J2 = RangeFunction(J.basis / np.sqrt(2.0), J.dims, 2.0 * J.fiber_weights,
+                       J.s2)
+    F = zk.forward(delta(8, 0) + delta(8, 1))
+    member, residual = membership_fibers(F, J)
+    member2, residual2 = membership_fibers(F, J2)
+    assert not member and not member2
+    assert residual == pytest.approx(1.0, rel=1e-12)
+    assert residual2 == pytest.approx(np.sqrt(2.0) * residual, rel=1e-12)
 
 
 def test_fiber_weights_of_a_forward_are_read_only():
-    # a fibered vector shares the transform's weights, which every later
+    # a generator system shares the transform's weights, which every later
     # result of the transform reads, so a write to them must fail
     rng = np.random.default_rng(61)
     zk = ZakTransform(s2_action())
@@ -170,7 +172,7 @@ def test_fiber_weights_of_a_forward_are_read_only():
     before = membership(zk, c, range_from_generators(zk, gens))
     assert not before[0] and before[1] > 0.1
     with pytest.raises(ValueError):
-        zk.forward(c).fiber_weights[:] = 7
+        generator_system(zk, gens).weights[:] = 7
     with pytest.raises(ValueError):
         zk.fiber_weights[0] = 7
     assert membership(zk, c, range_from_generators(zk, gens)) == before
@@ -195,8 +197,9 @@ def test_memo_factors_are_the_read_only_range_function():
 
 def test_translation_results_share_its_read_only_weights():
     ts = s3_scenario()
-    fv = ts.forward(random_complex(np.random.default_rng(71), 12))
-    assert fv.fiber_weights is ts.fiber_weights
+    system = generator_system(ts, [random_complex(
+        np.random.default_rng(71), 12)])
+    assert system.weights is ts.fiber_weights
     assert np.array_equal(ts.fiber_weights, np.ones(ts.n_points))
     assert np.array_equal(ts.ambient_weights, np.ones(ts.G.order))
     assert (ts.n_fibers, ts.n_points) == (4, 3)

@@ -8,7 +8,6 @@ from zakfiber.frames import report_from_spectra
 from zakfiber.oracle import factor, riesz_bounds_of_matrix, \
     translation_synthesis_matrix
 from zakfiber.ranges import SUPPORT_TOL
-from zakfiber.zak import FiberedVector
 
 from helpers import assert_coordinate_rows, delta, elem_add, elem_sub, \
     naive_zak_point, naive_zakG, random_complex, s3_scenario
@@ -72,7 +71,7 @@ def test_zak_known_fiber():
         [-1, 0, 0],
         [-1j, 0, 0],
     ], dtype=complex)
-    assert np.allclose(Z.fibers, expected, atol=1e-12)
+    assert np.allclose(Z, expected, atol=1e-12)
 
 
 def test_zak_matches_naive_and_point_sums():
@@ -82,7 +81,7 @@ def test_zak_matches_naive_and_point_sums():
         f = random_complex(rng, 12)
         Z = s.forward(f)
         # naive_zakG is the point sum at each (omega, x) of Omega x C
-        assert np.max(np.abs(Z.fibers - naive_zakG(s, f))) < 1e-12
+        assert np.max(np.abs(Z - naive_zakG(s, f))) < 1e-12
 
 
 def test_zak_quasi_periodicity():
@@ -111,9 +110,9 @@ def test_zak_roundtrip():
         f = random_complex(rng, 12)
         Z = s.forward(f)
         assert np.max(np.abs(s.inverse(Z) - f)) < 1e-12
-    Phi = FiberedVector(random_complex(rng, 12).reshape(4, 3), np.ones(3))
-    back = s.forward(s.inverse(Phi))
-    assert np.max(np.abs(back.fibers - Phi.fibers)) < 1e-12
+    F = random_complex(rng, 12).reshape(4, 3)
+    back = s.forward(s.inverse(F))
+    assert np.max(np.abs(back - F)) < 1e-12
 
 
 def test_zak_intertwines_translation():
@@ -121,12 +120,12 @@ def test_zak_intertwines_translation():
     s = s3_scenario()
     G = s.G
     f = random_complex(rng, 12)
-    base = s.forward(f).fibers
+    base = s.forward(f)
     for g in s.gamma.members:
         shifted = np.empty(12, dtype=complex)
         for xi, x in enumerate(G.elements()):
             shifted[xi] = f[G.index(elem_sub(G, x, g))]
-        lhs = s.forward(shifted).fibers
+        lhs = s.forward(shifted)
         chars = np.array([character(G, g, om) for om in s.dual_reps])
         assert np.max(np.abs(lhs - chars[:, None] * base)) < 1e-12
 
@@ -138,7 +137,7 @@ def test_zak_isometry_with_nu():
     for _ in range(20):
         f = random_complex(rng, 12)
         Z = s.forward(f)
-        total = float(np.sum(np.abs(Z.fibers) ** 2)) / s.gamma.order
+        total = float(np.sum(np.abs(Z) ** 2)) / s.gamma.order
         assert total == pytest.approx(float(np.sum(np.abs(f) ** 2)),
                                       rel=1e-12)
 
@@ -277,11 +276,11 @@ def test_full_group_translation_recovers_fourier():
     rng = np.random.default_rng(157)
     f = random_complex(rng, 12)
     Z = s.forward(f)
-    assert Z.fibers.shape == (12, 1)
+    assert Z.shape == (12, 1)
     from zakfiber import dft
     fhat = dft(G, f)
     neg = G.neg_index_table()
-    assert np.max(np.abs(Z.fibers[:, 0] - fhat[neg])) < 1e-12
+    assert np.max(np.abs(Z[:, 0] - fhat[neg])) < 1e-12
 
 
 def test_translation_scenario_is_a_fibration(monkeypatch):
@@ -296,11 +295,9 @@ def test_translation_scenario_is_a_fibration(monkeypatch):
     rng = np.random.default_rng(163)
     gens = [random_complex(rng, 12) for _ in range(2)]
     for g in gens:
-        fv = s.forward(g)
-        ref = s.forward_many([g])
-        assert np.array_equal(fv.fibers, ref[0][:, :, 0])
-        assert np.array_equal(fv.fiber_weights, ref[1])
-        assert np.max(np.abs(s.inverse(fv) - g)) < 1e-12
+        F = s.forward(g)
+        assert np.array_equal(F, s.forward_many([g])[:, :, 0])
+        assert np.max(np.abs(s.inverse(F) - g)) < 1e-12
     assert built == [s]  # the tables are built once per scenario
     assert np.array_equal(s.ambient_weights, np.ones(12))
     assert np.array_equal(s.synthesis_matrix(gens),
